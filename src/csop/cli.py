@@ -4,17 +4,14 @@ Configs are plain ``key = value`` text with ``#`` comments.  Every
 subcommand produces a ResultTable that serializes deterministically to CSV
 (17 significant digits, metadata as leading ``#`` lines) or JSON; identical
 configs yield byte-identical output.  Exit codes: 1 config error, 2
-numerical precondition, 3 convergence failure.  The CSOP_THREADS
-environment variable caps sweep parallelism.
+numerical precondition, 3 convergence failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,22 +55,6 @@ SUBCOMMANDS = (
     "resonance",
     "resolvent-map",
 )
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("CSOP_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items):
-    n = _threads()
-    items = list(items)
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass
@@ -335,7 +316,7 @@ def _run_decay_bound(cfg: RunConfig) -> ResultTable:
             ).c_value
         return (energy, qc, q, c)
 
-    rows = np.asarray(_parallel_map(row, energies))
+    rows = np.asarray([row(e) for e in energies])
     meta = _base_metadata(cfg)
     meta.update(qbar=qbar, ebar=ebar, ebar_in_gap=in_gap)
     cols = ["E", "q_c"] + (["q", "C"] if with_c else [])
@@ -383,8 +364,7 @@ def _run_kernel_scan(cfg: RunConfig) -> ResultTable:
 def _run_kp_fig1(cfg: RunConfig) -> ResultTable:
     p = cfg.params
     v0s = np.geomspace(p["v0_min"], p["v0_max"], p["n_points"])
-    rows_list = _parallel_map(lambda v0: fig1_sweep([v0])[0].as_tuple(), v0s)
-    rows = np.asarray(rows_list)
+    rows = np.asarray([r.as_tuple() for r in fig1_sweep(v0s)])
     meta = _base_metadata(cfg)
     meta["max_rel_diff"] = float(np.max(rows[:, 6]))
     return ResultTable(columns=list(FIG1_COLUMNS), rows=rows, metadata=meta)
@@ -424,7 +404,7 @@ def _run_resolvent_map(cfg: RunConfig) -> ResultTable:
     res = np.linspace(p["re_min"], p["re_max"], p["n_re"])
     ims = np.linspace(p["im_min"], p["im_max"], p["n_im"])
     points = [(re, im) for re in res for im in ims]
-    norms = _parallel_map(lambda pt: 1.0 / sigma_min(ham, complex(*pt)), points)
+    norms = [1.0 / sigma_min(ham, complex(*pt)) for pt in points]
     rows = np.asarray([(re, im, nv) for (re, im), nv in zip(points, norms)])
     meta = _base_metadata(cfg)
     return ResultTable(columns=["re_z", "im_z", "norm"], rows=rows, metadata=meta)

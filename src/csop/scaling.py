@@ -19,13 +19,14 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .antilinear import antilinear_spectrum
+from .antilinear import ABS_FLOOR, SINGULAR_RTOL, antilinear_spectrum
 from .errors import (
+    ConvergenceError,
     PairingAmbiguityError,
     SingularShiftError,
     StripViolationError,
 )
-from .schrodinger import Grid1D
+from .schrodinger import Grid1D, Tridiagonal
 
 __all__ = [
     "DilationPotential",
@@ -49,6 +50,12 @@ __all__ = [
     "fit_relative_bound",
     "perturbation_scan",
 ]
+
+SIGMA_MIN_ITERS = 200      # power steps before sigma_min gives up
+SIGMA_MIN_RTOL = 1e-12     # relative change of the power estimate that counts as converged
+SIGMA_MIN_SEED = 0         # seed of the random start vector
+POLISH_TOL = 1e-10         # relative eigenvalue change that stops polish_eigenvalue
+POLISH_MAX_ITER = 50       # Rayleigh-quotient steps before polish_eigenvalue stops
 
 
 @dataclass(frozen=True)
@@ -85,14 +92,18 @@ class DilationPotential:
 
 @dataclass
 class ScaledHamiltonian:
-    """Discretized H_theta(gamma); the matrix equals its transpose bitwise."""
+    """Discretized H_theta(gamma); symmetric bands, so the matrix equals its transpose bitwise."""
 
-    matrix: np.ndarray
+    bands: Tridiagonal
     grid: Grid1D
     theta: complex
     gamma: float
     potential: DilationPotential
     _eigvals: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.bands.dense()
 
     def eigenvalues(self) -> np.ndarray:
         if self._eigvals is None:
@@ -102,7 +113,10 @@ class ScaledHamiltonian:
     @property
     def norm_estimate(self) -> float:
         """Cheap upper bound on the spectral norm (max row sum)."""
-        return float(np.max(np.sum(np.abs(self.matrix), axis=1)))
+        row = np.abs(self.bands.main)
+        row[:-1] += np.abs(self.bands.sup)
+        row[1:] += np.abs(self.bands.sub)
+        return float(np.max(row))
 
 
 def build_scaled(
@@ -116,20 +130,13 @@ def build_scaled(
     if gamma != 0.0 and pot.w is None:
         raise ValueError("gamma != 0 requires a perturbation w on the potential")
 
-    n = grid.n
-    x = grid.points
-    zx = np.exp(theta) * x.astype(complex)
+    zx = np.exp(theta) * grid.points.astype(complex)
     diag_v = np.asarray(pot.v(zx), dtype=complex)
     if gamma != 0.0:
         diag_v = diag_v + gamma * np.asarray(pot.w(zx), dtype=complex)
 
-    c0 = np.exp(-2.0 * theta) / (grid.h * grid.h)
-    mat = np.zeros((n, n), dtype=complex)
-    idx = np.arange(n - 1)
-    mat[idx, idx + 1] = -c0
-    mat[idx + 1, idx] = -c0
-    mat[np.diag_indices(n)] = 2.0 * c0 + diag_v
-    return ScaledHamiltonian(matrix=mat, grid=grid, theta=theta, gamma=gamma, potential=pot)
+    bands = Tridiagonal.laplacian(grid, np.exp(-2.0 * theta), diag_v)
+    return ScaledHamiltonian(bands=bands, grid=grid, theta=theta, gamma=gamma, potential=pot)
 
 
 @dataclass
@@ -254,11 +261,10 @@ def resolvent_norm_at(h: ScaledHamiltonian, z: complex) -> ResolventNorm:
     """
     spec = antilinear_spectrum(h.matrix, None, z)
     lam = float(spec.lambdas[0])
-    if lam < max(1e-13 * spec.matrix_norm, 1e-14):
+    if lam < max(SINGULAR_RTOL * spec.matrix_norm, ABS_FLOOR):
         raise SingularShiftError(f"z = {z:.6g} is numerically an eigenvalue")
     psi = spec.vectors[:, 0]
-    shifted = h.matrix - z * np.eye(h.grid.n)
-    residual = float(np.linalg.norm(shifted @ psi - lam * np.conj(psi)))
+    residual = float(np.linalg.norm(h.bands.matvec(psi) - z * psi - lam * np.conj(psi)))
     return ResolventNorm(norm=1.0 / lam, min_lambda=lam, vector=psi, residual=residual)
 
 
@@ -285,7 +291,7 @@ def essential_floor_check(
     of singular values below the floor (the discrete part) and an
     accumulating family above it.
     """
-    sv = np.linalg.svd(h.matrix - z * np.eye(h.grid.n), compute_uv=False)
+    sv = np.linalg.svd(h.bands.dense(z), compute_uv=False)
     floor = ray_distance(z, h.theta)
     tol = tol_rel * floor
     below = sv[sv < floor - tol]
@@ -301,54 +307,36 @@ def essential_floor_check(
     )
 
 
-# ---------------------------------------------------------------------------
-# banded linear algebra helpers (every matrix here is tridiagonal)
-
-def _banded(h: ScaledHamiltonian, z: complex) -> np.ndarray:
-    n = h.grid.n
-    mat = h.matrix
-    ab = np.zeros((3, n), dtype=complex)
-    ab[0, 1:] = np.diagonal(mat, 1)
-    ab[1, :] = np.diagonal(mat) - z
-    ab[2, :-1] = np.diagonal(mat, -1)
-    return ab
-
-
-def _banded_adjoint(ab: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(ab)
-    out[0, 1:] = np.conj(ab[2, :-1])
-    out[1, :] = np.conj(ab[1, :])
-    out[2, :-1] = np.conj(ab[0, 1:])
-    return out
-
-
-def sigma_min(h: ScaledHamiltonian, z: complex, *, iters: int = 200, rtol: float = 1e-12, seed: int = 0) -> float:
+def sigma_min(h: ScaledHamiltonian, z: complex) -> float:
     """Smallest singular value of H - z via banded inverse-power iteration.
 
     Runs the power method on (H-z)^-1 (H-z)^-dagger with O(n) solves per
     step; equals 1/||(H-z)^-1||, which the antilinear machinery certifies
-    independently.
+    independently.  H is complex symmetric, so (H-z)^dagger is the entrywise
+    conjugate of H - z.  Raises ConvergenceError when SIGMA_MIN_ITERS steps
+    do not bring the relative change of the estimate below SIGMA_MIN_RTOL.
     """
-    ab = _banded(h, z)
-    abh = _banded_adjoint(ab)
-    rng = np.random.default_rng(seed)
+    ab = h.bands.banded(z)
+    abh = np.conj(ab)
+    rng = np.random.default_rng(SIGMA_MIN_SEED)
     v = rng.standard_normal(h.grid.n) + 1j * rng.standard_normal(h.grid.n)
     v /= np.linalg.norm(v)
     rho_old = 0.0
-    for _ in range(iters):
+    for _ in range(SIGMA_MIN_ITERS):
         y = scipy.linalg.solve_banded((1, 1), abh, v)
         w = scipy.linalg.solve_banded((1, 1), ab, y)
         rho = float(np.linalg.norm(w))
         v = w / rho
-        if abs(rho - rho_old) <= rtol * rho:
-            break
+        if abs(rho - rho_old) <= SIGMA_MIN_RTOL * rho:
+            return 1.0 / math.sqrt(rho)
         rho_old = rho
-    return 1.0 / math.sqrt(rho)
+    raise ConvergenceError(
+        f"sigma_min at z = {z:.6g} not converged in {SIGMA_MIN_ITERS} steps "
+        f"(relative change {abs(rho - rho_old) / rho:.3g} > {SIGMA_MIN_RTOL:g})"
+    )
 
 
-def polish_eigenvalue(
-    h: ScaledHamiltonian, z0: complex, *, tol: float = 1e-10, max_iter: int = 50
-) -> tuple[complex, np.ndarray]:
+def polish_eigenvalue(h: ScaledHamiltonian, z0: complex) -> tuple[complex, np.ndarray]:
     """Refine an eigenvalue estimate by bilinear Rayleigh-quotient iteration.
 
     Inverse iteration with the complex-bilinear quotient z = (psi^T H psi) /
@@ -361,10 +349,9 @@ def polish_eigenvalue(
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     z = complex(z0)
-    for _ in range(max_iter):
-        ab = _banded(h, z)
+    for _ in range(POLISH_MAX_ITER):
         try:
-            w = scipy.linalg.solve_banded((1, 1), ab, v)
+            w = scipy.linalg.solve_banded((1, 1), h.bands.banded(z), v)
         except np.linalg.LinAlgError:
             break  # z is an exact eigenvalue of the factorization
         w /= np.linalg.norm(w)
@@ -373,9 +360,9 @@ def polish_eigenvalue(
             v = w + 1e-8 * rng.standard_normal(n)
             v /= np.linalg.norm(v)
             continue
-        z_new = (w @ (h.matrix @ w)) / denom
+        z_new = (w @ h.bands.matvec(w)) / denom
         v = w
-        if abs(z_new - z) <= tol * max(1.0, abs(z_new)):
+        if abs(z_new - z) <= POLISH_TOL * max(1.0, abs(z_new)):
             return complex(z_new), v
         z = complex(z_new)
     return z, v
@@ -461,14 +448,6 @@ def exact_relative_bound(pot: DilationPotential, grid: Grid1D, theta: complex) -
     return RelativeBound(a=0.0, b=float(np.max(np.abs(w_diag))), fitted=False)
 
 
-def _flat_laplacian_apply(grid: Grid1D, psi: np.ndarray) -> np.ndarray:
-    h2 = grid.h * grid.h
-    out = 2.0 * psi.astype(complex)
-    out[:-1] -= psi[1:]
-    out[1:] -= psi[:-1]
-    return out / h2
-
-
 def fit_relative_bound(
     pot: DilationPotential, grid: Grid1D, theta: complex, *, n_samples: int = 64, seed: int = 0
 ) -> RelativeBound:
@@ -497,9 +476,8 @@ def fit_relative_bound(
     for width in (0.5, 1.0, 2.0, 4.0):
         samples.append(np.exp(-((x - x_star) / width) ** 2).astype(complex))
 
-    design = np.asarray(
-        [[np.linalg.norm(_flat_laplacian_apply(grid, p)), np.linalg.norm(p)] for p in samples]
-    )
+    lap = Tridiagonal.laplacian(grid)
+    design = np.asarray([[np.linalg.norm(lap.matvec(p)), np.linalg.norm(p)] for p in samples])
     target = np.asarray([np.linalg.norm(w_diag * p) for p in samples])
     coef, _ = scipy.optimize.nnls(design, target)
     pred = design @ coef

@@ -5,6 +5,7 @@ nearest grid site, and the antisymmetric central difference D for the boost
 H_q = H + 2 q D - q^2 I.  This choice keeps H real symmetric and makes the
 transpose identity H_q^T = H_{-q} hold bitwise, which is what the block
 embedding needs to turn decay estimates into resolvent-norm estimates.
+Operators store their three diagonals (Tridiagonal), not a dense matrix.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import (
 )
 
 __all__ = [
+    "Tridiagonal",
     "Grid1D",
     "PotentialSpec",
     "DiscreteHamiltonian",
@@ -65,6 +67,52 @@ class Grid1D:
 
 
 @dataclass(frozen=True)
+class Tridiagonal:
+    """n x n tridiagonal matrix stored as its sub-, main and super-diagonal."""
+
+    sub: np.ndarray     # entries (i + 1, i)
+    main: np.ndarray
+    sup: np.ndarray     # entries (i, i + 1)
+
+    @classmethod
+    def laplacian(cls, grid: Grid1D, scale: complex = 1.0, potential=0.0) -> "Tridiagonal":
+        """scale * (-d^2/dx^2) + potential with the 3-point Dirichlet Laplacian."""
+        c = scale / (grid.h * grid.h)
+        off = np.full(grid.n - 1, -c)
+        return cls(sub=off, main=np.full(grid.n, 2.0 * c) + potential, sup=off)
+
+    @classmethod
+    def central_difference(cls, grid: Grid1D) -> "Tridiagonal":
+        """The antisymmetric central difference D = d/dx."""
+        off = np.full(grid.n - 1, 1.0 / (2.0 * grid.h))
+        return cls(sub=-off, main=np.zeros(grid.n), sup=off)
+
+    def dense(self, shift: complex = 0.0) -> np.ndarray:
+        """The n x n array of self - shift * I."""
+        out = np.diag(self.main - shift)
+        idx = np.arange(self.sub.size)
+        out[idx + 1, idx] = self.sub
+        out[idx, idx + 1] = self.sup
+        return out
+
+    def banded(self, shift: complex = 0.0) -> np.ndarray:
+        """LAPACK (1, 1) band storage of self - shift * I, as solve_banded takes it."""
+        ab = np.zeros((3, self.main.size), dtype=np.result_type(self.main, shift))
+        ab[0, 1:] = self.sup
+        ab[1] = self.main - shift
+        ab[2, :-1] = self.sub
+        return ab
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """self @ x for a vector or a block of column vectors."""
+        col = (slice(None),) + (None,) * (np.ndim(x) - 1)
+        y = self.main[col] * x
+        y[:-1] += self.sup[col] * x[1:]
+        y[1:] += self.sub[col] * x[:-1]
+        return y
+
+
+@dataclass(frozen=True)
 class PotentialSpec:
     """Scalar potential: either sampled values at the grid points or a delta comb."""
 
@@ -90,17 +138,20 @@ class PotentialSpec:
 
 @dataclass
 class DiscreteHamiltonian:
-    """Real symmetric n x n matrix: 3-point Laplacian plus diagonal potential."""
+    """Real symmetric tridiagonal H: 3-point Laplacian plus diagonal potential."""
 
-    matrix: np.ndarray
+    bands: Tridiagonal
     grid: Grid1D
     _eigh: tuple | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.bands.dense()
 
     def eigensystem(self):
         """Full (eigenvalues, eigenvectors), cached after the first call."""
         if self._eigh is None:
-            evals, evecs = scipy.linalg.eigh(self.matrix)
-            self._eigh = (evals, evecs)
+            self._eigh = scipy.linalg.eigh_tridiagonal(self.bands.main, self.bands.sup)
         return self._eigh
 
     def eigenvalues(self) -> np.ndarray:
@@ -140,16 +191,13 @@ class GapSpectrum:
 class BoostedHamiltonian:
     """H_q = H + 2 q D - q^2 I, real and non-symmetric for q != 0."""
 
-    matrix: np.ndarray
+    bands: Tridiagonal
     q: float
     grid: Grid1D
 
-
-def _laplacian(grid: Grid1D) -> np.ndarray:
-    h2 = grid.h * grid.h
-    main = np.full(grid.n, 2.0 / h2)
-    off = np.full(grid.n - 1, -1.0 / h2)
-    return np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.bands.dense()
 
 
 def _potential_vector(grid: Grid1D, pot: PotentialSpec) -> np.ndarray:
@@ -176,9 +224,8 @@ def _potential_vector(grid: Grid1D, pot: PotentialSpec) -> np.ndarray:
 
 def build_hamiltonian(grid: Grid1D, pot: PotentialSpec) -> DiscreteHamiltonian:
     """Assemble the real symmetric Dirichlet Hamiltonian for the given potential."""
-    mat = _laplacian(grid)
-    mat[np.diag_indices(grid.n)] += _potential_vector(grid, pot)
-    return DiscreteHamiltonian(matrix=mat, grid=grid)
+    bands = Tridiagonal.laplacian(grid, potential=_potential_vector(grid, pot))
+    return DiscreteHamiltonian(bands=bands, grid=grid)
 
 
 def _bulk_mask(evecs: np.ndarray, margin: int, edge_weight: float) -> np.ndarray:
@@ -252,15 +299,6 @@ def find_gap(
     return GapSpectrum(e_minus=float(kept[best]), e_plus=float(kept[best + 1]), e_bottom=e_bottom)
 
 
-def _central_difference(grid: Grid1D) -> np.ndarray:
-    d = np.zeros((grid.n, grid.n))
-    off = 1.0 / (2.0 * grid.h)
-    idx = np.arange(grid.n - 1)
-    d[idx, idx + 1] = off
-    d[idx + 1, idx] = -off
-    return d
-
-
 def boost(h: DiscreteHamiltonian, q: float) -> BoostedHamiltonian:
     """Boosted Hamiltonian H_q = H + 2 q D - q^2 I.
 
@@ -269,10 +307,12 @@ def boost(h: DiscreteHamiltonian, q: float) -> BoostedHamiltonian:
     band energies (the continuum similarity by e^{qx} is exact only for the
     differential operator).
     """
-    d = _central_difference(h.grid)
-    mat = h.matrix + (2.0 * q) * d
-    mat[np.diag_indices(h.grid.n)] -= q * q
-    return BoostedHamiltonian(matrix=mat, q=q, grid=h.grid)
+    d = Tridiagonal.central_difference(h.grid)
+    b = h.bands
+    bands = Tridiagonal(
+        sub=b.sub + (2.0 * q) * d.sub, main=b.main - q * q, sup=b.sup + (2.0 * q) * d.sup
+    )
+    return BoostedHamiltonian(bands=bands, q=q, grid=h.grid)
 
 
 def _check_shift_in_gap(h, gap, shift, theta_gap):
@@ -310,7 +350,7 @@ def gamma_norm(
         raise ShiftInSpectrumError(f"E = {energy:.6g} is within {theta_gap:g} of an eigenvalue")
 
     hq = boost(h, q)
-    emb, conj = block_embed(hq.matrix - energy * np.eye(h.grid.n))
+    emb, conj = block_embed(hq.bands.dense(energy))
     return resolvent_norm(emb, conj, 0.0)
 
 
@@ -338,8 +378,8 @@ def bq_norm(
     upper = evals > weight_shift
     lower = ~upper
     w = 1.0 / np.sqrt(np.abs(evals - weight_shift))
-    d = _central_difference(h.grid)
-    core = evecs[:, upper].T @ (q * d) @ evecs[:, lower]
+    d = Tridiagonal.central_difference(h.grid)
+    core = q * (evecs[:, upper].T @ d.matvec(evecs[:, lower]))
     b = (w[upper][:, None] * core) * w[lower][None, :]
     if b.size == 0:
         return 0.0
@@ -364,6 +404,18 @@ def _check_energy_resolvent(h: DiscreteHamiltonian, energy: complex, theta_gap: 
         )
 
 
+def _averaged_kernels(h: DiscreteHamiltonian, energy: complex, pairs, eps: float, theta_gap: float):
+    """omega_eps^-2 <chi_x1, (H - E)^-1 chi_x2> for each (x1, x2), one banded solve."""
+    _check_energy_resolvent(h, energy, theta_gap)
+    chi1 = np.empty((h.grid.n, len(pairs)))
+    chi2 = np.empty_like(chi1)
+    for j, (x1, x2) in enumerate(pairs):
+        chi1[:, j] = _indicator(h.grid, x1, eps)
+        chi2[:, j] = _indicator(h.grid, x2, eps)
+    y = scipy.linalg.solve_banded((1, 1), h.bands.banded(energy), chi2)
+    return h.grid.h * np.sum(chi1 * y, axis=0) / (2.0 * eps) ** 2
+
+
 def avg_resolvent_kernel(
     h: DiscreteHamiltonian,
     energy: complex,
@@ -380,15 +432,8 @@ def avg_resolvent_kernel(
     omega_eps = 2 eps in one dimension.  Symmetric in (x1, x2); real for
     real E outside the spectrum.
     """
-    _check_energy_resolvent(h, energy, theta_gap)
-    chi1 = _indicator(h.grid, x1, eps)
-    chi2 = _indicator(h.grid, x2, eps)
-    n = h.grid.n
-    dtype = complex if np.iscomplexobj(np.asarray(energy)) or np.imag(energy) != 0 else float
-    a = h.matrix.astype(dtype) - np.asarray(energy, dtype=dtype) * np.eye(n)
-    y = np.linalg.solve(a, chi2.astype(dtype))
-    val = h.grid.h * (chi1 @ y) / (2.0 * eps) ** 2
-    return complex(val) if dtype is complex else float(val)
+    val = _averaged_kernels(h, energy, [(x1, x2)], eps, theta_gap)[0]
+    return complex(val) if np.iscomplexobj(val) else float(val)
 
 
 def resolvent_kernel_scan(
@@ -404,22 +449,13 @@ def resolvent_kernel_scan(
 
     Pairs are centered at `center` (domain midpoint by default) with
     x1 = center - s/2, x2 = center + s/2.  Returns rows (separation, |G|);
-    the factorization of H - E is reused across separations.
+    one banded solve covers every separation.
     """
-    _check_energy_resolvent(h, energy, theta_gap)
     c = 0.5 * h.grid.length if center is None else center
     seps = np.asarray(separations, dtype=float)
-    dtype = complex if np.imag(energy) != 0 else float
-    a = h.matrix.astype(dtype) - np.asarray(energy, dtype=dtype) * np.eye(h.grid.n)
-    lu, piv = scipy.linalg.lu_factor(a)
-    out = np.empty((seps.size, 2))
-    for i, s in enumerate(seps):
-        chi1 = _indicator(h.grid, c - 0.5 * s, eps)
-        chi2 = _indicator(h.grid, c + 0.5 * s, eps)
-        y = scipy.linalg.lu_solve((lu, piv), chi2.astype(dtype))
-        val = h.grid.h * (chi1 @ y) / (2.0 * eps) ** 2
-        out[i] = (s, abs(val))
-    return out
+    pairs = [(c - 0.5 * s, c + 0.5 * s) for s in seps]
+    vals = _averaged_kernels(h, energy, pairs, eps, theta_gap)
+    return np.column_stack([seps, np.abs(vals)])
 
 
 @dataclass

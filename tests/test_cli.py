@@ -168,13 +168,6 @@ class TestMain:
         header = out1.read_text().splitlines()
         assert any(line.startswith("# e_minus = 1") for line in header)
 
-    def test_csop_threads_does_not_change_bytes(self, tmp_path, monkeypatch):
-        cfg = parse_config("n_points = 4\nv0_max = 4", "kp-fig1")
-        serial = emit(run("kp-fig1", cfg), "csv")
-        monkeypatch.setenv("CSOP_THREADS", "4")
-        parallel = emit(run("kp-fig1", cfg), "csv")
-        assert serial == parallel
-
     def test_format_flag_json(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("e_minus = 1\ne_plus = 2\nn_energies = 3\n")

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from csop.errors import SingularShiftError, StripViolationError
+from csop.errors import ConvergenceError, SingularShiftError, StripViolationError
 from csop.scaling import (
     DilationPotential,
     build_scaled,
@@ -20,7 +23,7 @@ from csop.scaling import (
     resolvent_norm_at,
     sigma_min,
 )
-from csop.schrodinger import Grid1D
+from csop.schrodinger import Grid1D, PotentialSpec, boost, build_hamiltonian
 
 FREE = DilationPotential.from_callable(lambda x: np.zeros_like(x), 1.0)
 ALPHA75 = DilationPotential.alpha_r2_exp(7.5)
@@ -52,10 +55,25 @@ class TestBuild:
         rotated = np.sort((ht.eigenvalues() * np.exp(2.0 * theta)).real)
         assert np.max(np.abs(rotated - base)) < 1e-12 * base[-1]
 
-    def test_transpose_symmetric_bitwise(self):
-        grid = Grid1D(length=40.0, n=300)
-        ham = build_scaled(ALPHA75, grid, 0.3j, gamma=0.0)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.floats(-50.0, 50.0),
+        rate=st.floats(0.05, 5.0),
+        n=st.integers(3, 60),
+        theta_re=st.floats(-0.5, 0.5),
+        theta_im=st.floats(-1.5, 1.5),
+        gamma=st.floats(-1.0, 1.0),
+    )
+    def test_transpose_symmetric_bitwise(self, alpha, rate, n, theta_re, theta_im, gamma):
+        ham = build_scaled(ALPHA75, Grid1D(length=40.0, n=300), 0.3j, gamma=0.0)
         assert np.array_equal(ham.matrix, ham.matrix.T)
+
+        def shape(x):
+            return alpha * x * x * np.exp(-rate * x)
+
+        pot = DilationPotential.from_callable(shape, 0.5 * math.pi, w=shape)
+        sampled = build_scaled(pot, Grid1D(length=10.0, n=n), complex(theta_re, theta_im), gamma)
+        assert np.array_equal(sampled.matrix, sampled.matrix.T)
 
     def test_strip_violation(self):
         grid = Grid1D(length=10.0, n=50)
@@ -172,12 +190,43 @@ class TestResolventNorm:
         with pytest.raises(SingularShiftError):
             resolvent_norm_at(ham, res.z)
 
+    def test_sigma_min_converges_or_raises(self):
+        # sigma_2 / sigma_1 = 1.02 here: the power iteration needs more than
+        # its step budget, and must say so instead of returning the last iterate
+        grid = Grid1D(length=40.0, n=800)
+        ham = build_scaled(ALPHA75, grid, 0.3j)
+        z = 2.5 - 0.3j
+        direct = np.linalg.svd(ham.matrix - z * np.eye(grid.n), compute_uv=False).min()
+        try:
+            value = sigma_min(ham, z)
+        except ConvergenceError:
+            return
+        assert abs(value - direct) <= 1e-12 * direct
+
     def test_sigma_min_matches_svd(self, resonance_500):
         grid, res = resonance_500
         ham = build_scaled(ALPHA75, grid, 0.3j)
         z = res.z + 0.05 + 0.02j
         direct = np.linalg.svd(ham.matrix - z * np.eye(grid.n), compute_uv=False).min()
         assert sigma_min(ham, z) == pytest.approx(direct, rel=1e-9)
+
+
+class TestBanded:
+    def test_tridiagonal_paths_allocate_no_dense_matrix(self):
+        # one dense complex n x n matrix would be 381 MiB at this size
+        n = 5000
+        grid = Grid1D(length=40.0, n=n)
+        comb = PotentialSpec.delta_comb(np.arange(1.0, 40.0), 3.0)
+        tracemalloc.start()
+        try:
+            boost(build_hamiltonian(grid, comb), 0.3)
+            ham = build_scaled(ALPHA75, grid, 0.3j)
+            sigma_min(ham, 4.1 - 0.15j)
+            locate_resonance(ALPHA75, grid, 0.3j, guess=4.0723 - 0.19631j)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestEssentialFloor:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csop.decay import critical_q, qbar_and_ebar
 from csop.errors import (
@@ -16,6 +18,7 @@ from csop.schrodinger import (
     GapSpectrum,
     Grid1D,
     PotentialSpec,
+    Tridiagonal,
     avg_resolvent_kernel,
     boost,
     bq_norm,
@@ -25,6 +28,12 @@ from csop.schrodinger import (
     projector_decay,
     resolvent_kernel_scan,
 )
+
+
+def diagonal_hamiltonian(values, grid):
+    values = np.asarray(values, dtype=float)
+    off = np.zeros(values.size - 1)
+    return DiscreteHamiltonian(bands=Tridiagonal(sub=off, main=values, sup=off), grid=grid)
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +85,7 @@ class TestBuild:
 class TestFindGap:
     def test_toy_clustered_diagonal(self):
         grid = Grid1D(length=1.0, n=4)
-        ham = DiscreteHamiltonian(matrix=np.diag([1.0, 1.1, 5.0, 5.2]), grid=grid)
+        ham = diagonal_hamiltonian([1.0, 1.1, 5.0, 5.2], grid)
         gap = find_gap(ham)
         assert gap.e_minus == pytest.approx(1.1)
         assert gap.e_plus == pytest.approx(5.0)
@@ -109,10 +118,18 @@ class TestBoost:
         ham, _ = kp_grid_600
         assert np.array_equal(boost(ham, 0.0).matrix, ham.matrix)
 
-    def test_transpose_identity_bitwise(self, kp_grid_600):
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(st.floats(0.0, 1e4), min_size=3, max_size=40),
+        length=st.floats(0.1, 100.0),
+        q=st.floats(-50.0, 50.0),
+    )
+    def test_transpose_identity_bitwise(self, kp_grid_600, values, length, q):
         ham, _ = kp_grid_600
-        for q in (0.1, 0.37, 1.2):
-            assert np.array_equal(boost(ham, q).matrix.T, boost(ham, -q).matrix)
+        sampled = build_hamiltonian(Grid1D(length=length, n=len(values)), PotentialSpec.sampled(values))
+        for h in (ham, sampled):
+            for qq in (q, 0.1, 0.37, 1.2):
+                assert np.array_equal(boost(h, qq).matrix.T, boost(h, -qq).matrix)
 
     def test_spectrum_similarity_within_discretization_error(self, kp_grid_600):
         # the discrete boost is similar to H only up to O(q^2 E h^2) on the
@@ -264,9 +281,8 @@ class TestKernel:
 class TestProjectorDecay:
     def test_toy_two_level(self):
         grid = Grid1D(length=4.0, n=39)
-        mat = np.diag(np.concatenate([np.zeros(1), np.full(38, 10.0)]))
         # localized eigenvectors: identity basis; lower state at site 0
-        ham = DiscreteHamiltonian(matrix=mat, grid=grid)
+        ham = diagonal_hamiltonian(np.concatenate([np.zeros(1), np.full(38, 10.0)]), grid)
         gap = GapSpectrum(e_minus=0.0, e_plus=10.0)
         evals, evecs = ham.eigensystem()
         phi = evecs[:, evals <= 0.0]
