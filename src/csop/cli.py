@@ -302,25 +302,22 @@ def _run_decay_bound(cfg: RunConfig) -> ResultTable:
     qbar, ebar, in_gap = qbar_and_ebar(gap)
     margin = 1e-9 * gap.gap
     energies = np.linspace(gap.e_minus + margin, gap.e_plus - margin, p["n_energies"])
-    with_c = p["q"] is not None or p["q_frac"] is not None
-
-    def row(energy):
-        qc = critical_q(gap, energy)
-        if not with_c:
-            return (energy, qc)
-        q = p["q"] if p["q"] is not None else p["q_frac"] * qc
-        c = np.nan
-        if q < qc and energy + q * q < gap.e_plus:
-            c = bound_constant(
+    qcs = critical_q(gap, energies)
+    cols, columns = ["E", "q_c"], [energies, qcs]
+    if p["q"] is not None or p["q_frac"] is not None:
+        qs = np.full_like(qcs, p["q"]) if p["q"] is not None else p["q_frac"] * qcs
+        cs = [
+            bound_constant(
                 BoundInputs(gap=gap, energy=energy, q=q, eps=p["eps"], dim=p["dim"])
             ).c_value
-        return (energy, qc, q, c)
-
-    rows = np.asarray([row(e) for e in energies])
+            if q < qc and energy + q * q < gap.e_plus
+            else np.nan
+            for energy, qc, q in zip(energies, qcs, qs)
+        ]
+        cols, columns = cols + ["q", "C"], columns + [qs, cs]
     meta = _base_metadata(cfg)
     meta.update(qbar=qbar, ebar=ebar, ebar_in_gap=in_gap)
-    cols = ["E", "q_c"] + (["q", "C"] if with_c else [])
-    return ResultTable(columns=cols, rows=rows, metadata=meta)
+    return ResultTable(columns=cols, rows=np.column_stack(columns), metadata=meta)
 
 
 def _kp_hamiltonian(p):

@@ -2,7 +2,8 @@
 
 Everything here is a function of the two-band spectrum (E-, E+) alone:
 the envelope F(q, E) = sqrt((E+ - E - q^2)(E - E- + q^2) / (4 E-)), the
-critical rate q_c(E) solving q = F(q, E), the certificate constant
+critical rate q_c(E) solving q = F(q, E) (the positive root of a quadratic
+in q^2, evaluated over scalar or array energies), the certificate constant
 
     C_{q,E} = omega_eps^-1 e^{2 q eps} / (min|E+- - E - q^2| (1 - q/F)),
 
@@ -50,16 +51,21 @@ def omega_eps(eps: float, dim: int) -> float:
     return unit_ball_volume(dim) * eps**dim
 
 
-def _validate_gap(gap: GapSpectrum, energy: float | None = None):
+def _validate_gap(gap: GapSpectrum, energy=None):
     if gap.e_minus <= 0.0:
         raise InvalidGapError(
             "e_minus must be positive (energies measured from the potential bottom)"
         )
     if gap.gap <= 0.0:
         raise InvalidGapError("gap must be positive")
-    if energy is not None and not (gap.e_minus < energy < gap.e_plus):
+    if energy is None:
+        return
+    energy = np.asarray(energy, dtype=float)
+    inside = (gap.e_minus < energy) & (energy < gap.e_plus)
+    if not np.all(inside):
         raise InvalidGapError(
-            f"probe energy {energy:.6g} outside the gap ({gap.e_minus:.6g}, {gap.e_plus:.6g})"
+            f"probe energy {energy[~inside][0]:.6g} outside the gap "
+            f"({gap.e_minus:.6g}, {gap.e_plus:.6g})"
         )
 
 
@@ -101,29 +107,23 @@ def decay_envelope(gap: GapSpectrum, energy: float, q: float) -> float:
     return math.sqrt(a * b / (4.0 * gap.e_minus))
 
 
-def critical_q(gap: GapSpectrum, energy: float, *, rtol: float = 1e-12) -> float:
-    """Smallest positive root of q = F(q, E), found by bisection.
+def critical_q(gap: GapSpectrum, energy):
+    """Positive root of q = F(q, E), in closed form; E may be a scalar or an array.
 
-    g(q) = q - F(q, E) satisfies g(0) < 0 and g > 0 at the right endpoint
-    sqrt(E+ - E), so a bracket always exists; bisection avoids derivative
-    pathologies near the endpoint, where the certificate constant has a pole.
+    Squaring q = F(q, E) gives u^2 + p u - a b = 0 for u = q^2, with
+    a = E+ - E, b = E - E- and p = 4 E- - a + b.  Since a b > 0 inside the
+    gap it has exactly one positive root, u = (r - p)/2 = 2 a b / (p + r)
+    with r = sqrt(p^2 + 4 a b).  Each sign of p takes the form that does not
+    cancel: p < 0 occurs near the lower edge of wide gaps (E+ > 3 E- + 2 E).
+    A scalar energy gives a float.
     """
     _validate_gap(gap, energy)
-    right = math.sqrt(gap.e_plus - energy)
-
-    def g(q):
-        return q - decay_envelope(gap, energy, q)
-
-    lo, hi = 0.0, right * (1.0 - 1e-15)
-    if g(hi) <= 0.0:
-        raise InvalidGapError("no sign change for q - F(q, E); inputs inconsistent")
-    while hi - lo > rtol * hi:
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    e = np.asarray(energy, dtype=float)
+    a, b = gap.e_plus - e, e - gap.e_minus
+    p = 4.0 * gap.e_minus - a + b
+    r = np.sqrt(p * p + 4.0 * a * b)
+    q = np.sqrt(np.where(p >= 0.0, 2.0 * a * b / (p + r), 0.5 * (r - p)))
+    return float(q) if q.ndim == 0 else q
 
 
 def bound_constant(inputs: BoundInputs) -> BoundResult:

@@ -79,10 +79,6 @@ class NoGapFoundError(ConvergenceError):
     pass
 
 
-class BracketFailureError(ConvergenceError):
-    pass
-
-
 class BranchPointNotFoundError(ConvergenceError):
     pass
 

@@ -1,11 +1,17 @@
 """Exact Kronig-Penney reference model: unit-lattice delta comb of strength v0.
 
 The transfer-matrix half-trace h(E) = cos(sqrt E) + v0 sin(sqrt E)/(2 sqrt E)
-characterizes the spectrum (|h| <= 1), yields band edges as roots of
-h = +-1, and gives the exact filled-band decay constant through the complex
-band structure: at the in-gap stationary point E* of h, the imaginary Bloch
-momentum arccosh|h(E*)| is the asymptotic decay rate of the density matrix.
-Lattice constant and hbar^2/2m are fixed at 1.
+characterizes the spectrum (|h| <= 1).  With s = sqrt E it factors as
+
+    h - 1 = 2 sin(s/2) [(v0/2s) cos(s/2) - sin(s/2)],
+    h + 1 = 2 cos(s/2) [cos(s/2) + (v0/2s) sin(s/2)],
+
+so the top of band 1 is exactly pi^2 (h(pi) = -1 for every v0 > 0) and the
+other two edges are roots of the bracketed factors on the fixed brackets
+[0, pi] and [pi, 2 pi].  The exact filled-band decay constant comes from the
+complex band structure: at the in-gap stationary point E* of h, the imaginary
+Bloch momentum arccosh|h(E*)| is the asymptotic decay rate of the density
+matrix.  Lattice constant and hbar^2/2m are fixed at 1.
 """
 
 from __future__ import annotations
@@ -14,9 +20,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .decay import qbar_and_ebar
-from .errors import BracketFailureError, BranchPointNotFoundError
+from .errors import BranchPointNotFoundError
 from .schrodinger import GapSpectrum
 
 __all__ = [
@@ -32,6 +39,9 @@ __all__ = [
 ]
 
 PI_SQ = math.pi * math.pi
+# brentq's absolute tolerance, negligible so that its relative tolerance
+# (4 eps) sets the accuracy of every root at every v0
+ROOT_XTOL = 1e-300
 
 
 @dataclass(frozen=True)
@@ -70,10 +80,7 @@ class BandEdges:
 
 
 def _half_trace(v0: float, s: float) -> float:
-    """h as a function of s = sqrt(E); even continuation handles s -> 0."""
-    if abs(s) < 1e-8:
-        # cos s + (v0/2) sin(s)/s = 1 + v0/2 + O(s^2)
-        return 1.0 + 0.5 * v0 - (0.5 + v0 / 12.0) * s * s
+    """h as a function of s = sqrt(E) > 0."""
     return math.cos(s) + 0.5 * v0 * math.sin(s) / s
 
 
@@ -105,51 +112,24 @@ def dispersion_derivative(model: KPModel, energy: float) -> float:
     return _dh_ds(model.v0, s) / (2.0 * s)
 
 
-def _bisect(f, lo: float, hi: float, *, tol: float = 1e-12) -> float:
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise BracketFailureError(
-            f"no sign change on [{lo:.12g}, {hi:.12g}] (f = {flo:.3g}, {fhi:.3g})"
-        )
-    while hi - lo > tol * max(1.0, abs(hi)):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+def band_edges(model: KPModel) -> BandEdges:
+    """Edges of band 1 and the bottom of band 2 from the factored h -+ 1.
 
-
-def band_edges(model: KPModel, *, tol: float = 1e-12) -> BandEdges:
-    """Edges of band 1 and the bottom of band 2 by bisection in s = sqrt(E).
-
-    h is strictly decreasing on s in (0, pi): the bottom edge solves
-    h = +1 there, the top of band 1 sits at the sign change of h + 1 around
-    s = pi (exactly pi^2 for the delta comb), and the bottom of band 2
-    solves h = -1 on (pi, 2 pi).
+    The top of band 1 is pi^2.  The bottom of band 1 is the root of
+    (v0/2) cos(s/2) - s sin(s/2) on [0, pi], and the bottom of band 2 the
+    root of 2 s cos(s/2) + v0 sin(s/2) on [pi, 2 pi]; each changes sign
+    once across its bracket for every v0 > 0.
     """
     v0 = model.v0
-
-    s_bottom = _bisect(lambda s: _half_trace(v0, s) - 1.0, 1e-9, math.pi, tol=tol)
-
-    # just above pi the comb term pulls h below -1; shrink delta until it does
-    delta = min(1.0, max(1e-3, 0.1 * v0))
-    while _half_trace(v0, math.pi + delta) >= -1.0:
-        delta *= 0.5
-        if delta < 1e-13:
-            raise BracketFailureError("could not bracket the top edge of band 1")
-    s_minus = _bisect(lambda s: _half_trace(v0, s) + 1.0, s_bottom, math.pi + delta, tol=tol)
-
-    s_plus = _bisect(lambda s: _half_trace(v0, s) + 1.0, math.pi + delta, 2.0 * math.pi, tol=tol)
-
-    return BandEdges(e_bottom=s_bottom**2, e_minus=s_minus**2, e_plus=s_plus**2)
+    s_bottom = brentq(
+        lambda s: 0.5 * v0 * math.cos(0.5 * s) - s * math.sin(0.5 * s),
+        0.0, math.pi, xtol=ROOT_XTOL,
+    )
+    s_plus = brentq(
+        lambda s: 2.0 * s * math.cos(0.5 * s) + v0 * math.sin(0.5 * s),
+        math.pi, 2.0 * math.pi, xtol=ROOT_XTOL,
+    )
+    return BandEdges(e_bottom=s_bottom**2, e_minus=PI_SQ, e_plus=s_plus**2)
 
 
 def exact_decay(model: KPModel, edges: BandEdges | None = None) -> tuple[float, float]:
@@ -157,7 +137,7 @@ def exact_decay(model: KPModel, edges: BandEdges | None = None) -> tuple[float, 
 
     E* is the root of dh/dE inside the first gap (the real branch point of
     the complex band structure, where the in-gap imaginary Bloch momentum
-    arccosh|h(E)| is maximal).
+    arccosh|h(E)| is maximal), found by brentq between the gap edges.
     """
     if edges is None:
         edges = band_edges(model)
@@ -168,7 +148,7 @@ def exact_decay(model: KPModel, edges: BandEdges | None = None) -> tuple[float, 
         raise BranchPointNotFoundError(
             "dh/dE has no sign change inside the first gap"
         )
-    s_star = _bisect(lambda s: _dh_ds(v0, s), s_lo, s_hi)
+    s_star = brentq(lambda s: _dh_ds(v0, s), s_lo, s_hi, xtol=ROOT_XTOL)
     e_star = s_star**2
     h_star = _half_trace(v0, s_star)
     if abs(h_star) <= 1.0:

@@ -40,7 +40,6 @@ __all__ = [
     "build_scaled",
     "classify_spectrum",
     "ray_distance",
-    "ray_distance_raw",
     "resolvent_norm_at",
     "essential_floor_check",
     "locate_resonance",
@@ -218,14 +217,6 @@ def classify_spectrum(
     )
 
 
-def ray_distance_raw(z: complex, theta: complex) -> float:
-    """Unclamped |z sin(2 Im theta - alpha)| with z = |z| e^{-i alpha}."""
-    if z == 0:
-        return 0.0
-    alpha = -np.angle(z)
-    return float(abs(z) * abs(math.sin(2.0 * theta.imag - alpha)))
-
-
 def ray_distance(z: complex, theta: complex) -> float:
     """Distance from z to the rotated continuum ray {r e^{-2 i Im theta} : r >= 0}.
 
@@ -273,7 +264,6 @@ class FloorReport:
     """Diagnostic count of singular values below the essential-spectrum floor."""
 
     floor: float
-    raw_floor: float
     tol: float
     count_below: int
     below: np.ndarray
@@ -298,7 +288,6 @@ def essential_floor_check(
     near = int(np.sum((sv >= floor - tol) & (sv <= floor * 1.1)))
     return FloorReport(
         floor=floor,
-        raw_floor=ray_distance_raw(z, h.theta),
         tol=tol,
         count_below=int(below.size),
         below=np.sort(below),

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,6 +18,33 @@ from csop.errors import InvalidGapError, QBeyondCriticalError, ShiftLeavesGapErr
 from csop.schrodinger import GapSpectrum
 
 GAP12 = GapSpectrum(e_minus=1.0, e_plus=2.0)
+
+# narrow and wide gaps; the two wide ones have p < 0 near their lower edge
+ORACLE_GAPS = [
+    GAP12,
+    GapSpectrum(e_minus=9.8696, e_plus=17.2, e_bottom=4.1),
+    GapSpectrum(e_minus=1.0, e_plus=10.0),
+    GapSpectrum(e_minus=0.01, e_plus=100.0),
+]
+
+
+def oracle_energies(gap):
+    """Interior linspace plus a geometric ladder down to 1e-9 G from each edge."""
+    dists = np.geomspace(1e-9, 0.1, 15) * gap.gap
+    interior = np.linspace(gap.e_minus, gap.e_plus, 41)[1:-1]
+    return np.concatenate([interior, gap.e_minus + dists, gap.e_plus - dists])
+
+
+def mp_critical_q(gap, energy):
+    """50-digit root of q = F(q, E) itself, bracketed on [0, sqrt(E+ - E)]."""
+    with mpmath.workdps(50):
+        em, ep, e = (mpmath.mpf(x) for x in (gap.e_minus, gap.e_plus, energy))
+        a, b = ep - e, e - em
+
+        def g(q):
+            return q - mpmath.sqrt(max(a - q * q, 0) * (b + q * q) / (4 * em))
+
+        return mpmath.findroot(g, (mpmath.mpf(0), mpmath.sqrt(a)), solver="illinois")
 
 
 class TestGeometry:
@@ -55,11 +83,29 @@ class TestCriticalQ:
             u = 0.5 * (-coeff + math.sqrt(coeff * coeff + 4.0 * a * b))
             assert critical_q(GAP12, e) == pytest.approx(math.sqrt(u), rel=1e-10)
 
+    @pytest.mark.parametrize("gap", ORACLE_GAPS, ids=lambda g: f"{g.e_minus}-{g.e_plus}")
+    def test_matches_50_digit_root(self, gap):
+        energies = oracle_energies(gap)
+        for energy, qc in zip(energies, critical_q(gap, energies)):
+            exact = mp_critical_q(gap, energy)
+            assert abs(mpmath.mpf(qc) - exact) <= 1e-15 * exact
+
+    @pytest.mark.parametrize("gap", ORACLE_GAPS, ids=lambda g: f"{g.e_minus}-{g.e_plus}")
+    def test_array_call_equals_scalar_calls_bitwise(self, gap):
+        energies = oracle_energies(gap)
+        qcs = critical_q(gap, energies)
+        assert qcs.shape == energies.shape
+        scalars = [critical_q(gap, float(e)) for e in energies]
+        assert all(type(q) is float for q in scalars)
+        assert np.array_equal(qcs, scalars)
+
     def test_invalid_inputs(self):
         with pytest.raises(InvalidGapError):
             critical_q(GapSpectrum(e_minus=0.0, e_plus=1.0), 0.5)
         with pytest.raises(InvalidGapError):
             critical_q(GAP12, 2.5)
+        with pytest.raises(InvalidGapError, match="probe energy 2.5 outside"):
+            critical_q(GAP12, np.array([1.5, 2.5]))
 
     def test_qc_below_band_optimum_with_equality_at_ebar(self):
         qbar, ebar, _ = qbar_and_ebar(GAP12)

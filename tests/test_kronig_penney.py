@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csop.kronig_penney import (
     KPModel,
@@ -78,6 +80,16 @@ class TestBandEdges:
             for e in (edges.e_bottom, edges.e_minus, edges.e_plus):
                 assert abs(abs(dispersion(m, e)) - 1.0) < 1e-10
             assert 0 < edges.e_bottom < edges.e_minus < edges.e_plus
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_v0=st.floats(-6.0, 4.0))
+    def test_closed_form_edges_property(self, log_v0):
+        m = KPModel(10.0**log_v0)
+        edges = band_edges(m)
+        assert edges.e_minus == PI_SQ
+        assert 0 < edges.e_bottom < edges.e_minus < edges.e_plus
+        for e in (edges.e_bottom, edges.e_plus):
+            assert abs(abs(dispersion(m, e)) - 1.0) <= 1e-12
 
     def test_spectrum_characterization(self):
         m = KPModel(3.0)

@@ -19,7 +19,6 @@ from csop.scaling import (
     perturbation_scan,
     polish_eigenvalue,
     ray_distance,
-    ray_distance_raw,
     resolvent_norm_at,
     sigma_min,
 )
@@ -135,7 +134,6 @@ class TestRayDistance:
         z = 2.0 * np.exp(-0.3j)
         expect = abs(2.0 * math.sin(2 * 0.25 - 0.3))
         assert ray_distance(complex(z), 0.25j) == pytest.approx(expect, rel=1e-12)
-        assert ray_distance_raw(complex(z), 0.25j) == pytest.approx(expect, rel=1e-12)
 
     def test_brute_force_min_over_ray(self):
         rng = np.random.default_rng(0)
@@ -151,7 +149,6 @@ class TestRayDistance:
         # projection falls on the negative extension: distance is |z|
         z = -1.0 + 0.1j
         assert ray_distance(z, 0.0) == pytest.approx(abs(z))
-        assert ray_distance_raw(z, 0.0) < abs(z)
 
 
 class TestResolventNorm:
