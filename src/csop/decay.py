@@ -100,10 +100,15 @@ class BoundResult:
 def decay_envelope(gap: GapSpectrum, energy: float, q: float) -> float:
     """F(q, E) = sqrt((E+ - E - q^2)(E - E- + q^2) / (4 E-))."""
     _validate_gap(gap, energy)
+    if gap.e_plus - energy - q * q < 0:
+        raise ShiftLeavesGapError(f"E + q^2 = {energy + q*q:.6g} is above e_plus")
+    return _envelope(gap, energy, q)
+
+
+def _envelope(gap: GapSpectrum, energy: float, q: float) -> float:
+    """decay_envelope without its checks, for validated inputs with E + q^2 <= E+."""
     a = gap.e_plus - energy - q * q
     b = energy - gap.e_minus + q * q
-    if a < 0:
-        raise ShiftLeavesGapError(f"E + q^2 = {energy + q*q:.6g} is above e_plus")
     return math.sqrt(a * b / (4.0 * gap.e_minus))
 
 
@@ -118,6 +123,11 @@ def critical_q(gap: GapSpectrum, energy):
     A scalar energy gives a float.
     """
     _validate_gap(gap, energy)
+    return _critical_q(gap, energy)
+
+
+def _critical_q(gap: GapSpectrum, energy):
+    """critical_q without its checks, for a validated gap and energy."""
     e = np.asarray(energy, dtype=float)
     a, b = gap.e_plus - e, e - gap.e_minus
     p = 4.0 * gap.e_minus - a + b
@@ -130,17 +140,18 @@ def bound_constant(inputs: BoundInputs) -> BoundResult:
     """Exact evaluation of the certificate constant C_{q,E}.
 
     Raises QBeyondCriticalError for q >= q_c(E) and ShiftLeavesGapError when
-    E + q^2 leaves the gap through the upper edge.
+    E + q^2 leaves the gap through the upper edge.  The gap and energy are
+    validated once, by BoundInputs.
     """
     gap, energy, q = inputs.gap, inputs.energy, inputs.q
-    qc = critical_q(gap, energy)
+    qc = _critical_q(gap, energy)
     if q >= qc:
         raise QBeyondCriticalError(f"q = {q:.6g} >= q_c(E) = {qc:.6g}")
     shift = energy + q * q
     if shift >= gap.e_plus:
         raise ShiftLeavesGapError(f"E + q^2 = {shift:.6g} >= e_plus = {gap.e_plus:.6g}")
 
-    f = decay_envelope(gap, energy, q)
+    f = _envelope(gap, energy, q)
     margin = min(gap.e_plus - shift, shift - gap.e_minus)
     c = math.exp(2.0 * q * inputs.eps) / (
         omega_eps(inputs.eps, inputs.dim) * margin * (1.0 - q / f)

@@ -79,11 +79,6 @@ class BandEdges:
         return GapSpectrum(e_minus=self.e_minus, e_plus=self.e_plus, e_bottom=self.e_bottom)
 
 
-def _half_trace(v0: float, s: float) -> float:
-    """h as a function of s = sqrt(E) > 0."""
-    return math.cos(s) + 0.5 * v0 * math.sin(s) / s
-
-
 def dispersion(model: KPModel, energy):
     """Transfer-matrix half-trace h(E); E is in the spectrum iff |h(E)| <= 1.
 
@@ -137,7 +132,11 @@ def exact_decay(model: KPModel, edges: BandEdges | None = None) -> tuple[float, 
 
     E* is the root of dh/dE inside the first gap (the real branch point of
     the complex band structure, where the in-gap imaginary Bloch momentum
-    arccosh|h(E)| is maximal), found by brentq between the gap edges.
+    arccosh|h(E)| is maximal), found by brentq between the gap edges.  There
+    h < -1, and d = |h| - 1 = -(h + 1) comes from the factored h + 1 without
+    the cancellation in cos s + (v0/2) sin(s)/s, which would cost digits as
+    v0 -> 0 (|h| - 1 ~ q^2/2); the rate is arccosh(1 + d) =
+    log1p(d + sqrt(d (2 + d))).
     """
     if edges is None:
         edges = band_edges(model)
@@ -149,13 +148,13 @@ def exact_decay(model: KPModel, edges: BandEdges | None = None) -> tuple[float, 
             "dh/dE has no sign change inside the first gap"
         )
     s_star = brentq(lambda s: _dh_ds(v0, s), s_lo, s_hi, xtol=ROOT_XTOL)
-    e_star = s_star**2
-    h_star = _half_trace(v0, s_star)
-    if abs(h_star) <= 1.0:
+    c, sn = math.cos(0.5 * s_star), math.sin(0.5 * s_star)
+    d = -2.0 * c * (c + 0.5 * v0 * sn / s_star)
+    if d <= 0.0:
         raise BranchPointNotFoundError(
-            f"|h(E*)| = {abs(h_star):.6g} <= 1; stationary point not in a gap"
+            f"|h(E*)| - 1 = {d:.6g} <= 0; stationary point not in a gap"
         )
-    return e_star, math.acosh(abs(h_star))
+    return s_star**2, math.log1p(d + math.sqrt(d * (2.0 + d)))
 
 
 FIG1_COLUMNS = ("v0", "G", "W", "G_over_W", "q_exact", "q_bound", "rel_diff")

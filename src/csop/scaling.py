@@ -3,7 +3,12 @@
 H_theta(gamma) = -e^{-2 theta} Lap + v(e^theta x) + gamma w(e^theta x) on a
 Dirichlet grid over [0, L] is complex symmetric by construction, so its
 resolvent norm is available through the antilinear eigenvalue problem with
-plain entrywise conjugation.  Rotating theta moves the discretized
+plain entrywise conjugation.  The matrix is tridiagonal, and so is that
+problem: its real doubling, interleaved, has bandwidth 3
+(Tridiagonal.doubling), so resolvent norms, their eigenvectors and the
+singular values below the essential floor come from banded solves without
+a dense matrix.  sigma_min (banded inverse-power iteration on H - z) is the
+faster route to the norm alone.  Rotating theta moves the discretized
 continuum string by -2 Im theta while discrete points (bound states and
 uncovered resonances) stay put; classification compares each eigenvalue
 against both predictions.
@@ -19,14 +24,9 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .antilinear import ABS_FLOOR, SINGULAR_RTOL, antilinear_spectrum
-from .errors import (
-    ConvergenceError,
-    PairingAmbiguityError,
-    SingularShiftError,
-    StripViolationError,
-)
-from .schrodinger import Grid1D, Tridiagonal
+from .antilinear import _fix_sign
+from .errors import ConvergenceError, PairingAmbiguityError, StripViolationError
+from .schrodinger import Grid1D, Tridiagonal, min_lambda
 
 __all__ = [
     "DilationPotential",
@@ -54,7 +54,10 @@ SIGMA_MIN_ITERS = 200      # power steps before sigma_min gives up
 SIGMA_MIN_RTOL = 1e-12     # relative change of the power estimate that counts as converged
 SIGMA_MIN_SEED = 0         # seed of the random start vector
 POLISH_TOL = 1e-10         # relative eigenvalue change that stops polish_eigenvalue
-POLISH_MAX_ITER = 50       # Rayleigh-quotient steps before polish_eigenvalue stops
+POLISH_MAX_ITER = 50       # Rayleigh-quotient steps before polish_eigenvalue gives up
+INVERSE_ITERS = 10         # inverse-iteration steps before resolvent_norm_at gives up
+INVERSE_RTOL = 1e-12       # antilinear residual, relative to ||H - z||, that counts as converged
+INVERSE_SEED = 0           # seed of the random start vector
 
 
 @dataclass(frozen=True)
@@ -246,17 +249,37 @@ class ResolventNorm:
 def resolvent_norm_at(h: ScaledHamiltonian, z: complex) -> ResolventNorm:
     """||(H_theta(gamma) - z)^-1|| = 1 / min lambda of the antilinear problem.
 
-    Delegates to the antilinear solver with entrywise conjugation (the
-    matrix is complex symmetric) and reports the minimizing vector psi and
-    its residual ||(H - z) psi - lambda conj(psi)||.
+    H is complex symmetric and tridiagonal, so the antilinear problem
+    (H - z) psi = lambda conj(psi) is the real symmetric doubling of
+    Tridiagonal.doubling, of bandwidth 3.  min lambda is its eigenvalue n
+    (schrodinger.min_lambda, which raises SingularShiftError when z is
+    numerically an eigenvalue).  psi comes from inverse iteration on the
+    doubling shifted by lambda, one banded solve per step, and its residual
+    ||(H - z) psi - lambda conj(psi)|| is reported.  Raises ConvergenceError
+    when INVERSE_ITERS steps do not bring the residual below
+    INVERSE_RTOL * ||H - z|| (bounded by norm_estimate + |z|).
     """
-    spec = antilinear_spectrum(h.matrix, None, z)
-    lam = float(spec.lambdas[0])
-    if lam < max(SINGULAR_RTOL * spec.matrix_norm, ABS_FLOOR):
-        raise SingularShiftError(f"z = {z:.6g} is numerically an eigenvalue")
-    psi = spec.vectors[:, 0]
-    residual = float(np.linalg.norm(h.bands.matvec(psi) - z * psi - lam * np.conj(psi)))
-    return ResolventNorm(norm=1.0 / lam, min_lambda=lam, vector=psi, residual=residual)
+    lam = min_lambda(h.bands, z)
+    upper = h.bands.doubling(z)
+    m = upper.shape[1]
+    ab = np.zeros((7, m))
+    ab[:4] = upper
+    ab[3] -= lam
+    for d in (1, 2, 3):
+        ab[3 + d, : m - d] = upper[3 - d, d:]
+    tol = INVERSE_RTOL * (h.norm_estimate + abs(z))
+    w = np.random.default_rng(INVERSE_SEED).standard_normal(m)
+    for _ in range(INVERSE_ITERS):
+        w = scipy.linalg.solve_banded((3, 3), ab, w)
+        w /= np.linalg.norm(w)
+        psi = w[0::2] + 1j * w[1::2]
+        residual = float(np.linalg.norm(h.bands.matvec(psi) - z * psi - lam * np.conj(psi)))
+        if residual <= tol:
+            return ResolventNorm(norm=1.0 / lam, min_lambda=lam, vector=_fix_sign(psi), residual=residual)
+    raise ConvergenceError(
+        f"antilinear eigenvector at z = {z:.6g} not converged in {INVERSE_ITERS} steps "
+        f"(residual {residual:.3g} > {tol:.3g})"
+    )
 
 
 @dataclass
@@ -279,20 +302,31 @@ def essential_floor_check(
     On the infinite domain |H_theta(gamma) - z| has essential spectrum
     [d(z, theta), inf); on the grid one expects a finite, grid-stable count
     of singular values below the floor (the discrete part) and an
-    accumulating family above it.
+    accumulating family above it.  Only the singular values up to
+    1.1 * floor are computed: the eigenvalues +-sigma_k of the banded
+    doubling inside (-1.1 floor, 1.1 floor], of which the upper half are
+    the sigma_k.  Taking both signs keeps a sigma_k at rounding level
+    counted once even when the two computed values of its pair share a sign.
     """
-    sv = np.linalg.svd(h.bands.dense(z), compute_uv=False)
     floor = ray_distance(z, h.theta)
     tol = tol_rel * floor
+    cut = 1.1 * floor
+    if cut > 0.0:
+        pm = scipy.linalg.eig_banded(
+            h.bands.doubling(z), eigvals_only=True, select="v", select_range=(-cut, cut)
+        )
+        sv = np.abs(pm[pm.size // 2:])
+    else:
+        sv = np.empty(0)
     below = sv[sv < floor - tol]
-    near = int(np.sum((sv >= floor - tol) & (sv <= floor * 1.1)))
+    near = int(np.sum((sv >= floor - tol) & (sv <= cut)))
     return FloorReport(
         floor=floor,
         tol=tol,
         count_below=int(below.size),
         below=np.sort(below),
         near_floor_count=near,
-        n_total=int(sv.size),
+        n_total=h.grid.n,
     )
 
 
@@ -331,7 +365,9 @@ def polish_eigenvalue(h: ScaledHamiltonian, z0: complex) -> tuple[complex, np.nd
     Inverse iteration with the complex-bilinear quotient z = (psi^T H psi) /
     (psi^T psi) is the Newton-type refinement adapted to complex symmetric
     matrices; each step costs one banded solve.  Returns (eigenvalue,
-    eigenvector).
+    eigenvector).  Raises ConvergenceError when POLISH_MAX_ITER steps do not
+    bring the relative eigenvalue change below POLISH_TOL; a singular solve
+    ends the iteration early, because z is then an exact eigenvalue.
     """
     n = h.grid.n
     rng = np.random.default_rng(1)
@@ -342,7 +378,7 @@ def polish_eigenvalue(h: ScaledHamiltonian, z0: complex) -> tuple[complex, np.nd
         try:
             w = scipy.linalg.solve_banded((1, 1), h.bands.banded(z), v)
         except np.linalg.LinAlgError:
-            break  # z is an exact eigenvalue of the factorization
+            return z, v  # z is an exact eigenvalue of the factorization
         w /= np.linalg.norm(w)
         denom = w @ w
         if abs(denom) < 1e-13:
@@ -354,7 +390,10 @@ def polish_eigenvalue(h: ScaledHamiltonian, z0: complex) -> tuple[complex, np.nd
         if abs(z_new - z) <= POLISH_TOL * max(1.0, abs(z_new)):
             return complex(z_new), v
         z = complex(z_new)
-    return z, v
+    raise ConvergenceError(
+        f"polish_eigenvalue from z0 = {complex(z0):.6g} not converged in "
+        f"{POLISH_MAX_ITER} steps (last iterate {z:.6g})"
+    )
 
 
 @dataclass

@@ -5,26 +5,30 @@ nearest grid site, and the antisymmetric central difference D for the boost
 H_q = H + 2 q D - q^2 I.  This choice keeps H real symmetric and makes the
 transpose identity H_q^T = H_{-q} hold bitwise, which is what the block
 embedding needs to turn decay estimates into resolvent-norm estimates.
-Operators store their three diagonals (Tridiagonal), not a dense matrix.
+Operators store their three diagonals (Tridiagonal), not a dense matrix, and
+resolvent norms come from the banded real doubling of those diagonals
+(min_lambda), which for real H_q - E is the block embedding at banded cost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
 
-from .antilinear import block_embed, resolvent_norm
+from .antilinear import ABS_FLOOR, SINGULAR_RTOL
 from .errors import (
     BallOutsideDomainError,
     NegativePotentialError,
     NoGapFoundError,
     ShiftInSpectrumError,
+    SingularShiftError,
 )
 
 __all__ = [
     "Tridiagonal",
+    "min_lambda",
     "Grid1D",
     "PotentialSpec",
     "DiscreteHamiltonian",
@@ -103,6 +107,35 @@ class Tridiagonal:
         ab[2, :-1] = self.sub
         return ab
 
+    def doubling(self, shift: complex = 0.0) -> np.ndarray:
+        """Upper band storage (kd = 3) of a real symmetric 2n doubling of self - shift * I.
+
+        Its eigenvalues are +-sigma_k(self - shift), and the coordinates are
+        interleaved as (x_1, y_1, x_2, y_2, ...), which keeps the band at 3.
+        A complex symmetric T = B + i C gives antilinear.real_doubling's
+        [[B, -C], [-C, -B]]: an eigenvector at lambda solves
+        (T - shift) u = lambda conj(u) with u = x + i y.  A real T = M gives
+        [[0, M^T], [M, 0]], to which the 4n doubling of antilinear.block_embed(M)
+        reduces for real M.  The band is what scipy.linalg.eig_banded takes.
+        """
+        main = self.main - shift
+        ab = np.zeros((4, 2 * main.size))
+        if np.iscomplexobj(main) or np.iscomplexobj(self.sup) or np.iscomplexobj(self.sub):
+            if not np.array_equal(self.sub, self.sup):
+                raise ValueError("the doubling of a complex tridiagonal needs it symmetric")
+            ab[3, 0::2] = main.real
+            ab[3, 1::2] = -main.real
+            ab[2, 1::2] = -main.imag           # (x_i, y_i)
+            ab[2, 2::2] = -self.sup.imag       # (y_i, x_i+1)
+            ab[1, 2::2] = self.sup.real        # (x_i, x_i+1)
+            ab[1, 3::2] = -self.sup.real       # (y_i, y_i+1)
+            ab[0, 3::2] = -self.sup.imag       # (x_i, y_i+1)
+        else:
+            ab[2, 1::2] = main                 # (x_i, y_i) = M[i, i]
+            ab[2, 2::2] = self.sup             # (y_i, x_i+1) = M[i, i + 1]
+            ab[0, 3::2] = self.sub             # (x_i, y_i+1) = M[i + 1, i]
+        return ab
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """self @ x for a vector or a block of column vectors."""
         col = (slice(None),) + (None,) * (np.ndim(x) - 1)
@@ -110,6 +143,33 @@ class Tridiagonal:
         y[:-1] += self.sup[col] * x[1:]
         y[1:] += self.sub[col] * x[:-1]
         return y
+
+
+def min_lambda(a: Tridiagonal, shift: complex = 0.0) -> float:
+    """sigma_min(a - shift), the smallest antilinear eigenvalue, from the banded doubling.
+
+    It is eigenvalue n (0-based, ascending) of the 2n doubling, which
+    eig_banded returns without eigenvectors.  Raises SingularShiftError when
+    it is below SINGULAR_RTOL * ||a||: the shift is numerically in the
+    spectrum.  The exact ||a|| (the top eigenvalue of a.doubling()) is
+    computed only when lambda falls below SINGULAR_RTOL times the cheap
+    bound max|main| + max|sub| + max|sup|, which no row or column sum exceeds.
+    """
+    n = a.main.size
+    lam = float(scipy.linalg.eig_banded(
+        a.doubling(shift), eigvals_only=True, select="i", select_range=(n, n)
+    )[0])
+    bound = sum(float(np.max(np.abs(d), initial=0.0)) for d in (a.main, a.sub, a.sup))
+    if lam < max(SINGULAR_RTOL * bound, ABS_FLOOR):
+        norm = float(scipy.linalg.eig_banded(
+            a.doubling(), eigvals_only=True, select="i", select_range=(2 * n - 1, 2 * n - 1)
+        )[0])
+        if lam < max(SINGULAR_RTOL * norm, ABS_FLOOR):
+            raise SingularShiftError(
+                f"sigma_min = {lam:.3e} is below {SINGULAR_RTOL:g} * ||A|| = "
+                f"{SINGULAR_RTOL * norm:.3e}; shift {shift:.6g} is numerically in the spectrum"
+            )
+    return lam
 
 
 @dataclass(frozen=True)
@@ -336,11 +396,15 @@ def gamma_norm(
     *,
     theta_gap: float = THETA_GAP_DEFAULT,
 ) -> float:
-    """||(H_q - E)^-1|| via the block embedding and the antilinear spectrum.
+    """||(H_q - E)^-1|| = 1 / sigma_min(H_q - E) from the banded doubling.
 
-    Requires E + q^2 inside the spectral gap.  In one dimension the sup over
-    |q| fixed is the max over +-q, and those two norms coincide exactly by
-    the transpose identity, so a single solve suffices.
+    H_q - E = M is real, so the doubling is [[0, M^T], [M, 0]] (see
+    Tridiagonal.doubling) and its eigenvalue n is sigma_min(M); no dense
+    matrix is formed.  Requires E + q^2 inside the spectral gap.  In one
+    dimension the sup over |q| fixed is the max over +-q, and those two
+    norms coincide exactly by the transpose identity, so a single solve
+    suffices.  Raises SingularShiftError when sigma_min < SINGULAR_RTOL *
+    ||H_q - E||.
     """
     if gap is None:
         gap = find_gap(h)
@@ -349,9 +413,8 @@ def gamma_norm(
     if float(np.min(np.abs(evals - energy))) <= theta_gap:
         raise ShiftInSpectrumError(f"E = {energy:.6g} is within {theta_gap:g} of an eigenvalue")
 
-    hq = boost(h, q)
-    emb, conj = block_embed(hq.bands.dense(energy))
-    return resolvent_norm(emb, conj, 0.0)
+    hq = boost(h, q).bands
+    return 1.0 / min_lambda(replace(hq, main=hq.main - energy))
 
 
 def bq_norm(

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from csop import decay
 from csop.decay import (
     BoundInputs,
     bound_constant,
@@ -163,6 +164,16 @@ class TestBoundConstant:
                 for q in qs
             ]
             assert np.all(np.diff(cs) > 0)
+
+    def test_validates_once_and_matches_public_functions(self, monkeypatch):
+        calls = []
+        validate = decay._validate_gap
+        monkeypatch.setattr(decay, "_validate_gap", lambda *a: calls.append(a) or validate(*a))
+        inputs = BoundInputs(gap=GAP12, energy=1.4375, q=0.2, eps=0.5)
+        res = bound_constant(inputs)
+        assert len(calls) == 1
+        assert res.q_critical == critical_q(GAP12, 1.4375)
+        assert res.f_value == decay_envelope(GAP12, 1.4375, 0.2)
 
     def test_not_invariant_under_energy_shift(self):
         # only (E+ - E) and (E - E-) are shift invariant; the 4 E- denominator

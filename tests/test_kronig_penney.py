@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +117,22 @@ class TestExactDecay:
             assert q == pytest.approx(math.acosh(abs(dispersion(m, e_star))), rel=1e-12)
             # stationary point of h
             assert abs(dispersion_derivative(m, e_star)) < 1e-9
+
+    @pytest.mark.parametrize("v0", [1e-6, 1e-4, 1e-2, 1.0, 40.0])
+    def test_matches_50_digit_reference(self, v0):
+        # arccosh|h| at the root of dh/ds, both at 50 digits; |h| - 1 ~ q^2 / 2
+        # cancels in double precision as v0 -> 0
+        e_star, q = exact_decay(KPModel(v0))
+        with mpmath.workdps(50):
+            v = mpmath.mpf(v0)
+
+            def dh_ds(s):
+                return -mpmath.sin(s) + v / 2 * (s * mpmath.cos(s) - mpmath.sin(s)) / s**2
+
+            s_star = mpmath.findroot(dh_ds, mpmath.sqrt(mpmath.mpf(e_star)))
+            ref = mpmath.acosh(abs(mpmath.cos(s_star) + v / 2 * mpmath.sin(s_star) / s_star))
+            assert abs(q - ref) <= 1e-14 * ref
+            assert abs(e_star - s_star**2) <= 1e-14 * s_star**2
 
     def test_weak_comb_agrees_with_two_band_theory(self):
         # kappa_max -> v0 / (2 pi) as v0 -> 0

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csop import scaling
 from csop.errors import ConvergenceError, SingularShiftError, StripViolationError
 from csop.scaling import (
     DilationPotential,
@@ -22,7 +23,14 @@ from csop.scaling import (
     resolvent_norm_at,
     sigma_min,
 )
-from csop.schrodinger import Grid1D, PotentialSpec, boost, build_hamiltonian
+from csop.schrodinger import (
+    GapSpectrum,
+    Grid1D,
+    PotentialSpec,
+    boost,
+    build_hamiltonian,
+    gamma_norm,
+)
 
 FREE = DilationPotential.from_callable(lambda x: np.zeros_like(x), 1.0)
 ALPHA75 = DilationPotential.alpha_r2_exp(7.5)
@@ -187,6 +195,12 @@ class TestResolventNorm:
         with pytest.raises(SingularShiftError):
             resolvent_norm_at(ham, res.z)
 
+    def test_eigenvector_not_converged_raises(self, monkeypatch):
+        ham = build_scaled(ALPHA75, Grid1D(length=40.0, n=200), 0.3j)
+        monkeypatch.setattr(scaling, "INVERSE_RTOL", 0.0)
+        with pytest.raises(ConvergenceError):
+            resolvent_norm_at(ham, 4.1 - 0.15j)
+
     def test_sigma_min_converges_or_raises(self):
         # sigma_2 / sigma_1 = 1.02 here: the power iteration needs more than
         # its step budget, and must say so instead of returning the last iterate
@@ -214,12 +228,21 @@ class TestBanded:
         n = 5000
         grid = Grid1D(length=40.0, n=n)
         comb = PotentialSpec.delta_comb(np.arange(1.0, 40.0), 3.0)
+        # gamma_norm checks E and E + q^2 against the eigenvalues of H, which
+        # it reads from the cached eigensystem; that is computed here, outside
+        # the traced region (its eigenvectors are n x n)
+        kp = build_hamiltonian(grid, comb)
+        kp.eigensystem()
+        gap = GapSpectrum(e_minus=9.87, e_plus=17.0)
         tracemalloc.start()
         try:
             boost(build_hamiltonian(grid, comb), 0.3)
             ham = build_scaled(ALPHA75, grid, 0.3j)
             sigma_min(ham, 4.1 - 0.15j)
             locate_resonance(ALPHA75, grid, 0.3j, guess=4.0723 - 0.19631j)
+            resolvent_norm_at(ham, 4.1 - 0.15j)
+            essential_floor_check(ham, 4.0823 - 0.19631j)
+            gamma_norm(kp, 0.3, 13.0, gap)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -233,6 +256,25 @@ class TestEssentialFloor:
         report = essential_floor_check(ham, 2.0 - 1.0j)
         assert report.count_below == 0
         assert report.floor == pytest.approx(ray_distance(2.0 - 1.0j, 0.3j))
+
+    @pytest.mark.parametrize("n", [300, 1000])
+    def test_z_on_polished_eigenvalue(self, n):
+        # sigma_min(H - z) is at rounding level here, and the two computed
+        # eigenvalues +-sigma_min of the doubling can share a sign (both at
+        # n = 300, neither at n = 1000): it must still count once
+        grid = Grid1D(length=40.0, n=n)
+        z = locate_resonance(ALPHA75, grid, 0.3j, guess=4.0723 - 0.19631j).z
+        ham = build_scaled(ALPHA75, grid, 0.3j)
+        report = essential_floor_check(ham, z)
+        sv = np.linalg.svd(ham.matrix - z * np.eye(n), compute_uv=False)
+        below = np.sort(sv[sv < report.floor - report.tol])
+        assert report.count_below == below.size == 2
+        assert report.below[0] < 1e-10 * abs(z)
+        assert report.below[1] == pytest.approx(below[1], rel=1e-10)
+        assert report.near_floor_count == np.sum(
+            (sv >= report.floor - report.tol) & (sv <= 1.1 * report.floor)
+        )
+        assert report.n_total == n
 
     def test_resonance_pushes_singular_value_below(self, resonance_500):
         grid, res = resonance_500
@@ -263,6 +305,14 @@ class TestResonance:
         ]
         spread = max(abs(a - b) for a in zs for b in zs)
         assert spread < 1e-3 * abs(res.z)
+
+
+    def test_polish_raises_at_step_cap(self, resonance_500, monkeypatch):
+        grid, res = resonance_500
+        ham = build_scaled(ALPHA75, grid, 0.3j)
+        monkeypatch.setattr(scaling, "POLISH_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError):
+            polish_eigenvalue(ham, res.z + 0.01)
 
 
 class TestPerturbation:

@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scipy.linalg
+
+from csop.antilinear import antilinear_spectrum, block_embed, real_doubling
 from csop.decay import critical_q, qbar_and_ebar
 from csop.errors import (
     BallOutsideDomainError,
     NegativePotentialError,
     NoGapFoundError,
     ShiftInSpectrumError,
+    SingularShiftError,
 )
 from csop.kronig_penney import KPModel, band_edges, dispersion, exact_decay
 from csop.schrodinger import (
@@ -25,6 +29,7 @@ from csop.schrodinger import (
     build_hamiltonian,
     find_gap,
     gamma_norm,
+    min_lambda,
     projector_decay,
     resolvent_kernel_scan,
 )
@@ -34,6 +39,98 @@ def diagonal_hamiltonian(values, grid):
     values = np.asarray(values, dtype=float)
     off = np.zeros(values.size - 1)
     return DiscreteHamiltonian(bands=Tridiagonal(sub=off, main=values, sup=off), grid=grid)
+
+
+# Repeated levels and zeros make clustered and rank-deficient tridiagonals:
+# equal diagonal entries split off by zero off-diagonal runs repeat a singular
+# value, and a zero block makes it vanish.
+LEVEL = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5]), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def tridiagonals(draw, complex_symmetric: bool):
+    n = draw(st.integers(2, 9))
+
+    def diagonal(size):
+        vals = np.array(draw(st.lists(LEVEL, min_size=size, max_size=size)))
+        start = draw(st.integers(0, size))
+        vals[start:start + draw(st.integers(0, size))] = 0.0
+        if complex_symmetric:
+            vals = vals + 1j * np.array(draw(st.lists(LEVEL, min_size=size, max_size=size)))
+        return vals
+
+    main, sup = diagonal(n), diagonal(n - 1)
+    if complex_symmetric:
+        shift = complex(draw(LEVEL), draw(LEVEL))
+        return Tridiagonal(sub=sup, main=main, sup=sup), shift
+    return Tridiagonal(sub=diagonal(n - 1), main=main, sup=sup), draw(LEVEL)
+
+
+def interleave(s):
+    """s with its two n-blocks of coordinates interleaved as (x_1, y_1, x_2, ...)."""
+    n = s.shape[0] // 2
+    perm = np.ravel(np.column_stack([np.arange(n), np.arange(n, 2 * n)]))
+    return s[np.ix_(perm, perm)]
+
+
+def upper_band(s, kd=3):
+    """LAPACK upper band storage of a symmetric s, as eig_banded takes it."""
+    ab = np.zeros((kd + 1, s.shape[0]))
+    for d in range(kd + 1):
+        ab[kd - d, d:] = np.diagonal(s, d)
+    return ab
+
+
+class TestDoubling:
+    @settings(max_examples=100, deadline=None)
+    @given(case=st.one_of(tridiagonals(True), tridiagonals(False)))
+    def test_lambda_equals_sigma(self, case):
+        t, shift = case
+        n = t.main.size
+        sv = np.sort(np.linalg.svd(t.dense(shift), compute_uv=False))
+        atol = 1e-12 * max(sv[-1], 1.0)
+        pm = scipy.linalg.eig_banded(t.doubling(shift), eigvals_only=True)
+        assert np.max(np.abs(pm[n:] - sv)) <= atol
+        assert np.max(np.abs(pm[:n] + sv[::-1])) <= atol
+        if np.iscomplexobj(t.main):
+            lam = antilinear_spectrum(t.dense(), None, shift).lambdas
+        else:
+            # diag(M, M^T) doubles every singular value of M
+            lam = antilinear_spectrum(*block_embed(t.dense(shift))).lambdas
+            assert np.max(np.abs(lam[0::2] - lam[1::2])) <= atol
+            lam = lam[0::2]
+        assert np.max(np.abs(lam - sv)) <= atol
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=st.one_of(tridiagonals(True), tridiagonals(False)))
+    def test_band_is_permuted_dense_doubling_bitwise(self, case):
+        t, shift = case
+        n = t.main.size
+        if np.iscomplexobj(t.main):
+            dense = real_doubling(t.dense(shift)).s
+        else:
+            emb, conj = block_embed(t.dense(shift))
+            # conj(P) @ diag(M, M^T) = [[0, M^T], [M, 0]] is real for real M, and
+            # the 4n doubling is that block and its negative
+            dense = real_doubling(np.conj(conj.p) @ emb.matrix).s[:2 * n, :2 * n]
+        s = interleave(dense)
+        assert not np.triu(s, 4).any()
+        assert np.array_equal(t.doubling(shift), upper_band(s))
+
+    def test_min_lambda_singular_threshold_uses_exact_norm(self):
+        # M = [[1, 0], [1, s]]: ||M|| = sqrt(2) and sigma_min = s / sqrt(2) to
+        # first order, while the cheap bound max|main| + max|sub| + max|sup| is 2
+        def case(s):
+            return Tridiagonal(sub=np.array([1.0]), main=np.array([1.0, s]), sup=np.array([0.0]))
+
+        t = case(2.4e-13)
+        sv = np.linalg.svd(t.dense(), compute_uv=False)
+        assert 1e-13 * sv[0] < sv[-1] < 1e-13 * 2.0
+        assert min_lambda(t) == pytest.approx(sv[-1], rel=1e-6)
+        with pytest.raises(SingularShiftError):
+            min_lambda(case(1.4e-13))
+        with pytest.raises(SingularShiftError):
+            min_lambda(Tridiagonal(sub=np.zeros(2), main=np.array([2.0, 1.0, 0.0]), sup=np.zeros(2)))
 
 
 @pytest.fixture(scope="module")
