@@ -375,9 +375,7 @@ def _run_resonance(cfg: RunConfig) -> ResultTable:
     window = (0.0, p["window_re_max"], p["window_im_min"], 0.0)
     base = locate_resonance(pot, grid, theta, 0.0, dtheta=1j * p["dtheta_im"], window=window)
     z_probe = base.z + complex(p["probe_offset_re"], p["probe_offset_im"])
-    scan = perturbation_scan(
-        pot, grid, theta, p["gamma_values"], z_probe, dtheta=1j * p["dtheta_im"], window=window
-    )
+    scan = perturbation_scan(pot, grid, theta, p["gamma_values"], z_probe, base.z)
     rows = np.column_stack([scan.gammas, scan.z_res.real, scan.z_res.imag, scan.norms, scan.bound_estimates])
     fitted = fit_relative_bound(pot, grid, theta)
     meta = _base_metadata(cfg)

@@ -7,11 +7,11 @@ plain entrywise conjugation.  The matrix is tridiagonal, and so is that
 problem: its real doubling, interleaved, has bandwidth 3
 (Tridiagonal.doubling), so resolvent norms, their eigenvectors and the
 singular values below the essential floor come from banded solves without
-a dense matrix.  sigma_min (banded inverse-power iteration on H - z) is the
-faster route to the norm alone.  Rotating theta moves the discretized
-continuum string by -2 Im theta while discrete points (bound states and
-uncovered resonances) stay put; classification compares each eigenvalue
-against both predictions.
+a dense matrix; norms and eigenvectors from one engine, schrodinger.min_lambda
+(sigma_min is its value without the singularity threshold).  Rotating theta
+moves the discretized continuum string by -2 Im theta while discrete points
+(bound states and uncovered resonances) stay put; classification compares
+each eigenvalue against both predictions.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import scipy.optimize
 
 from .antilinear import _fix_sign
 from .errors import ConvergenceError, PairingAmbiguityError, StripViolationError
-from .schrodinger import Grid1D, Tridiagonal, min_lambda
+from .schrodinger import Grid1D, Tridiagonal, _lanczos_pair, min_lambda
 
 __all__ = [
     "DilationPotential",
@@ -50,14 +50,9 @@ __all__ = [
     "perturbation_scan",
 ]
 
-SIGMA_MIN_ITERS = 200      # power steps before sigma_min gives up
-SIGMA_MIN_RTOL = 1e-12     # relative change of the power estimate that counts as converged
-SIGMA_MIN_SEED = 0         # seed of the random start vector
 POLISH_TOL = 1e-10         # relative eigenvalue change that stops polish_eigenvalue
 POLISH_MAX_ITER = 50       # Rayleigh-quotient steps before polish_eigenvalue gives up
-INVERSE_ITERS = 10         # inverse-iteration steps before resolvent_norm_at gives up
 INVERSE_RTOL = 1e-12       # antilinear residual, relative to ||H - z||, that counts as converged
-INVERSE_SEED = 0           # seed of the random start vector
 
 
 @dataclass(frozen=True)
@@ -249,37 +244,26 @@ class ResolventNorm:
 def resolvent_norm_at(h: ScaledHamiltonian, z: complex) -> ResolventNorm:
     """||(H_theta(gamma) - z)^-1|| = 1 / min lambda of the antilinear problem.
 
-    H is complex symmetric and tridiagonal, so the antilinear problem
-    (H - z) psi = lambda conj(psi) is the real symmetric doubling of
-    Tridiagonal.doubling, of bandwidth 3.  min lambda is its eigenvalue n
-    (schrodinger.min_lambda, which raises SingularShiftError when z is
-    numerically an eigenvalue).  psi comes from inverse iteration on the
-    doubling shifted by lambda, one banded solve per step, and its residual
-    ||(H - z) psi - lambda conj(psi)|| is reported.  Raises ConvergenceError
-    when INVERSE_ITERS steps do not bring the residual below
-    INVERSE_RTOL * ||H - z|| (bounded by norm_estimate + |z|).
+    The antilinear problem (H - z) psi = lambda conj(psi) is the real
+    symmetric Tridiagonal.doubling.  schrodinger.min_lambda gives lambda and
+    its doubling eigenvector w, so psi = w[0::2] + 1j w[1::2] (times i when w
+    belongs to -lambda), and raises SingularShiftError when z is numerically
+    an eigenvalue.  Raises ConvergenceError when the residual
+    ||(H - z) psi - lambda conj(psi)|| exceeds INVERSE_RTOL * ||H - z||
+    (bounded by norm_estimate + |z|).
     """
-    lam = min_lambda(h.bands, z)
-    upper = h.bands.doubling(z)
-    m = upper.shape[1]
-    ab = np.zeros((7, m))
-    ab[:4] = upper
-    ab[3] -= lam
-    for d in (1, 2, 3):
-        ab[3 + d, : m - d] = upper[3 - d, d:]
+    lam, w = min_lambda(h.bands, z)
+    psi = w[0::2] + 1j * w[1::2]
+    r = h.bands.matvec(psi) - z * psi
+    if (psi @ r).real < 0.0:  # psi^T (H - z) psi = -lambda: i psi belongs to +lambda
+        psi, r = 1j * psi, 1j * r
+    residual = float(np.linalg.norm(r - lam * np.conj(psi)))
     tol = INVERSE_RTOL * (h.norm_estimate + abs(z))
-    w = np.random.default_rng(INVERSE_SEED).standard_normal(m)
-    for _ in range(INVERSE_ITERS):
-        w = scipy.linalg.solve_banded((3, 3), ab, w)
-        w /= np.linalg.norm(w)
-        psi = w[0::2] + 1j * w[1::2]
-        residual = float(np.linalg.norm(h.bands.matvec(psi) - z * psi - lam * np.conj(psi)))
-        if residual <= tol:
-            return ResolventNorm(norm=1.0 / lam, min_lambda=lam, vector=_fix_sign(psi), residual=residual)
-    raise ConvergenceError(
-        f"antilinear eigenvector at z = {z:.6g} not converged in {INVERSE_ITERS} steps "
-        f"(residual {residual:.3g} > {tol:.3g})"
-    )
+    if residual > tol:
+        raise ConvergenceError(
+            f"antilinear eigenvector at z = {z:.6g} has residual {residual:.3g} > {tol:.3g}"
+        )
+    return ResolventNorm(norm=1.0 / lam, min_lambda=lam, vector=_fix_sign(psi), residual=residual)
 
 
 @dataclass
@@ -331,32 +315,13 @@ def essential_floor_check(
 
 
 def sigma_min(h: ScaledHamiltonian, z: complex) -> float:
-    """Smallest singular value of H - z via banded inverse-power iteration.
+    """Smallest singular value of H - z, which is 1/||(H - z)^-1||.
 
-    Runs the power method on (H-z)^-1 (H-z)^-dagger with O(n) solves per
-    step; equals 1/||(H-z)^-1||, which the antilinear machinery certifies
-    independently.  H is complex symmetric, so (H-z)^dagger is the entrywise
-    conjugate of H - z.  Raises ConvergenceError when SIGMA_MIN_ITERS steps
-    do not bring the relative change of the estimate below SIGMA_MIN_RTOL.
+    The engine of resolvent_norm_at without its singularity threshold, so at
+    a polished eigenvalue it reads a rounding-level value instead of raising.
+    Raises ConvergenceError when the Lanczos iteration does not converge.
     """
-    ab = h.bands.banded(z)
-    abh = np.conj(ab)
-    rng = np.random.default_rng(SIGMA_MIN_SEED)
-    v = rng.standard_normal(h.grid.n) + 1j * rng.standard_normal(h.grid.n)
-    v /= np.linalg.norm(v)
-    rho_old = 0.0
-    for _ in range(SIGMA_MIN_ITERS):
-        y = scipy.linalg.solve_banded((1, 1), abh, v)
-        w = scipy.linalg.solve_banded((1, 1), ab, y)
-        rho = float(np.linalg.norm(w))
-        v = w / rho
-        if abs(rho - rho_old) <= SIGMA_MIN_RTOL * rho:
-            return 1.0 / math.sqrt(rho)
-        rho_old = rho
-    raise ConvergenceError(
-        f"sigma_min at z = {z:.6g} not converged in {SIGMA_MIN_ITERS} steps "
-        f"(relative change {abs(rho - rho_old) / rho:.3g} > {SIGMA_MIN_RTOL:g})"
-    )
+    return _lanczos_pair(h.bands, z)[0]
 
 
 def polish_eigenvalue(h: ScaledHamiltonian, z0: complex) -> tuple[complex, np.ndarray]:
@@ -536,15 +501,15 @@ def perturbation_scan(
     theta: complex,
     gamma_values,
     z_probe: complex,
+    z_start: complex,
     *,
     rel_bound: RelativeBound | None = None,
-    dtheta: complex = 0.02j,
-    window: tuple[float, float, float, float] | None = None,
 ) -> PerturbationScan:
     """Track the resonance and the resolvent norm under gamma w perturbations.
 
-    The resonance is located by classification at the first gamma and
-    tracked by polishing afterwards.  bound_estimate is the closed-form
+    The resonance is polished at every gamma, from the caller's located
+    resonance `z_start` at the first gamma and from the previous one after
+    that.  bound_estimate is the closed-form
     a/(1-a) + (b + a |z|)/(1-a) ||(H_theta - z)^-1|| controlling
     ||w_theta (H_theta - z)^-1|| for the configured relative bound (a, b);
     it uses the unperturbed resolvent, so the column is constant.  The
@@ -564,16 +529,11 @@ def perturbation_scan(
 
     z_res = np.empty(gammas.size, dtype=complex)
     norms = np.empty(gammas.size)
-    z_prev = None
+    z = complex(z_start)
     for i, g in enumerate(gammas):
-        if z_prev is None:
-            res = locate_resonance(pot, grid, theta, g, dtheta=dtheta, window=window)
-            z_prev = res.z
-        else:
-            res = locate_resonance(pot, grid, theta, g, guess=z_prev)
-            z_prev = res.z
-        z_res[i] = res.z
         h = build_scaled(pot, grid, theta, g)
+        z, _ = polish_eigenvalue(h, z)
+        z_res[i] = z
         norms[i] = 1.0 / sigma_min(h, z_probe)
     return PerturbationScan(
         gammas=gammas,

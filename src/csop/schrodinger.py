@@ -6,20 +6,23 @@ H_q = H + 2 q D - q^2 I.  This choice keeps H real symmetric and makes the
 transpose identity H_q^T = H_{-q} hold bitwise, which is what the block
 embedding needs to turn decay estimates into resolvent-norm estimates.
 Operators store their three diagonals (Tridiagonal), not a dense matrix, and
-resolvent norms come from the banded real doubling of those diagonals
-(min_lambda), which for real H_q - E is the block embedding at banded cost.
+every resolvent norm comes from one engine, min_lambda: shift-invert Lanczos on
+the factored banded real doubling (for real H_q - E the block embedding).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
-from .antilinear import ABS_FLOOR, SINGULAR_RTOL
+from .antilinear import ABS_FLOOR, LANCZOS_MAXITER, LANCZOS_TOL, SINGULAR_RTOL
 from .errors import (
     BallOutsideDomainError,
+    ConvergenceError,
     NegativePotentialError,
     NoGapFoundError,
     ShiftInSpectrumError,
@@ -93,7 +96,7 @@ class Tridiagonal:
 
     def dense(self, shift: complex = 0.0) -> np.ndarray:
         """The n x n array of self - shift * I."""
-        out = np.diag(self.main - shift)
+        out = np.diag(self.main - shift).astype(np.result_type(self.main, self.sub, self.sup, shift))
         idx = np.arange(self.sub.size)
         out[idx + 1, idx] = self.sub
         out[idx, idx + 1] = self.sup
@@ -101,7 +104,7 @@ class Tridiagonal:
 
     def banded(self, shift: complex = 0.0) -> np.ndarray:
         """LAPACK (1, 1) band storage of self - shift * I, as solve_banded takes it."""
-        ab = np.zeros((3, self.main.size), dtype=np.result_type(self.main, shift))
+        ab = np.zeros((3, self.main.size), dtype=np.result_type(self.main, self.sub, self.sup, shift))
         ab[0, 1:] = self.sup
         ab[1] = self.main - shift
         ab[2, :-1] = self.sub
@@ -145,20 +148,63 @@ class Tridiagonal:
         return y
 
 
-def min_lambda(a: Tridiagonal, shift: complex = 0.0) -> float:
-    """sigma_min(a - shift), the smallest antilinear eigenvalue, from the banded doubling.
+def _lanczos_pair(a: Tridiagonal, shift: complex) -> tuple[float, np.ndarray]:
+    """(sigma_min(a - shift), w) with no singularity threshold.
 
-    It is eigenvalue n (0-based, ascending) of the 2n doubling, which
-    eig_banded returns without eigenvectors.  Raises SingularShiftError when
-    it is below SINGULAR_RTOL * ||a||: the shift is numerically in the
-    spectrum.  The exact ||a|| (the top eigenvalue of a.doubling()) is
-    computed only when lambda falls below SINGULAR_RTOL times the cheap
-    bound max|main| + max|sub| + max|sup|, which no row or column sum exceeds.
+    Shift-invert Lanczos (ARPACK eigsh) on S = a.doubling(shift): a - shift is
+    factored once (?gbtrf), and S^-1 is one or two n x n banded solves in the
+    interleaved coordinates.  eigsh takes the largest-magnitude eigenvalue
+    +-1 / sigma_min of S^-1 (at a rounding-level sigma_min both computed
+    eigenvalues of S near 0 can share a sign) and w, the eigenvector of S at
+    +-sigma_min.  Ritz values lie inside the spectrum, so the value is an upper
+    bound on sigma_min.  Raises SingularShiftError when a solve overflows, and
+    ConvergenceError when ARPACK fails or exceeds LANCZOS_MAXITER restarts.
     """
+    ab = np.vstack([np.zeros(a.main.size), a.banded(shift)])   # ?gbtrf keeps its fill-in in row 0
+    complex_doubling = np.iscomplexobj(ab)
+    if complex_doubling and not np.array_equal(a.sub, a.sup):
+        raise ValueError("the doubling of a complex tridiagonal needs it symmetric")
+    gbtrf, gbtrs = scipy.linalg.lapack.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+    lu, piv, _ = gbtrf(ab, 1, 1)
+
+    def solve(v):
+        if complex_doubling:  # S w = v is (a - shift) u = conj(v) for w, v viewed as complex
+            w = gbtrs(lu, 1, 1, np.conj(v.view(complex)), piv)[0].view(float)
+        else:  # S (x, y) = (M^T y, M x) for M = a - shift
+            w = np.empty_like(v)
+            w[0::2] = gbtrs(lu, 1, 1, v[1::2], piv)[0]
+            w[1::2] = gbtrs(lu, 1, 1, v[0::2], piv, trans=1)[0]
+        # |S^-1 v| this large (or the inf or NaN of a zero pivot) puts sigma_min
+        # far below ABS_FLOOR, and its square would overflow inside Lanczos
+        if not np.max(np.abs(w)) < 1.0 / math.sqrt(np.finfo(float).tiny):
+            raise SingularShiftError(f"shift {shift:.6g} makes A - shift singular to working precision")
+        return w
+
+    m = 2 * a.main.size
+    op = scipy.sparse.linalg.LinearOperator((m, m), matvec=solve, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(m)
+    try:
+        theta, w = scipy.sparse.linalg.eigsh(
+            op, k=1, which="LM", v0=v0, tol=LANCZOS_TOL, maxiter=LANCZOS_MAXITER
+        )
+    except scipy.sparse.linalg.ArpackError as exc:
+        raise ConvergenceError(f"Lanczos for sigma_min at shift {shift:.6g}: {exc}") from None
+    return 1.0 / abs(float(theta[0])), w[:, 0]
+
+
+def min_lambda(a: Tridiagonal, shift: complex = 0.0) -> tuple[float, np.ndarray]:
+    """(lambda, w): sigma_min(a - shift), the smallest antilinear eigenvalue, and w.
+
+    w is the Lanczos eigenvector of a.doubling(shift) at +-lambda; for complex
+    symmetric a, psi = w[0::2] + 1j * w[1::2] solves (a - shift) psi =
+    +-lambda conj(psi), and i psi turns -lambda into +lambda.  Raises
+    SingularShiftError when lambda < SINGULAR_RTOL * ||a||: the shift is
+    numerically in the spectrum.  The exact ||a|| (top eigenvalue of
+    a.doubling()) is computed only when lambda falls below SINGULAR_RTOL
+    times the cheap bound max|main| + max|sub| + max|sup| >= ||a||.
+    """
+    lam, w = _lanczos_pair(a, shift)
     n = a.main.size
-    lam = float(scipy.linalg.eig_banded(
-        a.doubling(shift), eigvals_only=True, select="i", select_range=(n, n)
-    )[0])
     bound = sum(float(np.max(np.abs(d), initial=0.0)) for d in (a.main, a.sub, a.sup))
     if lam < max(SINGULAR_RTOL * bound, ABS_FLOOR):
         norm = float(scipy.linalg.eig_banded(
@@ -169,7 +215,7 @@ def min_lambda(a: Tridiagonal, shift: complex = 0.0) -> float:
                 f"sigma_min = {lam:.3e} is below {SINGULAR_RTOL:g} * ||A|| = "
                 f"{SINGULAR_RTOL * norm:.3e}; shift {shift:.6g} is numerically in the spectrum"
             )
-    return lam
+    return lam, w
 
 
 @dataclass(frozen=True)
@@ -375,17 +421,26 @@ def boost(h: DiscreteHamiltonian, q: float) -> BoostedHamiltonian:
     return BoostedHamiltonian(bands=bands, q=q, grid=h.grid)
 
 
+def _check_clear_of_spectrum(h: DiscreteHamiltonian, x: complex, theta_gap: float, what: str):
+    """Raise ShiftInSpectrumError when an eigenvalue of H lies within theta_gap of x."""
+    z = complex(x)
+    if abs(z.imag) >= theta_gap:
+        return
+    half = math.sqrt(theta_gap * theta_gap - z.imag * z.imag)
+    near = scipy.linalg.eigh_tridiagonal(
+        h.bands.main, h.bands.sup, eigvals_only=True, select="v",
+        select_range=(z.real - half, z.real + half),
+    )
+    if near.size:
+        raise ShiftInSpectrumError(f"{what} = {x:.6g} is within {theta_gap:g} of an eigenvalue")
+
+
 def _check_shift_in_gap(h, gap, shift, theta_gap):
     if not (gap.e_minus < shift < gap.e_plus):
         raise ShiftInSpectrumError(
             f"E + q^2 = {shift:.6g} is outside the gap ({gap.e_minus:.6g}, {gap.e_plus:.6g})"
         )
-    evals = h.eigenvalues()
-    dist = float(np.min(np.abs(evals - shift)))
-    if dist <= theta_gap:
-        raise ShiftInSpectrumError(
-            f"E + q^2 = {shift:.6g} is within {theta_gap:g} of an eigenvalue"
-        )
+    _check_clear_of_spectrum(h, shift, theta_gap, "E + q^2")
 
 
 def gamma_norm(
@@ -399,8 +454,9 @@ def gamma_norm(
     """||(H_q - E)^-1|| = 1 / sigma_min(H_q - E) from the banded doubling.
 
     H_q - E = M is real, so the doubling is [[0, M^T], [M, 0]] (see
-    Tridiagonal.doubling) and its eigenvalue n is sigma_min(M); no dense
-    matrix is formed.  Requires E + q^2 inside the spectral gap.  In one
+    Tridiagonal.doubling) and min_lambda takes sigma_min(M) from it; no
+    dense matrix is formed.  Requires E + q^2 inside the spectral gap and E,
+    E + q^2 farther than theta_gap from every eigenvalue of H.  In one
     dimension the sup over |q| fixed is the max over +-q, and those two
     norms coincide exactly by the transpose identity, so a single solve
     suffices.  Raises SingularShiftError when sigma_min < SINGULAR_RTOL *
@@ -409,12 +465,9 @@ def gamma_norm(
     if gap is None:
         gap = find_gap(h)
     _check_shift_in_gap(h, gap, energy + q * q, theta_gap)
-    evals = h.eigenvalues()
-    if float(np.min(np.abs(evals - energy))) <= theta_gap:
-        raise ShiftInSpectrumError(f"E = {energy:.6g} is within {theta_gap:g} of an eigenvalue")
-
+    _check_clear_of_spectrum(h, energy, theta_gap, "E")
     hq = boost(h, q).bands
-    return 1.0 / min_lambda(replace(hq, main=hq.main - energy))
+    return 1.0 / min_lambda(replace(hq, main=hq.main - energy))[0]
 
 
 def bq_norm(
@@ -458,18 +511,9 @@ def _indicator(grid: Grid1D, x: float, eps: float) -> np.ndarray:
     return chi
 
 
-def _check_energy_resolvent(h: DiscreteHamiltonian, energy: complex, theta_gap: float):
-    evals = h.eigenvalues()
-    dist = float(np.min(np.abs(evals - energy)))
-    if dist <= theta_gap:
-        raise ShiftInSpectrumError(
-            f"E = {energy:.6g} is within {theta_gap:g} of the spectrum"
-        )
-
-
 def _averaged_kernels(h: DiscreteHamiltonian, energy: complex, pairs, eps: float, theta_gap: float):
     """omega_eps^-2 <chi_x1, (H - E)^-1 chi_x2> for each (x1, x2), one banded solve."""
-    _check_energy_resolvent(h, energy, theta_gap)
+    _check_clear_of_spectrum(h, energy, theta_gap, "E")
     chi1 = np.empty((h.grid.n, len(pairs)))
     chi2 = np.empty_like(chi1)
     for j, (x1, x2) in enumerate(pairs):

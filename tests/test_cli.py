@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from csop import scaling, schrodinger
 from csop.cli import (
     ResultTable,
     emit,
@@ -123,6 +124,25 @@ class TestRun:
         assert t1.columns == ["v0", "G", "W", "G_over_W", "q_exact", "q_bound", "rel_diff"]
         assert emit(t1, "csv") == emit(t2, "csv")
 
+    def test_resonance_classifies_once(self, monkeypatch):
+        # the scan polishes from the located resonance instead of classifying
+        # the gamma = 0 spectrum a second time
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return classify(*args, **kwargs)
+
+        classify = scaling.classify_spectrum
+        monkeypatch.setattr(scaling, "classify_spectrum", counted)
+        table = run("resonance", parse_config("n = 200\ngamma_values = 0, 0.02, 0.04", "resonance"))
+        assert len(calls) == 1
+        base = complex(
+            table.metadata["z_probe_re"] - table.metadata["probe_offset_re"],
+            table.metadata["z_probe_im"] - table.metadata["probe_offset_im"],
+        )
+        assert abs(complex(*table.rows[0, 1:3]) - base) <= 1e-12 * abs(base)
+
     def test_kernel_scan_small_grid(self):
         text = "n = 500\nsep_min = 8\nsep_max = 16\nq_frac = 0.75"
         table = run("kernel-scan", parse_config(text, "kernel-scan"))
@@ -157,6 +177,29 @@ class TestMain:
         np.savetxt(zeros, np.column_stack([xs, np.zeros_like(xs)]), delimiter=",")
         cfg.write_text(f"n = 300\npotential = {zeros}\n")
         assert main(["kernel-scan", "--config", str(cfg)]) == 3
+
+    def test_resolvent_map_wide_window_exit_0(self, tmp_path):
+        # power iteration stopped at its step cap on 14 of these 144 points
+        # (first at z = 1.5 - 0.1i) and the run exited 3
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("re_min = 0.5\nre_max = 6.0\nim_min = -1.0\nim_max = -0.01\n")
+        out = tmp_path / "map.json"
+        assert main(["resolvent-map", "--config", str(cfg), "--format", "json", "--output", str(out)]) == 0
+        rows = parse_result_table(out.read_bytes()).rows
+        assert rows.shape == (144, 3)
+        ham = scaling.build_scaled(
+            scaling.DilationPotential.alpha_r2_exp(7.5), schrodinger.Grid1D(length=40.0, n=800), 0.3j
+        )
+        for i in (13, 49, 100):
+            z = complex(rows[i, 0], rows[i, 1])
+            smin = np.linalg.svd(ham.bands.dense(z), compute_uv=False).min()
+            assert rows[i, 2] == pytest.approx(1.0 / smin, rel=1e-9)
+
+    def test_lanczos_step_cap_exit_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(schrodinger, "LANCZOS_MAXITER", 1)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("re_min = 2.5\nre_max = 2.5\nim_min = -0.3\nim_max = -0.3\nn_re = 1\nn_im = 1\n")
+        assert main(["resolvent-map", "--config", str(cfg)]) == 3
 
     def test_end_to_end_csv_deterministic(self, tmp_path):
         cfg = tmp_path / "c.cfg"

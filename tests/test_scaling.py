@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csop import scaling
+from csop import scaling, schrodinger
 from csop.errors import ConvergenceError, SingularShiftError, StripViolationError
 from csop.scaling import (
     DilationPotential,
@@ -202,17 +202,22 @@ class TestResolventNorm:
             resolvent_norm_at(ham, 4.1 - 0.15j)
 
     def test_sigma_min_converges_or_raises(self):
-        # sigma_2 / sigma_1 = 1.02 here: the power iteration needs more than
-        # its step budget, and must say so instead of returning the last iterate
+        # sigma_2 / sigma_1 = 1.02 here, a slow case for power-type iteration;
+        # the engine must converge to the SVD value
         grid = Grid1D(length=40.0, n=800)
         ham = build_scaled(ALPHA75, grid, 0.3j)
         z = 2.5 - 0.3j
         direct = np.linalg.svd(ham.matrix - z * np.eye(grid.n), compute_uv=False).min()
-        try:
-            value = sigma_min(ham, z)
-        except ConvergenceError:
-            return
-        assert abs(value - direct) <= 1e-12 * direct
+        assert abs(sigma_min(ham, z) - direct) <= 1e-12 * direct
+
+    def test_lanczos_step_cap_raises(self, monkeypatch):
+        # this point needs restarts, so one ARPACK iteration is not enough
+        ham = build_scaled(ALPHA75, Grid1D(length=40.0, n=800), 0.3j)
+        monkeypatch.setattr(schrodinger, "LANCZOS_MAXITER", 1)
+        with pytest.raises(ConvergenceError):
+            sigma_min(ham, 2.5 - 0.3j)
+        with pytest.raises(ConvergenceError):
+            resolvent_norm_at(ham, 2.5 - 0.3j)
 
     def test_sigma_min_matches_svd(self, resonance_500):
         grid, res = resonance_500
@@ -228,11 +233,7 @@ class TestBanded:
         n = 5000
         grid = Grid1D(length=40.0, n=n)
         comb = PotentialSpec.delta_comb(np.arange(1.0, 40.0), 3.0)
-        # gamma_norm checks E and E + q^2 against the eigenvalues of H, which
-        # it reads from the cached eigensystem; that is computed here, outside
-        # the traced region (its eigenvectors are n x n)
         kp = build_hamiltonian(grid, comb)
-        kp.eigensystem()
         gap = GapSpectrum(e_minus=9.87, e_plus=17.0)
         tracemalloc.start()
         try:
@@ -292,6 +293,16 @@ class TestResonance:
         evals = ham.eigenvalues()
         assert np.min(np.abs(evals - res.z)) < 1e-8 * abs(res.z)
 
+    @pytest.mark.parametrize("theta_im", [0.2, 0.3, 0.4, 0.5])
+    def test_sigma_min_at_polished_eigenvalue(self, theta_im):
+        # sigma_min(H - z) is at rounding level, and the two computed
+        # eigenvalues +-sigma_min of the doubling can share a sign: taking the
+        # largest Ritz value instead of the largest magnitude read sigma_2
+        # (1.25 at theta = 0.2i with solves on the 2n band of the doubling)
+        ham = build_scaled(ALPHA75, Grid1D(length=40.0, n=1500), theta_im * 1j)
+        z, _ = polish_eigenvalue(ham, 4.0723 - 0.19631j)
+        assert sigma_min(ham, z) < 1e-10 * abs(z)
+
     def test_position_across_grids(self, resonance_500):
         grid, res = resonance_500
         z_fine = locate_resonance(ALPHA75, Grid1D(length=40.0, n=800), 0.3j, guess=res.z).z
@@ -320,7 +331,7 @@ class TestPerturbation:
         grid, res = resonance_500
         pot = DilationPotential.alpha_r2_exp(7.5, perturbation_alpha=7.5)
         z_probe = res.z + 0.05 + 0.05j
-        scan = perturbation_scan(pot, grid, 0.3j, [0.0, 0.01, 0.02], z_probe, window=WINDOW)
+        scan = perturbation_scan(pot, grid, 0.3j, [0.0, 0.01, 0.02], z_probe, res.z)
         assert scan.z_res[0] == pytest.approx(res.z, rel=1e-8)
         # measured ||w_theta (H_theta - z)^-1|| respects the closed-form bound
         ham = build_scaled(pot, grid, 0.3j)

@@ -117,6 +117,48 @@ class TestDoubling:
         assert not np.triu(s, 4).any()
         assert np.array_equal(t.doubling(shift), upper_band(s))
 
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.one_of(tridiagonals(True), tridiagonals(False)))
+    def test_lanczos_min_lambda_is_dense_sigma_min(self, case):
+        # a Lanczos Ritz value is only an upper bound on sigma_min: on
+        # clustered and rank-deficient draws it must still be the smallest
+        # (max(sigma_max, 1) also covers draws of norm below ABS_FLOOR, which
+        # the threshold calls singular whatever their condition)
+        t, shift = case
+        sv = np.sort(np.linalg.svd(t.dense(shift), compute_uv=False))
+        scale = max(sv[-1], 1.0)
+        if sv[0] > 1e-12 * scale:
+            lam, w = min_lambda(t, shift)
+            assert abs(lam - sv[0]) <= 1e-12 * scale
+            assert np.linalg.norm(w) == pytest.approx(1.0, rel=1e-12)
+        elif sv[0] <= 1e-15 * scale:
+            with pytest.raises(SingularShiftError):
+                min_lambda(t, shift)
+
+    @pytest.mark.parametrize("complex_symmetric", [False, True])
+    def test_lanczos_near_double_sigma_min(self, complex_symmetric):
+        # two decoupled entries put the two smallest singular values 1e-10
+        # apart (relative), ten times the tolerance: a Ritz value left on the
+        # larger one fails
+        n = 400
+        main = np.linspace(0.5, 1.0, n)
+        main[[n // 3, 2 * n // 3]] = (0.1, 0.1 * (1.0 + 1e-10))
+        sup = np.full(n - 1, 0.01)
+        sup[[n // 3 - 1, n // 3, 2 * n // 3 - 1, 2 * n // 3]] = 0.0
+        t = Tridiagonal(sub=sup, main=main, sup=sup)
+        if complex_symmetric:
+            t = Tridiagonal(sub=sup * 1j, main=main * (1.0 + 0.5j), sup=sup * 1j)
+        sv = np.sort(np.linalg.svd(t.dense(), compute_uv=False))
+        atol = 1e-12 * max(sv[-1], 1.0)
+        assert sv[1] - sv[0] > 5.0 * atol
+        assert abs(min_lambda(t)[0] - sv[0]) <= atol
+
+    def test_min_lambda_real_main_complex_couplings(self):
+        # a real diagonal with complex couplings takes the complex doubling
+        t = Tridiagonal(sub=np.array([1j, 0.5j]), main=np.array([1.0, 2.0, 3.0]), sup=np.array([1j, 0.5j]))
+        sv = np.linalg.svd(t.dense(0.5), compute_uv=False)
+        assert min_lambda(t, 0.5)[0] == pytest.approx(sv[-1], rel=1e-12)
+
     def test_min_lambda_singular_threshold_uses_exact_norm(self):
         # M = [[1, 0], [1, s]]: ||M|| = sqrt(2) and sigma_min = s / sqrt(2) to
         # first order, while the cheap bound max|main| + max|sub| + max|sup| is 2
@@ -126,7 +168,7 @@ class TestDoubling:
         t = case(2.4e-13)
         sv = np.linalg.svd(t.dense(), compute_uv=False)
         assert 1e-13 * sv[0] < sv[-1] < 1e-13 * 2.0
-        assert min_lambda(t) == pytest.approx(sv[-1], rel=1e-6)
+        assert min_lambda(t)[0] == pytest.approx(sv[-1], rel=1e-6)
         with pytest.raises(SingularShiftError):
             min_lambda(case(1.4e-13))
         with pytest.raises(SingularShiftError):
@@ -347,6 +389,11 @@ class TestKernel:
         ev = ham.eigenvalues()[3]
         with pytest.raises(ShiftInSpectrumError):
             avg_resolvent_kernel(ham, ev, 10.0, 20.0, 0.5)
+        # a complex E is checked on the disc |E - ev| <= theta_gap = 1e-6
+        with pytest.raises(ShiftInSpectrumError):
+            avg_resolvent_kernel(ham, ev + 0.5e-6j, 10.0, 20.0, 0.5)
+        avg_resolvent_kernel(ham, ev + 0.8e-6 + 0.8e-6j, 10.0, 20.0, 0.5)
+        avg_resolvent_kernel(ham, ev + 2e-6j, 10.0, 20.0, 0.5)
 
     def test_certificate_up_to_095_qc(self, kp_grid_2000):
         # envelope holds for every sampled interior pair at all q <= 0.95 q_c
