@@ -11,7 +11,6 @@ from .antilinear import (
     AntilinearSpectrum,
     ComplexSymmetricMatrix,
     Conjugation,
-    RealDoubling,
     TakagiFactorization,
     antilinear_spectrum,
     block_embed,
@@ -27,7 +26,6 @@ __all__ = [
     "AntilinearSpectrum",
     "ComplexSymmetricMatrix",
     "Conjugation",
-    "RealDoubling",
     "TakagiFactorization",
     "antilinear_spectrum",
     "block_embed",

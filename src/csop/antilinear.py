@@ -31,7 +31,6 @@ from .errors import (
 __all__ = [
     "ComplexSymmetricMatrix",
     "Conjugation",
-    "RealDoubling",
     "AntilinearSpectrum",
     "TakagiFactorization",
     "real_doubling",
@@ -127,13 +126,6 @@ class Conjugation:
 
 
 @dataclass
-class RealDoubling:
-    """Real symmetric 2n x 2n matrix S = [[B, -C'], [-C', -B]] for A = B + i C'."""
-
-    s: np.ndarray
-
-
-@dataclass
 class AntilinearSpectrum:
     """Solutions of (A - z) u_k = lambdas[k] * P conj(u_k).
 
@@ -164,8 +156,8 @@ def _as_matrix(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
-def real_doubling(a) -> RealDoubling:
-    """Real symmetric doubling of a complex symmetric matrix.
+def real_doubling(a) -> np.ndarray:
+    """Real symmetric 2n x 2n doubling of a complex symmetric matrix.
 
     For A = B + i C' the matrix S = [[B, -C'], [-C', -B]] satisfies
     A (x + i y) = lam * conj(x + i y)  iff  S (x, y) = lam (x, y), and its
@@ -174,8 +166,7 @@ def real_doubling(a) -> RealDoubling:
     mat = _as_matrix(a)
     b = mat.real
     c = mat.imag
-    s = np.block([[b, -c], [-c, -b]])
-    return RealDoubling(s)
+    return np.block([[b, -c], [-c, -b]])
 
 
 def _fix_sign(u: np.ndarray) -> np.ndarray:
@@ -221,7 +212,7 @@ def _antilinear_plain(mat: np.ndarray, scale: float):
     Returns (lambdas descending, vectors as columns, degenerate flag).
     """
     n = mat.shape[0]
-    s = real_doubling(mat).s
+    s = real_doubling(mat)
     evals, evecs = scipy.linalg.eigh(s)
     ctol = max(CLUSTER_RTOL * scale, ABS_FLOOR)
 
@@ -273,7 +264,7 @@ def antilinear_spectrum(a, conj: Conjugation | None = None, z: complex = 0.0) ->
     singular values of A - z I.
 
     Raises NotCSymmetricError when A' deviates from symmetry by more than
-    1e-10 * ||A||, signalling an inconsistent (matrix, conjugation) pair.
+    SYMMETRY_RTOL * ||A||, signalling an inconsistent (matrix, conjugation) pair.
     """
     mat = _as_matrix(a)
     n = mat.shape[0]
@@ -291,7 +282,7 @@ def antilinear_spectrum(a, conj: Conjugation | None = None, z: complex = 0.0) ->
     if asym > max(SYMMETRY_RTOL * scale, ABS_FLOOR):
         raise NotCSymmetricError(
             f"conj(P) @ (A - z I) deviates from symmetry by {asym:.3e} "
-            f"(> 1e-10 * ||A|| = {SYMMETRY_RTOL * scale:.3e})"
+            f"(> {SYMMETRY_RTOL:g} * ||A|| = {SYMMETRY_RTOL * scale:.3e})"
         )
     reduced = 0.5 * (reduced + reduced.T)
 
@@ -310,12 +301,12 @@ def takagi(a) -> TakagiFactorization:
     Columns of U are the complex conjugates of the antilinear eigenvectors:
     if A w = sigma conj(w) then u = conj(w) satisfies A conj(u) = sigma u.
     Warns with DegenerateClusterWarning when singular values cluster within
-    1e-10 * ||A|| (any orthonormal basis of the cluster is valid).
+    CLUSTER_RTOL * ||A|| (any orthonormal basis of the cluster is valid).
     """
     spec = antilinear_spectrum(a)
     if spec.degenerate:
         warnings.warn(
-            "singular values cluster within 1e-10 * ||A||; "
+            f"singular values cluster within {CLUSTER_RTOL:g} * ||A||; "
             "cluster basis fixed by re-orthogonalization",
             DegenerateClusterWarning,
         )
@@ -327,7 +318,7 @@ def takagi(a) -> TakagiFactorization:
 def resolvent_norm(a, conj: Conjugation | None = None, z: complex = 0.0) -> float:
     """Operator norm of (A - z I)^-1 as 1 / min lambda of the antilinear problem.
 
-    Raises SingularShiftError when min lambda < 1e-13 * ||A||: z is
+    Raises SingularShiftError when min lambda < SINGULAR_RTOL * ||A||: z is
     numerically in the spectrum.
     """
     spec = antilinear_spectrum(a, conj, z)
@@ -335,7 +326,7 @@ def resolvent_norm(a, conj: Conjugation | None = None, z: complex = 0.0) -> floa
     if lam_min < max(SINGULAR_RTOL * spec.matrix_norm, ABS_FLOOR):
         raise SingularShiftError(
             f"min antilinear eigenvalue {lam_min:.3e} is below "
-            f"1e-13 * ||A||; shift z={z} is numerically in the spectrum"
+            f"{SINGULAR_RTOL:g} * ||A||; shift z={z} is numerically in the spectrum"
         )
     return 1.0 / lam_min
 
@@ -365,7 +356,7 @@ def minmax_norm(a) -> float:
     Exact identity Re(u^T A u) = w^T S w for w = (Re u, Im u) turns the
     maximization into the largest eigenvalue of the real doubling S.
     """
-    s = real_doubling(a).s
+    s = real_doubling(a)
     m = s.shape[0]
     top = scipy.linalg.eigh(s, eigvals_only=True, subset_by_index=[m - 1, m - 1])
     return float(top[0])
@@ -404,7 +395,7 @@ def minmax_even_lower_check(a, n_codim: int, trials: int, seed: int = 0) -> bool
     lam_desc = spec.lambdas[::-1]
     target = lam_desc[2 * n_codim] - 1e-9 * max(spec.matrix_norm, ABS_FLOOR)
 
-    s = real_doubling(a).s
+    s = real_doubling(a)
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         if n_codim == 0:

@@ -37,7 +37,7 @@ from .scaling import (
     sigma_min,
 )
 from .schrodinger import (
-    THETA_GAP_DEFAULT,
+    THETA_GAP,
     GapSpectrum,
     Grid1D,
     PotentialSpec,
@@ -63,7 +63,6 @@ class Param:
     default: object = None
     required: bool = False
     check: object = None        # (value) -> None or error message string
-    help: str = ""
 
 
 def _positive(name):
@@ -82,7 +81,7 @@ _COMMON = {
 SCHEMAS: dict[str, dict[str, Param]] = {
     "takagi": {
         **_COMMON,
-        "matrix": Param(str, required=True, help="CSV file of interleaved re,im pairs"),
+        "matrix": Param(str, required=True),
     },
     "antilinear": {
         **_COMMON,
@@ -98,7 +97,7 @@ SCHEMAS: dict[str, dict[str, Param]] = {
         "n_energies": Param(int, 101, check=_positive("n_energies")),
         "eps": Param(float, 0.5, check=_positive("eps")),
         "dim": Param(int, 1, check=_positive("dim")),
-        "q": Param(float, None, check=_nonnegative("q"), help="absolute rate for C evaluation"),
+        "q": Param(float, None, check=_nonnegative("q")),
         "q_frac": Param(float, None, check=_positive("q_frac")),
     },
     "kernel-scan": {
@@ -106,8 +105,8 @@ SCHEMAS: dict[str, dict[str, Param]] = {
         "v0": Param(float, 3.0, check=_positive("v0")),
         "length": Param(float, 40.0, check=_positive("length")),
         "n": Param(int, 2000, check=lambda v: None if v >= 3 else "n must be >= 3"),
-        "potential": Param(str, None, help="optional CSV (x, v) replacing the comb"),
-        "energy": Param(float, None, help="probe energy; defaults to Ebar of the grid gap"),
+        "potential": Param(str, None),
+        "energy": Param(float, None),
         "eps": Param(float, 0.5, check=_positive("eps")),
         "q_frac": Param(float, 0.9, check=_positive("q_frac")),
         "sep_min": Param(float, 8.0, check=_positive("sep_min")),
@@ -128,7 +127,7 @@ SCHEMAS: dict[str, dict[str, Param]] = {
         "n": Param(int, 800, check=lambda v: None if v >= 3 else "n must be >= 3"),
         "theta_im": Param(float, 0.3, check=_positive("theta_im")),
         "dtheta_im": Param(float, 0.02, check=_positive("dtheta_im")),
-        "gamma_values": Param(list, (0.0,)),
+        "gamma_values": Param(list, (0.0,), check=lambda v: None if v else "gamma_values must not be empty"),
         "probe_offset_re": Param(float, 0.05),
         "probe_offset_im": Param(float, 0.05),
         "window_re_max": Param(float, 6.0),
@@ -334,6 +333,8 @@ def _kp_hamiltonian(p):
 
 def _run_kernel_scan(cfg: RunConfig) -> ResultTable:
     p = cfg.params
+    if p["sep_min"] > p["sep_max"]:
+        raise PreconditionError(f"sep_min = {p['sep_min']:g} exceeds sep_max = {p['sep_max']:g}")
     grid, ham = _kp_hamiltonian(p)
     gap = find_gap(ham, energy_ceiling=p["energy_ceiling"])
     qbar, ebar, _ = qbar_and_ebar(gap)
@@ -351,7 +352,7 @@ def _run_kernel_scan(cfg: RunConfig) -> ResultTable:
         e_minus=gap.e_minus, e_plus=gap.e_plus, e_bottom=gap.e_bottom,
         energy=energy, q=q, q_c=qc, C=report.c_value,
         certificate_passed=report.passed, worst_margin=report.worst_margin,
-        h=grid.h, theta_gap=THETA_GAP_DEFAULT,
+        h=grid.h, theta_gap=THETA_GAP,
     )
     return ResultTable(
         columns=["separation", "kernel_abs", "envelope", "margin"], rows=rows, metadata=meta

@@ -12,6 +12,10 @@ a dense matrix; norms and eigenvectors from one engine, schrodinger.min_lambda
 moves the discretized continuum string by -2 Im theta while discrete points
 (bound states and uncovered resonances) stay put; classification compares
 each eigenvalue against both predictions.
+
+Fixed thresholds: classify_spectrum labels with STAT_FACTOR, ROT_FACTOR,
+RES_IM_TOL and BOUND_RE_MAX; essential_floor_check counts within FLOOR_RTOL
+of the floor; fit_relative_bound draws FIT_SAMPLES states from FIT_SEED.
 """
 
 from __future__ import annotations
@@ -53,6 +57,23 @@ __all__ = [
 POLISH_TOL = 1e-10         # relative eigenvalue change that stops polish_eigenvalue
 POLISH_MAX_ITER = 50       # Rayleigh-quotient steps before polish_eigenvalue gives up
 INVERSE_RTOL = 1e-12       # antilinear residual, relative to ||H - z||, that counts as converged
+STAT_FACTOR = 0.1          # stationarity below this * |z| |dtheta| marks a discrete point
+ROT_FACTOR = 0.3           # rotation residual below this * |z| |e^{-2 dtheta} - 1| is continuum
+RES_IM_TOL = 1e-3          # a discrete point with Im z below -RES_IM_TOL is a resonance
+BOUND_RE_MAX = 0.0         # a real discrete point with Re z below this is a bound state
+FLOOR_RTOL = 0.02          # essential_floor_check's band around the floor, relative to it
+FIT_SAMPLES = 64           # random states in fit_relative_bound's sample
+FIT_SEED = 0               # seed of fit_relative_bound's random states
+
+
+@dataclass(frozen=True)
+class _R2Exp:
+    """x -> alpha x^2 e^{-x}, equal to every other instance with the same alpha."""
+
+    alpha: float
+
+    def __call__(self, x):
+        return self.alpha * x * x * np.exp(-x)
 
 
 @dataclass(frozen=True)
@@ -74,17 +95,8 @@ class DilationPotential:
         With `perturbation_alpha` set, w is the same shape with that strength
         (perturbation_alpha == alpha gives w = v).
         """
-        def shape(a):
-            return lambda x: a * x * x * np.exp(-x)
-
-        w = shape(perturbation_alpha) if perturbation_alpha is not None else None
-        return cls(v=shape(alpha), strip_bound=0.5 * math.pi, w=w)
-
-    @classmethod
-    def from_callable(cls, v, strip_bound: float, w=None) -> "DilationPotential":
-        """Sampled analytic-continuation callable; the caller vouches for
-        dilation analyticity inside the given strip."""
-        return cls(v=v, strip_bound=strip_bound, w=w)
+        w = _R2Exp(perturbation_alpha) if perturbation_alpha is not None else None
+        return cls(v=_R2Exp(alpha), strip_bound=0.5 * math.pi, w=w)
 
 
 @dataclass
@@ -151,25 +163,17 @@ class SpectrumClassification:
         return self.eigenvalues[mask]
 
 
-def classify_spectrum(
-    h1: ScaledHamiltonian,
-    h2: ScaledHamiltonian,
-    *,
-    stat_factor: float = 0.1,
-    rot_factor: float = 0.3,
-    res_im_tol: float = 1e-3,
-    bound_re_max: float = 0.0,
-) -> SpectrumClassification:
+def classify_spectrum(h1: ScaledHamiltonian, h2: ScaledHamiltonian) -> SpectrumClassification:
     """Label eigenvalues of h1 as bound / resonance / continuum-string.
 
     For each eigenvalue z the displacement to the nearest eigenvalue of h2
     is compared against two predictions: staying put (discrete spectrum) or
     rotating to z e^{-2 dtheta} (continuum string).  Discrete points are
-    bound states when essentially real and below the continuum threshold,
-    resonances when Im z < -res_im_tol.  Points matching neither prediction
-    are reported as unlabeled.
+    bound states when essentially real and below BOUND_RE_MAX, resonances
+    when Im z < -RES_IM_TOL.  Points matching neither prediction are
+    reported as unlabeled.
     """
-    if h1.grid != h2.grid or h1.gamma != h2.gamma:
+    if h1.grid != h2.grid or h1.potential != h2.potential or h1.gamma != h2.gamma:
         raise ValueError("classification requires the same grid, potential and gamma")
     dtheta = h2.theta - h1.theta
     if dtheta == 0:
@@ -191,21 +195,21 @@ def classify_spectrum(
         stat[i] = d_stat
         rres[i] = d_rot
         move_scale = abs(z) * abs(rot - 1.0)
-        if d_stat < stat_factor * abs(z) * abs(dtheta):
-            if z.imag < -res_im_tol:
+        if d_stat < STAT_FACTOR * abs(z) * abs(dtheta):
+            if z.imag < -RES_IM_TOL:
                 labels.append("resonance")
-            elif z.real < bound_re_max:
+            elif z.real < BOUND_RE_MAX:
                 labels.append("bound")
             else:
                 labels.append("unlabeled")
             if labels[-1] != "unlabeled":
-                if j in claimed and abs(claimed[j] - z) > stat_factor * abs(z) * abs(dtheta):
+                if j in claimed and abs(claimed[j] - z) > STAT_FACTOR * abs(z) * abs(dtheta):
                     raise PairingAmbiguityError(
                         f"eigenvalues {claimed[j]:.6g} and {z:.6g} both pair with "
                         f"the same partner {z2[j]:.6g}"
                     )
                 claimed[j] = z
-        elif d_rot < rot_factor * move_scale:
+        elif d_rot < ROT_FACTOR * move_scale:
             labels.append("continuum")
         else:
             labels.append("unlabeled")
@@ -278,9 +282,7 @@ class FloorReport:
     n_total: int
 
 
-def essential_floor_check(
-    h: ScaledHamiltonian, z: complex, *, tol_rel: float = 0.02
-) -> FloorReport:
+def essential_floor_check(h: ScaledHamiltonian, z: complex) -> FloorReport:
     """Singular values of H - z against the floor d(z, theta).
 
     On the infinite domain |H_theta(gamma) - z| has essential spectrum
@@ -293,7 +295,7 @@ def essential_floor_check(
     counted once even when the two computed values of its pair share a sign.
     """
     floor = ray_distance(z, h.theta)
-    tol = tol_rel * floor
+    tol = FLOOR_RTOL * floor
     cut = 1.1 * floor
     if cut > 0.0:
         pm = scipy.linalg.eig_banded(
@@ -379,7 +381,6 @@ def locate_resonance(
     *,
     dtheta: complex = 0.02j,
     window: tuple[float, float, float, float] | None = None,
-    res_im_tol: float = 1e-3,
     guess: complex | None = None,
 ) -> ResonanceResult:
     """Find and polish a resonance of H_theta(gamma).
@@ -397,7 +398,7 @@ def locate_resonance(
 
     h1 = build_scaled(pot, grid, theta, gamma)
     h2 = build_scaled(pot, grid, theta + dtheta, gamma)
-    cls = classify_spectrum(h1, h2, res_im_tol=res_im_tol)
+    cls = classify_spectrum(h1, h2)
     cand = cls.with_label("resonance")
     if window is not None:
         re_min, re_max, im_min, im_max = window
@@ -441,25 +442,23 @@ def exact_relative_bound(pot: DilationPotential, grid: Grid1D, theta: complex) -
     return RelativeBound(a=0.0, b=float(np.max(np.abs(w_diag))), fitted=False)
 
 
-def fit_relative_bound(
-    pot: DilationPotential, grid: Grid1D, theta: complex, *, n_samples: int = 64, seed: int = 0
-) -> RelativeBound:
+def fit_relative_bound(pot: DilationPotential, grid: Grid1D, theta: complex) -> RelativeBound:
     """Least-squares relative-bound constants over a sample of states.
 
-    Fits ||w_theta psi|| against a ||Lap psi|| + b ||psi|| over smoothed
-    random vectors plus localized bumps (which probe the sup of |w_theta|),
-    then inflates the pair so every sampled constraint holds.  Sampled
+    Fits ||w_theta psi|| against a ||Lap psi|| + b ||psi|| over FIT_SAMPLES
+    smoothed random vectors plus localized bumps (which probe the sup of
+    |w_theta|), then inflates the pair so every sampled constraint holds.  Sampled
     constants are diagnostics recorded in scan metadata; they certify
-    nothing beyond the sample family, so scans default to
+    nothing beyond the sample family, so scans use
     :func:`exact_relative_bound` instead.
     """
     w_diag = _w_diagonal(pot, grid, theta)
     b_sup = float(np.max(np.abs(w_diag)))
     x = grid.points
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(FIT_SEED)
     samples = []
-    for _ in range(n_samples):
+    for _ in range(FIT_SAMPLES):
         psi = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
         for _ in range(int(rng.integers(0, 4))):
             psi = 0.5 * psi + 0.25 * (np.roll(psi, 1) + np.roll(psi, -1))
@@ -502,8 +501,6 @@ def perturbation_scan(
     gamma_values,
     z_probe: complex,
     z_start: complex,
-    *,
-    rel_bound: RelativeBound | None = None,
 ) -> PerturbationScan:
     """Track the resonance and the resolvent norm under gamma w perturbations.
 
@@ -511,15 +508,13 @@ def perturbation_scan(
     resonance `z_start` at the first gamma and from the previous one after
     that.  bound_estimate is the closed-form
     a/(1-a) + (b + a |z|)/(1-a) ||(H_theta - z)^-1|| controlling
-    ||w_theta (H_theta - z)^-1|| for the configured relative bound (a, b);
-    it uses the unperturbed resolvent, so the column is constant.  The
-    default (a, b) is the exact multiplication-operator pair; pass a fitted
-    one explicitly to use sampled constants.
+    ||w_theta (H_theta - z)^-1|| for the exact multiplication-operator pair
+    (a, b) = (0, sup|w_theta|); it uses the unperturbed resolvent, so the
+    column is constant, and a gamma of 0 reuses that norm.
     """
     if pot.w is None:
         raise ValueError("perturbation scan requires a potential with w")
-    if rel_bound is None:
-        rel_bound = exact_relative_bound(pot, grid, theta)
+    rel_bound = exact_relative_bound(pot, grid, theta)
 
     gammas = np.asarray(list(gamma_values), dtype=float)
     h0 = build_scaled(pot, grid, theta, 0.0)
@@ -534,7 +529,7 @@ def perturbation_scan(
         h = build_scaled(pot, grid, theta, g)
         z, _ = polish_eigenvalue(h, z)
         z_res[i] = z
-        norms[i] = 1.0 / sigma_min(h, z_probe)
+        norms[i] = base_norm if g == 0.0 else 1.0 / sigma_min(h, z_probe)
     return PerturbationScan(
         gammas=gammas,
         z_res=z_res,

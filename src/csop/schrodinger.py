@@ -8,6 +8,10 @@ embedding needs to turn decay estimates into resolvent-norm estimates.
 Operators store their three diagonals (Tridiagonal), not a dense matrix, and
 every resolvent norm comes from one engine, min_lambda: shift-invert Lanczos on
 the factored banded real doubling (for real H_q - E the block embedding).
+
+Fixed tolerances: THETA_GAP is the closest a shift may come to an eigenvalue
+of H; find_gap's spacing test uses GAP_MIN and GAP_WINDOW, and it drops
+surface states by EDGE_MARGIN and EDGE_WEIGHT.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ __all__ = [
     "PotentialSpec",
     "DiscreteHamiltonian",
     "GapSpectrum",
-    "BoostedHamiltonian",
     "build_hamiltonian",
     "find_gap",
     "boost",
@@ -48,7 +51,11 @@ __all__ = [
     "ProjectorDecay",
 ]
 
-THETA_GAP_DEFAULT = 1e-6
+THETA_GAP = 1e-6     # shifts closer than this to an eigenvalue of H are refused
+GAP_MIN = 1e-6       # absolute spacing a gap must exceed
+GAP_WINDOW = 5       # spacings on each side that set the local mean spacing
+EDGE_MARGIN = 5      # grid points next to a wall that count as its edge
+EDGE_WEIGHT = 0.25   # edge share of the norm above which an eigenvector is a surface state
 
 
 @dataclass(frozen=True)
@@ -250,10 +257,6 @@ class DiscreteHamiltonian:
     grid: Grid1D
     _eigh: tuple | None = field(default=None, repr=False, compare=False)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.bands.dense()
-
     def eigensystem(self):
         """Full (eigenvalues, eigenvectors), cached after the first call."""
         if self._eigh is None:
@@ -293,19 +296,6 @@ class GapSpectrum:
         return self.e_minus - self.e_bottom
 
 
-@dataclass
-class BoostedHamiltonian:
-    """H_q = H + 2 q D - q^2 I, real and non-symmetric for q != 0."""
-
-    bands: Tridiagonal
-    q: float
-    grid: Grid1D
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.bands.dense()
-
-
 def _potential_vector(grid: Grid1D, pot: PotentialSpec) -> np.ndarray:
     if pot.kind == "sampled":
         vals = np.asarray(pot.values, dtype=float)
@@ -334,16 +324,16 @@ def build_hamiltonian(grid: Grid1D, pot: PotentialSpec) -> DiscreteHamiltonian:
     return DiscreteHamiltonian(bands=bands, grid=grid)
 
 
-def _bulk_mask(evecs: np.ndarray, margin: int, edge_weight: float) -> np.ndarray:
-    """False for eigenvectors carrying more than `edge_weight` of their norm
-    within `margin` grid points of a boundary (Dirichlet surface states)."""
+def _bulk_mask(evecs: np.ndarray) -> np.ndarray:
+    """False for eigenvectors carrying more than EDGE_WEIGHT of their norm
+    within EDGE_MARGIN grid points of a boundary (Dirichlet surface states)."""
     n = evecs.shape[0]
-    if n <= 4 * margin:
+    if n <= 4 * EDGE_MARGIN:
         return np.ones(evecs.shape[1], dtype=bool)
-    w = evecs[:margin] ** 2
-    w2 = evecs[n - margin:] ** 2
+    w = evecs[:EDGE_MARGIN] ** 2
+    w2 = evecs[n - EDGE_MARGIN:] ** 2
     edge = w.sum(axis=0) + w2.sum(axis=0)
-    return edge <= edge_weight
+    return edge <= EDGE_WEIGHT
 
 
 def find_gap(
@@ -352,22 +342,19 @@ def find_gap(
     *,
     energy_ceiling: float | None = None,
     spacing_factor: float = 10.0,
-    min_gap: float = 1e-6,
-    edge_margin: int = 5,
-    edge_weight: float = 0.25,
-    window: int = 5,
 ) -> GapSpectrum:
     """Locate the dominant spectral gap and return band-edge data.
 
     A spacing qualifies as a gap when it exceeds `spacing_factor` times the
-    local mean spacing and `min_gap` in absolute energy.  Boundary-localized
-    eigenvectors (more than `edge_weight` of their norm within `edge_margin`
-    points of a wall) are excluded from band-edge determination.  With
-    `lower_band_count_hint` the gap above that many kept states is returned;
-    otherwise the largest qualifying spacing below `energy_ceiling` wins.
+    mean of the GAP_WINDOW spacings on each side and GAP_MIN in absolute
+    energy.  Boundary-localized eigenvectors (more than EDGE_WEIGHT of their
+    norm within EDGE_MARGIN points of a wall) are excluded from band-edge
+    determination.  With `lower_band_count_hint` the gap above that many
+    kept states is returned; otherwise the largest qualifying spacing below
+    `energy_ceiling` wins.
     """
     evals, evecs = h.eigensystem()
-    keep = _bulk_mask(evecs, edge_margin, edge_weight)
+    keep = _bulk_mask(evecs)
     kept = evals[keep]
     if energy_ceiling is not None:
         kept = kept[kept <= energy_ceiling]
@@ -377,12 +364,12 @@ def find_gap(
     spacings = np.diff(kept)
 
     def qualifies(i: int) -> bool:
-        lo = max(0, i - window)
-        hi = min(spacings.size, i + window + 1)
+        lo = max(0, i - GAP_WINDOW)
+        hi = min(spacings.size, i + GAP_WINDOW + 1)
         neighbors = np.concatenate([spacings[lo:i], spacings[i + 1:hi]])
         if neighbors.size == 0:
-            return spacings[i] > min_gap
-        return spacings[i] > spacing_factor * neighbors.mean() and spacings[i] > min_gap
+            return spacings[i] > GAP_MIN
+        return spacings[i] > spacing_factor * neighbors.mean() and spacings[i] > GAP_MIN
 
     if lower_band_count_hint is not None:
         i = lower_band_count_hint - 1
@@ -405,8 +392,8 @@ def find_gap(
     return GapSpectrum(e_minus=float(kept[best]), e_plus=float(kept[best + 1]), e_bottom=e_bottom)
 
 
-def boost(h: DiscreteHamiltonian, q: float) -> BoostedHamiltonian:
-    """Boosted Hamiltonian H_q = H + 2 q D - q^2 I.
+def boost(h: DiscreteHamiltonian, q: float) -> Tridiagonal:
+    """Bands of the boosted Hamiltonian H_q = H + 2 q D - q^2 I.
 
     D antisymmetric makes H_q^T = H_{-q} exact (bitwise on the entries);
     the spectrum agrees with H up to O((q h)^2) discretization error on the
@@ -415,32 +402,31 @@ def boost(h: DiscreteHamiltonian, q: float) -> BoostedHamiltonian:
     """
     d = Tridiagonal.central_difference(h.grid)
     b = h.bands
-    bands = Tridiagonal(
+    return Tridiagonal(
         sub=b.sub + (2.0 * q) * d.sub, main=b.main - q * q, sup=b.sup + (2.0 * q) * d.sup
     )
-    return BoostedHamiltonian(bands=bands, q=q, grid=h.grid)
 
 
-def _check_clear_of_spectrum(h: DiscreteHamiltonian, x: complex, theta_gap: float, what: str):
-    """Raise ShiftInSpectrumError when an eigenvalue of H lies within theta_gap of x."""
+def _check_clear_of_spectrum(h: DiscreteHamiltonian, x: complex, what: str):
+    """Raise ShiftInSpectrumError when an eigenvalue of H lies within THETA_GAP of x."""
     z = complex(x)
-    if abs(z.imag) >= theta_gap:
+    if abs(z.imag) >= THETA_GAP:
         return
-    half = math.sqrt(theta_gap * theta_gap - z.imag * z.imag)
+    half = math.sqrt(THETA_GAP * THETA_GAP - z.imag * z.imag)
     near = scipy.linalg.eigh_tridiagonal(
         h.bands.main, h.bands.sup, eigvals_only=True, select="v",
         select_range=(z.real - half, z.real + half),
     )
     if near.size:
-        raise ShiftInSpectrumError(f"{what} = {x:.6g} is within {theta_gap:g} of an eigenvalue")
+        raise ShiftInSpectrumError(f"{what} = {x:.6g} is within {THETA_GAP:g} of an eigenvalue")
 
 
-def _check_shift_in_gap(h, gap, shift, theta_gap):
+def _check_shift_in_gap(h, gap, shift):
     if not (gap.e_minus < shift < gap.e_plus):
         raise ShiftInSpectrumError(
             f"E + q^2 = {shift:.6g} is outside the gap ({gap.e_minus:.6g}, {gap.e_plus:.6g})"
         )
-    _check_clear_of_spectrum(h, shift, theta_gap, "E + q^2")
+    _check_clear_of_spectrum(h, shift, "E + q^2")
 
 
 def gamma_norm(
@@ -448,15 +434,13 @@ def gamma_norm(
     q: float,
     energy: float,
     gap: GapSpectrum | None = None,
-    *,
-    theta_gap: float = THETA_GAP_DEFAULT,
 ) -> float:
     """||(H_q - E)^-1|| = 1 / sigma_min(H_q - E) from the banded doubling.
 
     H_q - E = M is real, so the doubling is [[0, M^T], [M, 0]] (see
     Tridiagonal.doubling) and min_lambda takes sigma_min(M) from it; no
     dense matrix is formed.  Requires E + q^2 inside the spectral gap and E,
-    E + q^2 farther than theta_gap from every eigenvalue of H.  In one
+    E + q^2 farther than THETA_GAP from every eigenvalue of H.  In one
     dimension the sup over |q| fixed is the max over +-q, and those two
     norms coincide exactly by the transpose identity, so a single solve
     suffices.  Raises SingularShiftError when sigma_min < SINGULAR_RTOL *
@@ -464,9 +448,9 @@ def gamma_norm(
     """
     if gap is None:
         gap = find_gap(h)
-    _check_shift_in_gap(h, gap, energy + q * q, theta_gap)
-    _check_clear_of_spectrum(h, energy, theta_gap, "E")
-    hq = boost(h, q).bands
+    _check_shift_in_gap(h, gap, energy + q * q)
+    _check_clear_of_spectrum(h, energy, "E")
+    hq = boost(h, q)
     return 1.0 / min_lambda(replace(hq, main=hq.main - energy))[0]
 
 
@@ -477,7 +461,6 @@ def bq_norm(
     energy: float,
     *,
     frozen_shift: float | None = None,
-    theta_gap: float = THETA_GAP_DEFAULT,
 ) -> float:
     """Operator norm of B_q = P+ |H-E-q^2|^(-1/2) (qD) |H-E-q^2|^(-1/2) P-.
 
@@ -488,7 +471,7 @@ def bq_norm(
     """
     shift = energy + q * q
     weight_shift = shift if frozen_shift is None else frozen_shift
-    _check_shift_in_gap(h, gap, weight_shift, theta_gap)
+    _check_shift_in_gap(h, gap, weight_shift)
 
     evals, evecs = h.eigensystem()
     upper = evals > weight_shift
@@ -511,9 +494,9 @@ def _indicator(grid: Grid1D, x: float, eps: float) -> np.ndarray:
     return chi
 
 
-def _averaged_kernels(h: DiscreteHamiltonian, energy: complex, pairs, eps: float, theta_gap: float):
+def _averaged_kernels(h: DiscreteHamiltonian, energy: complex, pairs, eps: float):
     """omega_eps^-2 <chi_x1, (H - E)^-1 chi_x2> for each (x1, x2), one banded solve."""
-    _check_clear_of_spectrum(h, energy, theta_gap, "E")
+    _check_clear_of_spectrum(h, energy, "E")
     chi1 = np.empty((h.grid.n, len(pairs)))
     chi2 = np.empty_like(chi1)
     for j, (x1, x2) in enumerate(pairs):
@@ -524,13 +507,7 @@ def _averaged_kernels(h: DiscreteHamiltonian, energy: complex, pairs, eps: float
 
 
 def avg_resolvent_kernel(
-    h: DiscreteHamiltonian,
-    energy: complex,
-    x1: float,
-    x2: float,
-    eps: float,
-    *,
-    theta_gap: float = THETA_GAP_DEFAULT,
+    h: DiscreteHamiltonian, energy: complex, x1: float, x2: float, eps: float
 ) -> complex:
     """Ball-averaged resolvent kernel over eps-balls at x1 and x2.
 
@@ -539,29 +516,23 @@ def avg_resolvent_kernel(
     omega_eps = 2 eps in one dimension.  Symmetric in (x1, x2); real for
     real E outside the spectrum.
     """
-    val = _averaged_kernels(h, energy, [(x1, x2)], eps, theta_gap)[0]
+    val = _averaged_kernels(h, energy, [(x1, x2)], eps)[0]
     return complex(val) if np.iscomplexobj(val) else float(val)
 
 
 def resolvent_kernel_scan(
-    h: DiscreteHamiltonian,
-    energy: complex,
-    separations,
-    eps: float,
-    *,
-    center: float | None = None,
-    theta_gap: float = THETA_GAP_DEFAULT,
+    h: DiscreteHamiltonian, energy: complex, separations, eps: float
 ) -> np.ndarray:
     """Averaged kernel magnitudes |G_E(x1, x2)| at symmetric pairs.
 
-    Pairs are centered at `center` (domain midpoint by default) with
-    x1 = center - s/2, x2 = center + s/2.  Returns rows (separation, |G|);
-    one banded solve covers every separation.
+    Pairs are centered at the domain midpoint c with x1 = c - s/2,
+    x2 = c + s/2.  Returns rows (separation, |G|); one banded solve covers
+    every separation.
     """
-    c = 0.5 * h.grid.length if center is None else center
+    c = 0.5 * h.grid.length
     seps = np.asarray(separations, dtype=float)
     pairs = [(c - 0.5 * s, c + 0.5 * s) for s in seps]
-    vals = _averaged_kernels(h, energy, pairs, eps, theta_gap)
+    vals = _averaged_kernels(h, energy, pairs, eps)
     return np.column_stack([seps, np.abs(vals)])
 
 
@@ -581,18 +552,16 @@ def projector_decay(
     eps: float,
     separations,
     *,
-    center: float | None = None,
     fit_window: tuple[float, float] = (0.2, 0.6),
-    power_prefactor: bool = True,
 ) -> ProjectorDecay:
     """Exponential decay rate of the filled-band projector kernel.
 
     Builds P- from eigenvectors with eigenvalue <= e_minus, averages it over
-    eps-balls at symmetric pairs, and least-squares fits
-    log |Pbar| = c - q s (- p log s) over separations inside
-    `fit_window` * L.  The optional algebraic prefactor term absorbs the
-    branch-point power law of the band kernel; samples must keep their balls
-    at least 4 eps away from the walls.
+    eps-balls at pairs symmetric about the domain midpoint, and least-squares
+    fits log |Pbar| = c - q s - p log s over separations inside
+    `fit_window` * L.  The algebraic prefactor term absorbs the branch-point
+    power law of the band kernel; samples must keep their balls at least
+    4 eps away from the walls.
     """
     evals, evecs = h.eigensystem()
     lower = evals <= gap.e_minus + 1e-12 * max(1.0, abs(gap.e_minus))
@@ -601,7 +570,7 @@ def projector_decay(
     phi = evecs[:, lower]
 
     length = h.grid.length
-    c = 0.5 * length if center is None else center
+    c = 0.5 * length
     seps = np.asarray(separations, dtype=float)
     samples = np.empty((seps.size, 2))
     for i, s in enumerate(seps):
@@ -617,16 +586,13 @@ def projector_decay(
 
     lo, hi = fit_window[0] * length, fit_window[1] * length
     mask = (samples[:, 0] >= lo) & (samples[:, 0] <= hi) & (samples[:, 1] > 0)
-    if mask.sum() < (3 if power_prefactor else 2):
+    if mask.sum() < 3:
         raise ValueError("not enough samples inside the fit window")
     s_fit = samples[mask, 0]
     y = np.log(samples[mask, 1])
-    cols = [np.ones_like(s_fit), -s_fit]
-    if power_prefactor:
-        cols.append(-np.log(s_fit))
-    design = np.column_stack(cols)
+    design = np.column_stack([np.ones_like(s_fit), -s_fit, -np.log(s_fit)])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = float(np.linalg.norm(design @ coef - y))
-    q_fit = float(coef[1])
-    p = float(coef[2]) if power_prefactor else 0.0
-    return ProjectorDecay(q_fit=q_fit, samples=samples, power_exponent=p, fit_residual=resid)
+    return ProjectorDecay(
+        q_fit=float(coef[1]), samples=samples, power_exponent=float(coef[2]), fit_residual=resid
+    )

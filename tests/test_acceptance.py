@@ -320,7 +320,7 @@ def test_criterion_09_free_rotation_identity():
     """Free-potential eigenvalue string equals e^{-2 theta} times the
     unscaled eigenvalues to 1e-12 relative (exact finite-matrix identity)."""
     grid = Grid1D(length=10.0, n=150)
-    free = DilationPotential.from_callable(lambda x: np.zeros_like(x), 1.0)
+    free = DilationPotential(lambda x: np.zeros_like(x), 1.0)
     worst = 0.0
     for theta in (0.2j, 0.3j, 0.5j):
         h0 = build_scaled(free, grid, 0.0)

@@ -169,6 +169,18 @@ class TestMain:
         cfg.write_text("e_minus = 1\ne_plus = 2\nq = -3\n")
         assert main(["decay-bound", "--config", str(cfg)]) == 2
 
+    def test_kernel_scan_empty_separation_range_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("n = 300\nsep_min = 20\nsep_max = 10\n")
+        assert main(["kernel-scan", "--config", str(cfg)]) == 2
+        assert "sep_min" in capsys.readouterr().err
+
+    def test_resonance_empty_gamma_values_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text("n = 200\ngamma_values =\n")
+        assert main(["resonance", "--config", str(cfg)]) == 2
+        assert "gamma_values" in capsys.readouterr().err
+
     def test_convergence_exit_3(self, tmp_path, capsys):
         # free particle has no spectral gap; kernel-scan must fail with 3
         cfg = tmp_path / "c.cfg"

@@ -32,7 +32,7 @@ from csop.schrodinger import (
     gamma_norm,
 )
 
-FREE = DilationPotential.from_callable(lambda x: np.zeros_like(x), 1.0)
+FREE = DilationPotential(lambda x: np.zeros_like(x), 1.0)
 ALPHA75 = DilationPotential.alpha_r2_exp(7.5)
 WINDOW = (0.0, 6.0, -0.5, 0.0)
 
@@ -78,7 +78,7 @@ class TestBuild:
         def shape(x):
             return alpha * x * x * np.exp(-rate * x)
 
-        pot = DilationPotential.from_callable(shape, 0.5 * math.pi, w=shape)
+        pot = DilationPotential(shape, 0.5 * math.pi, w=shape)
         sampled = build_scaled(pot, Grid1D(length=10.0, n=n), complex(theta_re, theta_im), gamma)
         assert np.array_equal(sampled.matrix, sampled.matrix.T)
 
@@ -103,7 +103,7 @@ class TestClassify:
 
     def test_bound_state_stationary(self):
         # deep well supports a negative-energy bound state at theta = 0
-        well = DilationPotential.from_callable(
+        well = DilationPotential(
             lambda x: -8.0 * np.exp(-((x - 4.0) ** 2)), math.pi / 4
         )
         grid = Grid1D(length=30.0, n=600)
@@ -127,6 +127,16 @@ class TestClassify:
             & (res.imag > im_min) & (res.imag < im_max)
         ]
         assert inside.size == 1
+
+
+    def test_different_potentials_rejected(self):
+        grid = Grid1D(length=20.0, n=40)
+        h1 = build_scaled(DilationPotential.alpha_r2_exp(7.5), grid, 0.3j)
+        h2 = build_scaled(DilationPotential.alpha_r2_exp(2.0), grid, 0.32j)
+        with pytest.raises(ValueError, match="same grid, potential and gamma"):
+            classify_spectrum(h1, h2)
+        # potentials compare by value, not by the object that holds them
+        classify_spectrum(h1, build_scaled(DilationPotential.alpha_r2_exp(7.5), grid, 0.32j))
 
 
 class TestRayDistance:
@@ -338,6 +348,23 @@ class TestPerturbation:
         w_diag = pot.w(np.exp(0.3j) * grid.points.astype(complex))
         op = np.diag(w_diag) @ np.linalg.inv(ham.matrix - z_probe * np.eye(grid.n))
         assert np.linalg.norm(op, 2) <= scan.bound_estimates[0]
+
+    def test_one_sigma_min_per_gamma(self, resonance_500, monkeypatch):
+        # a gamma of 0 reuses the unperturbed norm behind the bound
+        grid, res = resonance_500
+        pot = DilationPotential.alpha_r2_exp(7.5, perturbation_alpha=7.5)
+        z_probe = res.z + 0.05 + 0.05j
+        calls = []
+
+        def counted(h, z):
+            calls.append(h.gamma)
+            return smin(h, z)
+
+        smin = scaling.sigma_min
+        monkeypatch.setattr(scaling, "sigma_min", counted)
+        scan = perturbation_scan(pot, grid, 0.3j, [0.0, 0.01], z_probe, res.z)
+        assert calls == [0.0, 0.01]
+        assert scan.norms[0] == 1.0 / smin(build_scaled(pot, grid, 0.3j), z_probe)
 
     def test_first_order_slope(self, resonance_500):
         grid, res = resonance_500

@@ -107,12 +107,12 @@ class TestDoubling:
         t, shift = case
         n = t.main.size
         if np.iscomplexobj(t.main):
-            dense = real_doubling(t.dense(shift)).s
+            dense = real_doubling(t.dense(shift))
         else:
             emb, conj = block_embed(t.dense(shift))
             # conj(P) @ diag(M, M^T) = [[0, M^T], [M, 0]] is real for real M, and
             # the 4n doubling is that block and its negative
-            dense = real_doubling(np.conj(conj.p) @ emb.matrix).s[:2 * n, :2 * n]
+            dense = real_doubling(np.conj(conj.p) @ emb.matrix)[:2 * n, :2 * n]
         s = interleave(dense)
         assert not np.triu(s, 4).any()
         assert np.array_equal(t.doubling(shift), upper_band(s))
@@ -255,7 +255,7 @@ class TestFindGap:
 class TestBoost:
     def test_q_zero_identity(self, kp_grid_600):
         ham, _ = kp_grid_600
-        assert np.array_equal(boost(ham, 0.0).matrix, ham.matrix)
+        assert np.array_equal(boost(ham, 0.0).dense(), ham.bands.dense())
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -268,14 +268,14 @@ class TestBoost:
         sampled = build_hamiltonian(Grid1D(length=length, n=len(values)), PotentialSpec.sampled(values))
         for h in (ham, sampled):
             for qq in (q, 0.1, 0.37, 1.2):
-                assert np.array_equal(boost(h, qq).matrix.T, boost(h, -qq).matrix)
+                assert np.array_equal(boost(h, qq).dense().T, boost(h, -qq).dense())
 
     def test_spectrum_similarity_within_discretization_error(self, kp_grid_600):
         # the discrete boost is similar to H only up to O(q^2 E h^2) on the
         # band energies; check at that scale on the physical window
         ham, _ = kp_grid_600
         q = 0.3
-        ev = np.sort(np.linalg.eigvals(boost(ham, q).matrix).real)
+        ev = np.sort(np.linalg.eigvals(boost(ham, q).dense()).real)
         e0 = ham.eigenvalues()
         cut = np.searchsorted(e0, 30.0)
         tol = 1.2 * q * q * 30.0 * ham.grid.h**2 / 2.0 + 1e-10 * ham.norm
@@ -285,10 +285,10 @@ class TestBoost:
         ham, gap = kp_grid_600
         q = 0.2
         hq = boost(ham, q)
-        evals = np.linalg.eigvals(hq.matrix)
+        evals = np.linalg.eigvals(hq.dense())
         assert np.max(np.abs(evals.imag)) < 1e-9 * ham.norm
         _, ebar, _ = qbar_and_ebar(gap)
-        smin_q = np.linalg.svd(hq.matrix - ebar * np.eye(ham.grid.n), compute_uv=False).min()
+        smin_q = np.linalg.svd(hq.dense(ebar), compute_uv=False).min()
         smin_0 = np.min(np.abs(ham.eigenvalues() - ebar))
         assert smin_q < smin_0 * (1.0 + 1e-3)
 
@@ -307,7 +307,7 @@ class TestGammaNorm:
         energy = ebar - q * q
         val = gamma_norm(ham, q, energy, gap)
         smin = np.linalg.svd(
-            boost(ham, q).matrix - energy * np.eye(ham.grid.n), compute_uv=False
+            boost(ham, q).dense(energy), compute_uv=False
         ).min()
         assert val == pytest.approx(1.0 / smin, rel=1e-9)
 
@@ -376,7 +376,7 @@ class TestKernel:
         x1, x2 = grid.points[i], grid.points[j]
         energy = -1.0  # well below the spectrum
         val = avg_resolvent_kernel(ham, energy, x1, x2, eps)
-        rmat = np.linalg.inv(ham.matrix - energy * np.eye(grid.n))
+        rmat = np.linalg.inv(ham.bands.dense(energy))
         assert val == pytest.approx(grid.h * rmat[i, j] / (2 * eps) ** 2, rel=1e-10)
 
     def test_ball_outside_domain(self, kp_grid_600):
@@ -389,7 +389,7 @@ class TestKernel:
         ev = ham.eigenvalues()[3]
         with pytest.raises(ShiftInSpectrumError):
             avg_resolvent_kernel(ham, ev, 10.0, 20.0, 0.5)
-        # a complex E is checked on the disc |E - ev| <= theta_gap = 1e-6
+        # a complex E is checked on the disc |E - ev| <= THETA_GAP = 1e-6
         with pytest.raises(ShiftInSpectrumError):
             avg_resolvent_kernel(ham, ev + 0.5e-6j, 10.0, 20.0, 0.5)
         avg_resolvent_kernel(ham, ev + 0.8e-6 + 0.8e-6j, 10.0, 20.0, 0.5)
