@@ -46,17 +46,6 @@ from .schrodinger import (
     resolvent_kernel_scan,
 )
 
-SUBCOMMANDS = (
-    "takagi",
-    "antilinear",
-    "decay-bound",
-    "kernel-scan",
-    "kp-fig1",
-    "resonance",
-    "resolvent-map",
-)
-
-
 @dataclass
 class Param:
     type: type
@@ -75,7 +64,6 @@ def _nonnegative(name):
 
 _COMMON = {
     "format": Param(str, "csv", check=lambda v: None if v in ("csv", "json") else "format must be csv or json"),
-    "seed": Param(int, 0),
 }
 
 SCHEMAS: dict[str, dict[str, Param]] = {
@@ -147,6 +135,8 @@ SCHEMAS: dict[str, dict[str, Param]] = {
         "n_im": Param(int, 12, check=_positive("n_im")),
     },
 }
+
+SUBCOMMANDS = tuple(SCHEMAS)
 
 
 @dataclass
@@ -242,57 +232,38 @@ def save_matrix_csv(path: str, matrix: np.ndarray):
 
 
 def _base_metadata(cfg: RunConfig) -> dict:
-    meta = {
-        "subcommand": cfg.subcommand,
-        "csop_version": __version__,
-        "seed": cfg.params.get("seed", 0),
-    }
+    meta = {"subcommand": cfg.subcommand, "csop_version": __version__}
     for key, val in sorted(cfg.params.items()):
-        if key == "seed" or val is None:
-            continue
-        meta[key] = list(val) if isinstance(val, tuple) else val
+        if val is not None:
+            meta[key] = list(val) if isinstance(val, tuple) else val
     return meta
 
 
-def _vector_columns(prefix: str, n: int) -> list[str]:
-    cols = []
-    for i in range(n):
-        cols += [f"{prefix}{i}_re", f"{prefix}{i}_im"]
-    return cols
+def _spectrum_table(cfg: RunConfig, name: str, values, vectors, **meta) -> ResultTable:
+    """Row k: index k, values[k], then Re and Im of each entry of column k of vectors."""
+    n = values.size
+    rows = np.empty((n, 2 + 2 * n))
+    rows[:, 0] = np.arange(n)
+    rows[:, 1] = values
+    rows[:, 2::2] = vectors.T.real
+    rows[:, 3::2] = vectors.T.imag
+    columns = ["index", name] + [f"u{i}_{part}" for i in range(n) for part in ("re", "im")]
+    return ResultTable(columns=columns, rows=rows, metadata={**_base_metadata(cfg), "n": n, **meta})
 
 
 def _run_takagi(cfg: RunConfig) -> ResultTable:
     mat = load_matrix_csv(cfg.params["matrix"])
     fac = takagi(mat)
-    n = fac.sigma.size
-    rows = np.empty((n, 2 + 2 * n))
-    for k in range(n):
-        rows[k, 0] = k
-        rows[k, 1] = fac.sigma[k]
-        rows[k, 2::2] = fac.u[:, k].real
-        rows[k, 3::2] = fac.u[:, k].imag
     recon = fac.u @ np.diag(fac.sigma) @ fac.u.T
-    meta = _base_metadata(cfg)
-    meta["n"] = n
-    meta["reconstruction_residual"] = float(np.linalg.norm(recon - 0.5 * (mat + mat.T)))
-    return ResultTable(columns=["index", "sigma"] + _vector_columns("u", n), rows=rows, metadata=meta)
+    residual = float(np.linalg.norm(recon - 0.5 * (mat + mat.T)))
+    return _spectrum_table(cfg, "sigma", fac.sigma, fac.u, reconstruction_residual=residual)
 
 
 def _run_antilinear(cfg: RunConfig) -> ResultTable:
     mat = load_matrix_csv(cfg.params["matrix"])
     z = complex(cfg.params["z_re"], cfg.params["z_im"])
     spec = antilinear_spectrum(mat, None, z)
-    n = spec.lambdas.size
-    rows = np.empty((n, 2 + 2 * n))
-    for k in range(n):
-        rows[k, 0] = k
-        rows[k, 1] = spec.lambdas[k]
-        rows[k, 2::2] = spec.vectors[:, k].real
-        rows[k, 3::2] = spec.vectors[:, k].imag
-    meta = _base_metadata(cfg)
-    meta["n"] = n
-    meta["matrix_norm"] = spec.matrix_norm
-    return ResultTable(columns=["index", "lambda"] + _vector_columns("u", n), rows=rows, metadata=meta)
+    return _spectrum_table(cfg, "lambda", spec.lambdas, spec.vectors, matrix_norm=spec.matrix_norm)
 
 
 def _run_decay_bound(cfg: RunConfig) -> ResultTable:
@@ -430,17 +401,13 @@ def _fmt(x) -> str:
 
 def emit(table: ResultTable, fmt: str = "csv") -> bytes:
     """Serialize a ResultTable; identical tables give identical bytes."""
+    rows = np.atleast_2d(table.rows) if table.rows.size else np.empty((0, len(table.columns)))
     if fmt == "csv":
-        lines = []
-        for key in sorted(table.metadata):
-            lines.append(f"# {key} = {table.metadata[key]}")
+        lines = [f"# {key} = {table.metadata[key]}" for key in sorted(table.metadata)]
         lines.append(",".join(table.columns))
-        rows = np.atleast_2d(table.rows) if table.rows.size else np.empty((0, len(table.columns)))
-        for row in rows:
-            lines.append(",".join(_fmt(x) for x in row))
+        lines += [",".join(_fmt(x) for x in row) for row in rows]
         return ("\n".join(lines) + "\n").encode()
     if fmt == "json":
-        rows = np.atleast_2d(table.rows) if table.rows.size else np.empty((0, len(table.columns)))
         payload = {
             "metadata": table.metadata,
             "columns": table.columns,

@@ -56,8 +56,6 @@ def _validate_gap(gap: GapSpectrum, energy=None):
         raise InvalidGapError(
             "e_minus must be positive (energies measured from the potential bottom)"
         )
-    if gap.gap <= 0.0:
-        raise InvalidGapError("gap must be positive")
     if energy is None:
         return
     energy = np.asarray(energy, dtype=float)

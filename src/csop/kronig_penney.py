@@ -28,7 +28,6 @@ from .schrodinger import GapSpectrum
 
 __all__ = [
     "KPModel",
-    "BandEdges",
     "Fig1Row",
     "dispersion",
     "dispersion_derivative",
@@ -53,30 +52,6 @@ class KPModel:
     def __post_init__(self):
         if self.v0 <= 0:
             raise ValueError("delta strength v0 must be positive")
-
-
-@dataclass(frozen=True)
-class BandEdges:
-    """First-band edges, bottom of the second band, and derived gap data."""
-
-    e_bottom: float
-    e_minus: float
-    e_plus: float
-
-    @property
-    def gap(self) -> float:
-        return self.e_plus - self.e_minus
-
-    @property
-    def width(self) -> float:
-        return self.e_minus - self.e_bottom
-
-    @property
-    def g_over_w(self) -> float:
-        return self.gap / self.width
-
-    def as_gap_spectrum(self) -> GapSpectrum:
-        return GapSpectrum(e_minus=self.e_minus, e_plus=self.e_plus, e_bottom=self.e_bottom)
 
 
 def dispersion(model: KPModel, energy):
@@ -107,7 +82,7 @@ def dispersion_derivative(model: KPModel, energy: float) -> float:
     return _dh_ds(model.v0, s) / (2.0 * s)
 
 
-def band_edges(model: KPModel) -> BandEdges:
+def band_edges(model: KPModel) -> GapSpectrum:
     """Edges of band 1 and the bottom of band 2 from the factored h -+ 1.
 
     The top of band 1 is pi^2.  The bottom of band 1 is the root of
@@ -124,10 +99,10 @@ def band_edges(model: KPModel) -> BandEdges:
         lambda s: 2.0 * s * math.cos(0.5 * s) + v0 * math.sin(0.5 * s),
         math.pi, 2.0 * math.pi, xtol=ROOT_XTOL,
     )
-    return BandEdges(e_bottom=s_bottom**2, e_minus=PI_SQ, e_plus=s_plus**2)
+    return GapSpectrum(e_minus=PI_SQ, e_plus=s_plus**2, e_bottom=s_bottom**2)
 
 
-def exact_decay(model: KPModel, edges: BandEdges | None = None) -> tuple[float, float]:
+def exact_decay(model: KPModel, edges: GapSpectrum | None = None) -> tuple[float, float]:
     """Branch point E* and exact density-matrix decay rate arccosh|h(E*)|.
 
     E* is the root of dh/dE inside the first gap (the real branch point of
@@ -185,14 +160,14 @@ def fig1_sweep(v0_values) -> list[Fig1Row]:
     for v0 in v0_values:
         model = KPModel(v0=float(v0))
         edges = band_edges(model)
-        qbar, _, _ = qbar_and_ebar(edges.as_gap_spectrum())
+        qbar, _, _ = qbar_and_ebar(edges)
         _, q_exact = exact_decay(model, edges)
         rows.append(
             Fig1Row(
                 v0=float(v0),
                 gap=edges.gap,
                 width=edges.width,
-                g_over_w=edges.g_over_w,
+                g_over_w=edges.gap / edges.width,
                 q_exact=q_exact,
                 q_bound=qbar,
                 rel_diff=(q_exact - qbar) / q_exact,

@@ -14,8 +14,10 @@ moves the discretized continuum string by -2 Im theta while discrete points
 each eigenvalue against both predictions.
 
 Fixed thresholds: classify_spectrum labels with STAT_FACTOR, ROT_FACTOR,
-RES_IM_TOL and BOUND_RE_MAX; essential_floor_check counts within FLOOR_RTOL
-of the floor; fit_relative_bound draws FIT_SAMPLES states from FIT_SEED.
+RES_IM_TOL and BOUND_RE_MAX; resolvent_norm_at accepts an eigenvector whose
+residual is within RESIDUAL_RTOL; essential_floor_check counts within
+FLOOR_RTOL of the floor; fit_relative_bound draws FIT_SAMPLES states from
+FIT_SEED.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ __all__ = [
 
 POLISH_TOL = 1e-10         # relative eigenvalue change that stops polish_eigenvalue
 POLISH_MAX_ITER = 50       # Rayleigh-quotient steps before polish_eigenvalue gives up
-INVERSE_RTOL = 1e-12       # antilinear residual, relative to ||H - z||, that counts as converged
+RESIDUAL_RTOL = 1e-12      # antilinear residual, relative to ||H - z||, that counts as converged
 STAT_FACTOR = 0.1          # stationarity below this * |z| |dtheta| marks a discrete point
 ROT_FACTOR = 0.3           # rotation residual below this * |z| |e^{-2 dtheta} - 1| is continuum
 RES_IM_TOL = 1e-3          # a discrete point with Im z below -RES_IM_TOL is a resonance
@@ -253,7 +255,7 @@ def resolvent_norm_at(h: ScaledHamiltonian, z: complex) -> ResolventNorm:
     its doubling eigenvector w, so psi = w[0::2] + 1j w[1::2] (times i when w
     belongs to -lambda), and raises SingularShiftError when z is numerically
     an eigenvalue.  Raises ConvergenceError when the residual
-    ||(H - z) psi - lambda conj(psi)|| exceeds INVERSE_RTOL * ||H - z||
+    ||(H - z) psi - lambda conj(psi)|| exceeds RESIDUAL_RTOL * ||H - z||
     (bounded by norm_estimate + |z|).
     """
     lam, w = min_lambda(h.bands, z)
@@ -262,7 +264,7 @@ def resolvent_norm_at(h: ScaledHamiltonian, z: complex) -> ResolventNorm:
     if (psi @ r).real < 0.0:  # psi^T (H - z) psi = -lambda: i psi belongs to +lambda
         psi, r = 1j * psi, 1j * r
     residual = float(np.linalg.norm(r - lam * np.conj(psi)))
-    tol = INVERSE_RTOL * (h.norm_estimate + abs(z))
+    tol = RESIDUAL_RTOL * (h.norm_estimate + abs(z))
     if residual > tol:
         raise ConvergenceError(
             f"antilinear eigenvector at z = {z:.6g} has residual {residual:.3g} > {tol:.3g}"

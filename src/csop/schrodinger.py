@@ -17,7 +17,7 @@ surface states by EDGE_MARGIN and EDGE_WEIGHT.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -27,6 +27,7 @@ from .antilinear import ABS_FLOOR, LANCZOS_MAXITER, LANCZOS_TOL, SINGULAR_RTOL
 from .errors import (
     BallOutsideDomainError,
     ConvergenceError,
+    InvalidGapError,
     NegativePotentialError,
     NoGapFoundError,
     ShiftInSpectrumError,
@@ -282,7 +283,7 @@ class GapSpectrum:
 
     def __post_init__(self):
         if not (0.0 <= self.e_bottom <= self.e_minus < self.e_plus):
-            raise ValueError(
+            raise InvalidGapError(
                 f"need 0 <= e_bottom <= e_minus < e_plus, got "
                 f"({self.e_bottom}, {self.e_minus}, {self.e_plus})"
             )
@@ -338,7 +339,6 @@ def _bulk_mask(evecs: np.ndarray) -> np.ndarray:
 
 def find_gap(
     h: DiscreteHamiltonian,
-    lower_band_count_hint: int | None = None,
     *,
     energy_ceiling: float | None = None,
     spacing_factor: float = 10.0,
@@ -349,9 +349,8 @@ def find_gap(
     mean of the GAP_WINDOW spacings on each side and GAP_MIN in absolute
     energy.  Boundary-localized eigenvectors (more than EDGE_WEIGHT of their
     norm within EDGE_MARGIN points of a wall) are excluded from band-edge
-    determination.  With `lower_band_count_hint` the gap above that many
-    kept states is returned; otherwise the largest qualifying spacing below
-    `energy_ceiling` wins.
+    determination.  The largest qualifying spacing below `energy_ceiling`
+    wins.
     """
     evals, evecs = h.eigensystem()
     keep = _bulk_mask(evecs)
@@ -371,22 +370,10 @@ def find_gap(
             return spacings[i] > GAP_MIN
         return spacings[i] > spacing_factor * neighbors.mean() and spacings[i] > GAP_MIN
 
-    if lower_band_count_hint is not None:
-        i = lower_band_count_hint - 1
-        if not (0 <= i < spacings.size):
-            raise NoGapFoundError(
-                f"band count hint {lower_band_count_hint} outside spectrum"
-            )
-        if not qualifies(i):
-            raise NoGapFoundError(
-                f"spacing above state {lower_band_count_hint} does not qualify as a gap"
-            )
-        best = i
-    else:
-        candidates = [i for i in range(spacings.size) if qualifies(i)]
-        if not candidates:
-            raise NoGapFoundError("no eigenvalue spacing qualifies as a spectral gap")
-        best = max(candidates, key=lambda i: spacings[i])
+    candidates = [i for i in range(spacings.size) if qualifies(i)]
+    if not candidates:
+        raise NoGapFoundError("no eigenvalue spacing qualifies as a spectral gap")
+    best = max(candidates, key=lambda i: spacings[i])
 
     e_bottom = max(float(kept[0]), 0.0)
     return GapSpectrum(e_minus=float(kept[best]), e_plus=float(kept[best + 1]), e_bottom=e_bottom)
@@ -429,12 +416,7 @@ def _check_shift_in_gap(h, gap, shift):
     _check_clear_of_spectrum(h, shift, "E + q^2")
 
 
-def gamma_norm(
-    h: DiscreteHamiltonian,
-    q: float,
-    energy: float,
-    gap: GapSpectrum | None = None,
-) -> float:
+def gamma_norm(h: DiscreteHamiltonian, q: float, energy: float, gap: GapSpectrum) -> float:
     """||(H_q - E)^-1|| = 1 / sigma_min(H_q - E) from the banded doubling.
 
     H_q - E = M is real, so the doubling is [[0, M^T], [M, 0]] (see
@@ -444,14 +426,11 @@ def gamma_norm(
     dimension the sup over |q| fixed is the max over +-q, and those two
     norms coincide exactly by the transpose identity, so a single solve
     suffices.  Raises SingularShiftError when sigma_min < SINGULAR_RTOL *
-    ||H_q - E||.
+    ||H_q||.
     """
-    if gap is None:
-        gap = find_gap(h)
     _check_shift_in_gap(h, gap, energy + q * q)
     _check_clear_of_spectrum(h, energy, "E")
-    hq = boost(h, q)
-    return 1.0 / min_lambda(replace(hq, main=hq.main - energy))[0]
+    return 1.0 / min_lambda(boost(h, q), energy)[0]
 
 
 def bq_norm(

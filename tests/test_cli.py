@@ -169,6 +169,22 @@ class TestMain:
         cfg.write_text("e_minus = 1\ne_plus = 2\nq = -3\n")
         assert main(["decay-bound", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize(
+        "text", ["e_minus = 2\ne_plus = 1\n", "e_minus = 1\ne_plus = 2\ne_bottom = 1.5\n"],
+        ids=["inverted_gap", "bottom_above_e_minus"],
+    )
+    def test_decay_bound_bad_gap_ordering_exit_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        assert main(["decay-bound", "--config", str(cfg)]) == 2
+        assert "e_bottom <= e_minus < e_plus" in capsys.readouterr().err
+
+    def test_seed_is_unknown_key_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed = 1\n")
+        assert main(["kp-fig1", "--config", str(cfg)]) == 1
+        assert "unknown key 'seed'" in capsys.readouterr().err
+
     def test_kernel_scan_empty_separation_range_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "k.cfg"
         cfg.write_text("n = 300\nsep_min = 20\nsep_max = 10\n")

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csop import decay
 from csop.decay import (
@@ -27,6 +29,15 @@ ORACLE_GAPS = [
     GapSpectrum(e_minus=1.0, e_plus=10.0),
     GapSpectrum(e_minus=0.01, e_plus=100.0),
 ]
+
+
+# E- log-uniform over four decades and G / E- on both sides of 4, kept
+# away from G = 4 E-, where the lower-edge law turns into q_c ~ eps^(1/4)
+GAPS = st.builds(
+    lambda e_minus, ratio: GapSpectrum(e_minus=e_minus, e_plus=e_minus + ratio * e_minus),
+    st.floats(-2.0, 2.0).map(lambda x: 10.0**x),
+    st.one_of(st.floats(0.01, 3.5), st.floats(4.5, 100.0)),
+)
 
 
 def oracle_energies(gap):
@@ -113,6 +124,39 @@ class TestCriticalQ:
         for e in np.linspace(1.01, 1.99, 41):
             assert critical_q(GAP12, e) <= qbar + 1e-10
         assert critical_q(GAP12, ebar) == pytest.approx(qbar, abs=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(GAPS)
+    def test_unimodal_with_peak_qbar_at_ebar(self, gap):
+        # dq_c/dE has the sign of (E+ - E) - (E - E-) - 2 q_c^2, which vanishes
+        # only at Ebar: q_c rises to qbar there when Ebar is in the gap, and
+        # falls over the whole gap when Ebar <= E-
+        qbar, ebar, in_gap = qbar_and_ebar(gap)
+        energies = np.linspace(gap.e_minus, gap.e_plus, 402)[1:-1]
+        qcs = critical_q(gap, energies)
+        assert np.all(np.diff(qcs[energies > ebar]) < 0.0)
+        if in_gap:
+            assert np.all(np.diff(qcs[energies < ebar]) > 0.0)
+            assert critical_q(gap, ebar) == pytest.approx(qbar, rel=1e-12)
+            assert np.max(qcs) <= qbar * (1.0 + 1e-12)
+        else:
+            assert ebar <= gap.e_minus
+
+    @settings(max_examples=200, deadline=None)
+    @given(GAPS)
+    def test_edge_laws(self, gap):
+        # at a distance eps = 1e-10 G from an edge; a and b are the distances
+        # as rounded, so that the laws hold at any E-/G
+        em, g = gap.e_minus, gap.gap
+        e = gap.e_plus - 1e-10 * g
+        a = gap.e_plus - e
+        assert critical_q(gap, e) ** 2 / a == pytest.approx(g / (4.0 * em + g), rel=1e-7)
+        e = gap.e_minus + 1e-10 * g
+        b = e - gap.e_minus
+        if g < 4.0 * em:
+            assert critical_q(gap, e) ** 2 / b == pytest.approx(g / (4.0 * em - g), rel=1e-7)
+        else:
+            assert critical_q(gap, e) == pytest.approx(math.sqrt(g - 4.0 * em), rel=1e-7)
 
     def test_edge_scaling_slopes(self):
         # log-log slope 0.5 +- 0.03 over the closest 1% of the gap, both edges

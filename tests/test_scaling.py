@@ -207,7 +207,7 @@ class TestResolventNorm:
 
     def test_eigenvector_not_converged_raises(self, monkeypatch):
         ham = build_scaled(ALPHA75, Grid1D(length=40.0, n=200), 0.3j)
-        monkeypatch.setattr(scaling, "INVERSE_RTOL", 0.0)
+        monkeypatch.setattr(scaling, "RESIDUAL_RTOL", 0.0)
         with pytest.raises(ConvergenceError):
             resolvent_norm_at(ham, 4.1 - 0.15j)
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scipy.linalg
@@ -11,6 +11,7 @@ from csop.antilinear import antilinear_spectrum, block_embed, real_doubling
 from csop.decay import critical_q, qbar_and_ebar
 from csop.errors import (
     BallOutsideDomainError,
+    InvalidGapError,
     NegativePotentialError,
     NoGapFoundError,
     ShiftInSpectrumError,
@@ -84,12 +85,22 @@ def upper_band(s, kd=3):
 class TestDoubling:
     @settings(max_examples=100, deadline=None)
     @given(case=st.one_of(tridiagonals(True), tridiagonals(False)))
+    @example(case=(
+        Tridiagonal(sub=np.array([0.0, 1.13954552e-157, 0, 0, 0, 0, 0]),
+                    main=np.array([0.0, 1.0, -1.0, 0, 0, 0, 0, 0]), sup=np.zeros(7)),
+        1.0,
+    ))
     def test_lambda_equals_sigma(self, case):
         t, shift = case
         n = t.main.size
         sv = np.sort(np.linalg.svd(t.dense(shift), compute_uv=False))
         atol = 1e-12 * max(sv[-1], 1.0)
-        pm = scipy.linalg.eig_banded(t.doubling(shift), eigvals_only=True)
+        # by index, as csop calls it (?sbevx): the all-eigenvalues path (?sbevd,
+        # whose ?sterf squares the off-diagonals) returns 2 + 3.8e-10 for the
+        # example above, whose coupling squares to a subnormal
+        pm = scipy.linalg.eig_banded(
+            t.doubling(shift), eigvals_only=True, select="i", select_range=(0, 2 * n - 1)
+        )
         assert np.max(np.abs(pm[n:] - sv)) <= atol
         assert np.max(np.abs(pm[:n] + sv[::-1])) <= atol
         if np.iscomplexobj(t.main):
@@ -238,17 +249,10 @@ class TestFindGap:
         with pytest.raises(NoGapFoundError):
             find_gap(ham, energy_ceiling=50.0)
 
-    def test_hint_selects_band(self, kp_grid_2000):
-        ham, gap = kp_grid_2000
-        evals = ham.eigenvalues()
-        n_low = int((evals <= gap.e_minus + 1e-9).sum())
-        hinted = find_gap(ham, lower_band_count_hint=n_low, energy_ceiling=35.0)
-        assert hinted == gap
-
     def test_gap_spectrum_invariants(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidGapError):
             GapSpectrum(e_minus=2.0, e_plus=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidGapError):
             GapSpectrum(e_minus=1.0, e_plus=2.0, e_bottom=1.5)
 
 
