@@ -256,6 +256,41 @@ def _antilinear_plain(mat: np.ndarray, scale: float):
     return lam, vectors, degenerate
 
 
+def _matrix_norm(a, mat: np.ndarray) -> float:
+    """||A||_2 of the input `a` whose array is `mat`, cached on a ComplexSymmetricMatrix."""
+    return a.norm if isinstance(a, ComplexSymmetricMatrix) else float(np.linalg.norm(mat, 2))
+
+
+def _reduced(a, conj: Conjugation | None, z: complex) -> tuple[np.ndarray, np.ndarray]:
+    """(A, A' = conj(P) @ (A - z I) symmetrized), the plain problem behind (A, P, z).
+
+    P symmetric unitary implies P^-1 = conj(P), so (A - z) u = lam P conj(u)
+    is A' u = lam conj(u).  Raises NotCSymmetricError when A' deviates from
+    symmetry by more than SYMMETRY_RTOL * ||A||, signalling an inconsistent
+    (matrix, conjugation) pair; ||A|| is computed only for an asymmetry above
+    ABS_FLOOR.
+    """
+    mat = _as_matrix(a)
+    n = mat.shape[0]
+    shifted = mat - z * np.eye(n)
+    if conj is None or conj.is_identity:
+        reduced = shifted
+    else:
+        if conj.n != n:
+            raise ValueError(f"conjugation size {conj.n} does not match matrix size {n}")
+        reduced = np.conj(conj.p) @ shifted
+
+    asym = float(np.max(np.abs(reduced - reduced.T))) if n else 0.0
+    if asym > ABS_FLOOR:
+        scale = _matrix_norm(a, mat)
+        if asym > SYMMETRY_RTOL * scale:
+            raise NotCSymmetricError(
+                f"conj(P) @ (A - z I) deviates from symmetry by {asym:.3e} "
+                f"(> {SYMMETRY_RTOL:g} * ||A|| = {SYMMETRY_RTOL * scale:.3e})"
+            )
+    return mat, 0.5 * (reduced + reduced.T)
+
+
 def antilinear_spectrum(a, conj: Conjugation | None = None, z: complex = 0.0) -> AntilinearSpectrum:
     """All solutions of (A - z) u = lam * P conj(u), lambdas ascending.
 
@@ -266,26 +301,8 @@ def antilinear_spectrum(a, conj: Conjugation | None = None, z: complex = 0.0) ->
     Raises NotCSymmetricError when A' deviates from symmetry by more than
     SYMMETRY_RTOL * ||A||, signalling an inconsistent (matrix, conjugation) pair.
     """
-    mat = _as_matrix(a)
-    n = mat.shape[0]
-    scale = a.norm if isinstance(a, ComplexSymmetricMatrix) else float(np.linalg.norm(mat, 2))
-
-    shifted = mat - z * np.eye(n)
-    if conj is None or conj.is_identity:
-        reduced = shifted
-    else:
-        if conj.n != n:
-            raise ValueError(f"conjugation size {conj.n} does not match matrix size {n}")
-        reduced = np.conj(conj.p) @ shifted
-
-    asym = float(np.max(np.abs(reduced - reduced.T))) if n else 0.0
-    if asym > max(SYMMETRY_RTOL * scale, ABS_FLOOR):
-        raise NotCSymmetricError(
-            f"conj(P) @ (A - z I) deviates from symmetry by {asym:.3e} "
-            f"(> {SYMMETRY_RTOL:g} * ||A|| = {SYMMETRY_RTOL * scale:.3e})"
-        )
-    reduced = 0.5 * (reduced + reduced.T)
-
+    mat, reduced = _reduced(a, conj, z)
+    scale = _matrix_norm(a, mat)
     lam_desc, vec_desc, degenerate = _antilinear_plain(reduced, scale)
     return AntilinearSpectrum(
         lambdas=lam_desc[::-1].copy(),
@@ -318,12 +335,21 @@ def takagi(a) -> TakagiFactorization:
 def resolvent_norm(a, conj: Conjugation | None = None, z: complex = 0.0) -> float:
     """Operator norm of (A - z I)^-1 as 1 / min lambda of the antilinear problem.
 
-    Raises SingularShiftError when min lambda < SINGULAR_RTOL * ||A||: z is
-    numerically in the spectrum.
+    Min lambda is eigenvalue n (from 0) of the 2n doubling of the reduced
+    problem, taken alone.  Raises SingularShiftError when min lambda <
+    SINGULAR_RTOL * ||A||: z is numerically in the spectrum.  The exact
+    ||A|| is computed only when min lambda falls below SINGULAR_RTOL times
+    the Frobenius norm, which bounds it from above.
     """
-    spec = antilinear_spectrum(a, conj, z)
-    lam_min = float(spec.lambdas[0])
-    if lam_min < max(SINGULAR_RTOL * spec.matrix_norm, ABS_FLOOR):
+    mat, reduced = _reduced(a, conj, z)
+    n = mat.shape[0]
+    lam_min = max(float(scipy.linalg.eigh(
+        real_doubling(reduced), eigvals_only=True, subset_by_index=[n, n]
+    )[0]), 0.0)
+    if (
+        lam_min < max(SINGULAR_RTOL * float(np.linalg.norm(mat)), ABS_FLOOR)
+        and lam_min < max(SINGULAR_RTOL * _matrix_norm(a, mat), ABS_FLOOR)
+    ):
         raise SingularShiftError(
             f"min antilinear eigenvalue {lam_min:.3e} is below "
             f"{SINGULAR_RTOL:g} * ||A||; shift z={z} is numerically in the spectrum"

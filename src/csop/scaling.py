@@ -11,10 +11,13 @@ a dense matrix; norms and eigenvectors from one engine, schrodinger.min_lambda
 (sigma_min is its value without the singularity threshold).  Rotating theta
 moves the discretized continuum string by -2 Im theta while discrete points
 (bound states and uncovered resonances) stay put; classification compares
-each eigenvalue against both predictions.
+each eigenvalue against both predictions.  Only the eigenvalues near the
+classification window are computed, by shift-invert Arnoldi on the same
+banded factorization.
 
 Fixed thresholds: classify_spectrum labels with STAT_FACTOR, ROT_FACTOR,
-RES_IM_TOL and BOUND_RE_MAX; resolvent_norm_at accepts an eigenvector whose
+RES_IM_TOL and BOUND_RE_MAX, and its eigenvalue search starts from
+ARNOLDI_K0 eigenvalues; resolvent_norm_at accepts an eigenvector whose
 residual is within RESIDUAL_RTOL; essential_floor_check counts within
 FLOOR_RTOL of the floor; fit_relative_bound draws FIT_SAMPLES states from
 FIT_SEED.
@@ -29,10 +32,11 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse.linalg
 
-from .antilinear import _fix_sign
-from .errors import ConvergenceError, PairingAmbiguityError, StripViolationError
-from .schrodinger import Grid1D, Tridiagonal, _lanczos_pair, min_lambda
+from .antilinear import LANCZOS_MAXITER, LANCZOS_TOL, _fix_sign
+from .errors import ConvergenceError, PairingAmbiguityError, SingularShiftError, StripViolationError
+from .schrodinger import Grid1D, Tridiagonal, _band_lu, _lanczos_pair, min_lambda
 
 __all__ = [
     "DilationPotential",
@@ -63,6 +67,7 @@ STAT_FACTOR = 0.1          # stationarity below this * |z| |dtheta| marks a disc
 ROT_FACTOR = 0.3           # rotation residual below this * |z| |e^{-2 dtheta} - 1| is continuum
 RES_IM_TOL = 1e-3          # a discrete point with Im z below -RES_IM_TOL is a resonance
 BOUND_RE_MAX = 0.0         # a real discrete point with Re z below this is a bound state
+ARNOLDI_K0 = 32            # eigenvalues the first Arnoldi pass of the window search asks for
 FLOOR_RTOL = 0.02          # essential_floor_check's band around the floor, relative to it
 FIT_SAMPLES = 64           # random states in fit_relative_bound's sample
 FIT_SEED = 0               # seed of fit_relative_bound's random states
@@ -117,6 +122,7 @@ class ScaledHamiltonian:
         return self.bands.dense()
 
     def eigenvalues(self) -> np.ndarray:
+        """Every eigenvalue, from dense eigvals (cached); the window search reads it only for 2k >= n."""
         if self._eigvals is None:
             self._eigvals = np.linalg.eigvals(self.matrix)
         return self._eigvals
@@ -152,7 +158,7 @@ def build_scaled(
 
 @dataclass
 class SpectrumClassification:
-    """Per-eigenvalue labels from the theta -> theta + dtheta comparison."""
+    """Labels of the in-window eigenvalues from the theta -> theta + dtheta comparison."""
 
     eigenvalues: np.ndarray
     labels: list[str]                 # "bound" | "resonance" | "continuum" | "unlabeled"
@@ -161,19 +167,77 @@ class SpectrumClassification:
     dtheta: complex
 
     def with_label(self, label: str) -> np.ndarray:
-        mask = np.array([lab == label for lab in self.labels])
+        mask = np.array([lab == label for lab in self.labels], dtype=bool)
         return self.eigenvalues[mask]
 
 
-def classify_spectrum(h1: ScaledHamiltonian, h2: ScaledHamiltonian) -> SpectrumClassification:
-    """Label eigenvalues of h1 as bound / resonance / continuum-string.
+def _eigenvalues_in_disc(h: ScaledHamiltonian, centre: complex, radius: float) -> np.ndarray:
+    """Every eigenvalue of h within `radius` of `centre`.
 
-    For each eigenvalue z the displacement to the nearest eigenvalue of h2
-    is compared against two predictions: staying put (discrete spectrum) or
-    rotating to z e^{-2 dtheta} (continuum string).  Discrete points are
-    bound states when essentially real and below BOUND_RE_MAX, resonances
-    when Im z < -RES_IM_TOL.  Points matching neither prediction are
-    reported as unlabeled.
+    H - centre is factored once (?gbtrf), and shift-invert Arnoldi (ARPACK
+    eigs) on its inverse returns the k largest-magnitude mu, that is the k
+    eigenvalues centre + 1/mu nearest the centre.  k starts at ARNOLDI_K0
+    and doubles while the farthest of them still lies inside the disc, so
+    no eigenvalue in the disc is missed.  Once 2k >= n the dense
+    eigenvalues are filtered instead: ARPACK needs k < n - 1, and at that
+    size the dense solve is the cheaper one.  Raises ConvergenceError when
+    ARPACK fails or exceeds LANCZOS_MAXITER restarts, and SingularShiftError
+    when the centre is an eigenvalue to working precision.
+    """
+    n = h.grid.n
+    k = ARNOLDI_K0
+    if 2 * k < n:
+        lu_solve = _band_lu(h.bands, centre)
+
+        def solve(v):
+            w = lu_solve(v)
+            if not np.all(np.isfinite(w)):
+                raise SingularShiftError(f"window centre {centre:.6g} is an eigenvalue to working precision")
+            return w
+
+        op = scipy.sparse.linalg.LinearOperator((n, n), matvec=solve, dtype=complex)
+        rng = np.random.default_rng(0)
+        v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        while 2 * k < n:
+            try:
+                mu = scipy.sparse.linalg.eigs(
+                    op, k=k, which="LM", v0=v0, tol=LANCZOS_TOL, maxiter=LANCZOS_MAXITER,
+                    return_eigenvectors=False,
+                )
+            except scipy.sparse.linalg.ArpackError as exc:
+                raise ConvergenceError(
+                    f"Arnoldi for the eigenvalues within {radius:.6g} of {centre:.6g}: {exc}"
+                ) from None
+            z = centre + 1.0 / mu
+            dist = np.abs(z - centre)
+            if np.max(dist) > radius:
+                return z[dist <= radius]
+            k *= 2
+    z = h.eigenvalues()
+    return z[np.abs(z - centre) <= radius]
+
+
+def classify_spectrum(
+    h1: ScaledHamiltonian, h2: ScaledHamiltonian, window: tuple[float, float, float, float]
+) -> SpectrumClassification:
+    """Label the eigenvalues of h1 inside `window` as bound / resonance / continuum-string.
+
+    `window` is the open rectangle (re_min, re_max, im_min, im_max).  For
+    each eigenvalue z in it the displacement to the nearest eigenvalue of
+    h2 is compared against two predictions: staying put (discrete
+    spectrum) or rotating to z e^{-2 dtheta} (continuum string).  Discrete
+    points are bound states when essentially real and below BOUND_RE_MAX,
+    resonances when Im z < -RES_IM_TOL.  Points matching neither prediction
+    are reported as unlabeled.
+
+    Only eigenvalues near the window are computed: those of h1 in the disc
+    (centre c, radius R) that circumscribes it, and those of h2 in that disc
+    widened by max((1 + ROT_FACTOR) |e^{-2 dtheta} - 1|, STAT_FACTOR
+    |dtheta|) (|c| + R).  A partner of a window point that passes either
+    test lies in the wider disc, so every label equals the one a
+    classification of the whole spectra gives; the stationarity and
+    rotation residual of a point that passes neither test may read larger
+    (inf when h2 has no eigenvalue in its disc).
     """
     if h1.grid != h2.grid or h1.potential != h2.potential or h1.gamma != h2.gamma:
         raise ValueError("classification requires the same grid, potential and gamma")
@@ -181,9 +245,14 @@ def classify_spectrum(h1: ScaledHamiltonian, h2: ScaledHamiltonian) -> SpectrumC
     if dtheta == 0:
         raise ValueError("the two Hamiltonians must differ in theta")
 
-    z1 = h1.eigenvalues()
-    z2 = h2.eigenvalues()
+    re_min, re_max, im_min, im_max = window
+    centre = complex(0.5 * (re_min + re_max), 0.5 * (im_min + im_max))
+    radius = 0.5 * math.hypot(re_max - re_min, im_max - im_min)
     rot = np.exp(-2.0 * dtheta)
+    reach = max((1.0 + ROT_FACTOR) * abs(rot - 1.0), STAT_FACTOR * abs(dtheta)) * (abs(centre) + radius)
+    z1 = _eigenvalues_in_disc(h1, centre, radius)
+    z1 = z1[(z1.real > re_min) & (z1.real < re_max) & (z1.imag > im_min) & (z1.imag < im_max)]
+    z2 = _eigenvalues_in_disc(h2, centre, radius + reach)
 
     labels: list[str] = []
     stat = np.empty(z1.size)
@@ -191,9 +260,8 @@ def classify_spectrum(h1: ScaledHamiltonian, h2: ScaledHamiltonian) -> SpectrumC
     claimed: dict[int, complex] = {}
     for i, z in enumerate(z1):
         d_all = np.abs(z2 - z)
-        j = int(np.argmin(d_all))
-        d_stat = float(d_all[j])
-        d_rot = float(np.min(np.abs(z2 - z * rot)))
+        d_stat = float(np.min(d_all, initial=math.inf))
+        d_rot = float(np.min(np.abs(z2 - z * rot), initial=math.inf))
         stat[i] = d_stat
         rres[i] = d_rot
         move_scale = abs(z) * abs(rot - 1.0)
@@ -205,6 +273,7 @@ def classify_spectrum(h1: ScaledHamiltonian, h2: ScaledHamiltonian) -> SpectrumC
             else:
                 labels.append("unlabeled")
             if labels[-1] != "unlabeled":
+                j = int(np.argmin(d_all))
                 if j in claimed and abs(claimed[j] - z) > STAT_FACTOR * abs(z) * abs(dtheta):
                     raise PairingAmbiguityError(
                         f"eigenvalues {claimed[j]:.6g} and {z:.6g} both pair with "
@@ -387,28 +456,24 @@ def locate_resonance(
 ) -> ResonanceResult:
     """Find and polish a resonance of H_theta(gamma).
 
-    Without a `guess`, eigenvalues at theta and theta + dtheta are
-    classified and the resonance-labeled point inside `window`
-    (re_min, re_max, im_min, im_max) with the best stationarity is taken;
-    with a `guess` the classification solves are skipped and the guess is
-    polished directly (used for grid-refinement and theta-stability scans).
+    Without a `guess`, the eigenvalues at theta and theta + dtheta inside
+    `window` (re_min, re_max, im_min, im_max) are classified and the
+    resonance-labeled one with the best stationarity is taken; with a
+    `guess` the classification solves are skipped and the guess is polished
+    directly (used for grid-refinement and theta-stability scans).  Raises
+    ValueError when neither is given.
     """
     if guess is not None:
         h1 = build_scaled(pot, grid, theta, gamma)
         z, _ = polish_eigenvalue(h1, guess)
         return ResonanceResult(z=z, sigma_min=sigma_min(h1, z + 0.0), candidates=np.array([z]))
 
+    if window is None:
+        raise ValueError("locate_resonance needs a window to classify in or a guess to polish")
     h1 = build_scaled(pot, grid, theta, gamma)
     h2 = build_scaled(pot, grid, theta + dtheta, gamma)
-    cls = classify_spectrum(h1, h2)
+    cls = classify_spectrum(h1, h2, window)
     cand = cls.with_label("resonance")
-    if window is not None:
-        re_min, re_max, im_min, im_max = window
-        keep = (
-            (cand.real > re_min) & (cand.real < re_max)
-            & (cand.imag > im_min) & (cand.imag < im_max)
-        )
-        cand = cand[keep]
     if cand.size == 0:
         raise PairingAmbiguityError("no resonance-labeled eigenvalue in the window")
     scores = [cls.stationarity[np.argmin(np.abs(cls.eigenvalues - c))] / max(abs(c), 1e-30) for c in cand]

@@ -156,6 +156,22 @@ class Tridiagonal:
         return y
 
 
+def _band_lu(a: Tridiagonal, shift: complex):
+    """Factor a - shift once (?gbtrf) and return its solve, solve(b, trans=0) -> x.
+
+    trans = 1 solves with the plain transpose.  A zero pivot is not raised
+    here: the solve then returns inf or NaN, which the callers test for.
+    """
+    ab = np.vstack([np.zeros(a.main.size), a.banded(shift)])   # ?gbtrf keeps its fill-in in row 0
+    gbtrf, gbtrs = scipy.linalg.lapack.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+    lu, piv, _ = gbtrf(ab, 1, 1)
+
+    def solve(b, trans=0):
+        return gbtrs(lu, 1, 1, b, piv, trans=trans)[0]
+
+    return solve
+
+
 def _lanczos_pair(a: Tridiagonal, shift: complex) -> tuple[float, np.ndarray]:
     """(sigma_min(a - shift), w) with no singularity threshold.
 
@@ -168,20 +184,18 @@ def _lanczos_pair(a: Tridiagonal, shift: complex) -> tuple[float, np.ndarray]:
     bound on sigma_min.  Raises SingularShiftError when a solve overflows, and
     ConvergenceError when ARPACK fails or exceeds LANCZOS_MAXITER restarts.
     """
-    ab = np.vstack([np.zeros(a.main.size), a.banded(shift)])   # ?gbtrf keeps its fill-in in row 0
-    complex_doubling = np.iscomplexobj(ab)
+    complex_doubling = np.issubdtype(np.result_type(a.main, a.sub, a.sup, shift), np.complexfloating)
     if complex_doubling and not np.array_equal(a.sub, a.sup):
         raise ValueError("the doubling of a complex tridiagonal needs it symmetric")
-    gbtrf, gbtrs = scipy.linalg.lapack.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
-    lu, piv, _ = gbtrf(ab, 1, 1)
+    lu_solve = _band_lu(a, shift)
 
     def solve(v):
         if complex_doubling:  # S w = v is (a - shift) u = conj(v) for w, v viewed as complex
-            w = gbtrs(lu, 1, 1, np.conj(v.view(complex)), piv)[0].view(float)
+            w = lu_solve(np.conj(v.view(complex))).view(float)
         else:  # S (x, y) = (M^T y, M x) for M = a - shift
             w = np.empty_like(v)
-            w[0::2] = gbtrs(lu, 1, 1, v[1::2], piv)[0]
-            w[1::2] = gbtrs(lu, 1, 1, v[0::2], piv, trans=1)[0]
+            w[0::2] = lu_solve(v[1::2])
+            w[1::2] = lu_solve(v[0::2], trans=1)
         # |S^-1 v| this large (or the inf or NaN of a zero pivot) puts sigma_min
         # far below ABS_FLOOR, and its square would overflow inside Lanczos
         if not np.max(np.abs(w)) < 1.0 / math.sqrt(np.finfo(float).tiny):

@@ -35,6 +35,7 @@ from csop.schrodinger import (
 FREE = DilationPotential(lambda x: np.zeros_like(x), 1.0)
 ALPHA75 = DilationPotential.alpha_r2_exp(7.5)
 WINDOW = (0.0, 6.0, -0.5, 0.0)
+EVERYWHERE = (-1e9, 1e9, -1e9, 1e9)
 
 
 @pytest.fixture(scope="module")
@@ -95,10 +96,11 @@ class TestBuild:
 
 class TestClassify:
     def test_free_all_continuum(self):
+        # the window holds the whole spectrum, so the search ends on the dense branch
         grid = Grid1D(length=10.0, n=120)
         h1 = build_scaled(FREE, grid, 0.3j)
         h2 = build_scaled(FREE, grid, 0.32j)
-        cls = classify_spectrum(h1, h2)
+        cls = classify_spectrum(h1, h2, (-1.0, 600.0, -400.0, 1.0))
         assert Counter(cls.labels) == {"continuum": 120}
 
     def test_bound_state_stationary(self):
@@ -109,7 +111,7 @@ class TestClassify:
         grid = Grid1D(length=30.0, n=600)
         h1 = build_scaled(well, grid, 0.25j)
         h2 = build_scaled(well, grid, 0.27j)
-        cls = classify_spectrum(h1, h2)
+        cls = classify_spectrum(h1, h2, (-8.0, 0.0, -0.5, 0.5))
         bound = cls.with_label("bound")
         assert bound.size >= 1
         assert np.all(bound.real < 0)
@@ -119,24 +121,69 @@ class TestClassify:
         grid = Grid1D(length=40.0, n=1000)
         h1 = build_scaled(ALPHA75, grid, 0.3j)
         h2 = build_scaled(ALPHA75, grid, 0.32j)
-        cls = classify_spectrum(h1, h2)
-        res = cls.with_label("resonance")
-        re_min, re_max, im_min, im_max = WINDOW
-        inside = res[
-            (res.real > re_min) & (res.real < re_max)
-            & (res.imag > im_min) & (res.imag < im_max)
-        ]
-        assert inside.size == 1
+        cls = classify_spectrum(h1, h2, WINDOW)
+        assert cls.with_label("resonance").size == 1
 
+    @settings(max_examples=12, deadline=None)
+    @given(
+        theta_im=st.floats(0.2, 0.4),
+        n=st.integers(150, 500),
+        re=st.lists(st.floats(-1.0, 8.0), min_size=2, max_size=2, unique=True).map(sorted),
+        im=st.lists(st.floats(-1.0, 0.1), min_size=2, max_size=2, unique=True).map(sorted),
+        snap=st.booleans(),
+    )
+    def test_window_labels_match_whole_spectrum(self, theta_im, n, re, im, snap):
+        grid = Grid1D(length=40.0, n=n)
+        h1 = build_scaled(ALPHA75, grid, theta_im * 1j)
+        h2 = build_scaled(ALPHA75, grid, (theta_im + 0.02) * 1j)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scaling, "ARNOLDI_K0", n)  # the dense oracle: eigvals of both spectra at once
+            oracle = classify_spectrum(h1, h2, EVERYWHERE)
+        z = oracle.eigenvalues
+        near = z[(z.real > re[0]) & (z.real < 8.0) & (z.imag > -1.0) & (z.imag < im[1])]
+        if snap and near.size:
+            # lower right corner just past an eigenvalue: its rotated partner
+            # leaves the disc around the window, so only the widened h2 disc holds it
+            corner = near[np.argmin(np.abs(near - complex(re[1], im[0])))]
+            re[1], im[0] = corner.real + 1e-9, corner.imag - 1e-9
+        window = (re[0], re[1], im[0], im[1])
+        cls = classify_spectrum(h1, h2, window)
+        inside = (z.real > re[0]) & (z.real < re[1]) & (z.imag > im[0]) & (z.imag < im[1])
+        assert cls.eigenvalues.size == int(np.sum(inside))
+        for zw, label in zip(cls.eigenvalues, cls.labels):
+            i = int(np.argmin(np.abs(z - zw)))
+            assert abs(z[i] - zw) <= 1e-9 * abs(zw)
+            assert label == oracle.labels[i]
+
+    def test_window_search_reads_no_dense_spectrum(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense eigenvalues read at n = 1000")
+
+        monkeypatch.setattr(scaling.ScaledHamiltonian, "eigenvalues", refuse)
+        res = locate_resonance(ALPHA75, Grid1D(length=40.0, n=1000), 0.3j, window=WINDOW)
+        assert abs(res.z - (4.0723 - 0.19631j)) < 1e-3
+
+    def test_window_search_step_cap_raises(self, monkeypatch):
+        # the 32 eigenvalues nearest 10 - 5i need ARPACK restarts
+        grid = Grid1D(length=40.0, n=1000)
+        h1 = build_scaled(ALPHA75, grid, 0.3j)
+        h2 = build_scaled(ALPHA75, grid, 0.32j)
+        monkeypatch.setattr(scaling, "LANCZOS_MAXITER", 1)
+        with pytest.raises(ConvergenceError):
+            classify_spectrum(h1, h2, (0.0, 20.0, -10.0, 0.0))
+
+    def test_locate_needs_window_or_guess(self):
+        with pytest.raises(ValueError, match="window"):
+            locate_resonance(ALPHA75, Grid1D(length=40.0, n=200), 0.3j)
 
     def test_different_potentials_rejected(self):
         grid = Grid1D(length=20.0, n=40)
         h1 = build_scaled(DilationPotential.alpha_r2_exp(7.5), grid, 0.3j)
         h2 = build_scaled(DilationPotential.alpha_r2_exp(2.0), grid, 0.32j)
         with pytest.raises(ValueError, match="same grid, potential and gamma"):
-            classify_spectrum(h1, h2)
+            classify_spectrum(h1, h2, WINDOW)
         # potentials compare by value, not by the object that holds them
-        classify_spectrum(h1, build_scaled(DilationPotential.alpha_r2_exp(7.5), grid, 0.32j))
+        classify_spectrum(h1, build_scaled(DilationPotential.alpha_r2_exp(7.5), grid, 0.32j), WINDOW)
 
 
 class TestRayDistance:
