@@ -46,8 +46,6 @@ ABS_FLOOR = 1e-14        # absolute floor under all norm-relative thresholds
 SYMMETRY_RTOL = 1e-10    # allowed asymmetry of conj(P) @ (A - z I), rel. to ||A||
 CLUSTER_RTOL = 1e-10     # singular values closer than this (rel.) form a cluster
 SINGULAR_RTOL = 1e-13    # smallest lambda below this (rel.) means z is in the spectrum
-LANCZOS_TOL = 1e-14      # relative Ritz residual at which shift-invert Lanczos stops
-LANCZOS_MAXITER = 100    # ARPACK restarts before shift-invert Lanczos gives up
 
 
 class ComplexSymmetricMatrix:

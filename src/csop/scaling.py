@@ -12,8 +12,8 @@ a dense matrix; norms and eigenvectors from one engine, schrodinger.min_lambda
 moves the discretized continuum string by -2 Im theta while discrete points
 (bound states and uncovered resonances) stay put; classification compares
 each eigenvalue against both predictions.  Only the eigenvalues near the
-classification window are computed, by shift-invert Arnoldi on the same
-banded factorization.
+classification window are computed, by shift-invert Arnoldi on the one
+tridiagonal LU that min_lambda and polish_eigenvalue also use (_band_lu).
 
 Fixed thresholds: classify_spectrum labels with STAT_FACTOR, ROT_FACTOR,
 RES_IM_TOL and BOUND_RE_MAX, and its eigenvalue search starts from
@@ -26,7 +26,7 @@ FIT_SEED.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -34,9 +34,9 @@ import scipy.linalg
 import scipy.optimize
 import scipy.sparse.linalg
 
-from .antilinear import LANCZOS_MAXITER, LANCZOS_TOL, _fix_sign
+from .antilinear import _fix_sign
 from .errors import ConvergenceError, PairingAmbiguityError, SingularShiftError, StripViolationError
-from .schrodinger import Grid1D, Tridiagonal, _band_lu, _lanczos_pair, min_lambda
+from .schrodinger import LANCZOS_MAXITER, LANCZOS_TOL, Grid1D, Tridiagonal, _band_lu, _lanczos_pair, min_lambda
 
 __all__ = [
     "DilationPotential",
@@ -115,17 +115,14 @@ class ScaledHamiltonian:
     theta: complex
     gamma: float
     potential: DilationPotential
-    _eigvals: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def matrix(self) -> np.ndarray:
         return self.bands.dense()
 
     def eigenvalues(self) -> np.ndarray:
-        """Every eigenvalue, from dense eigvals (cached); the window search reads it only for 2k >= n."""
-        if self._eigvals is None:
-            self._eigvals = np.linalg.eigvals(self.matrix)
-        return self._eigvals
+        """Every eigenvalue, from dense eigvals; the window search reads it only for 2k >= n."""
+        return np.linalg.eigvals(self.matrix)
 
     @property
     def norm_estimate(self) -> float:
@@ -174,7 +171,7 @@ class SpectrumClassification:
 def _eigenvalues_in_disc(h: ScaledHamiltonian, centre: complex, radius: float) -> np.ndarray:
     """Every eigenvalue of h within `radius` of `centre`.
 
-    H - centre is factored once (?gbtrf), and shift-invert Arnoldi (ARPACK
+    H - centre is factored once (_band_lu), and shift-invert Arnoldi (ARPACK
     eigs) on its inverse returns the k largest-magnitude mu, that is the k
     eigenvalues centre + 1/mu nearest the centre.  k starts at ARNOLDI_K0
     and doubles while the farthest of them still lies inside the disc, so
@@ -182,20 +179,12 @@ def _eigenvalues_in_disc(h: ScaledHamiltonian, centre: complex, radius: float) -
     eigenvalues are filtered instead: ARPACK needs k < n - 1, and at that
     size the dense solve is the cheaper one.  Raises ConvergenceError when
     ARPACK fails or exceeds LANCZOS_MAXITER restarts, and SingularShiftError
-    when the centre is an eigenvalue to working precision.
+    when _band_lu finds H - centre singular to working precision.
     """
     n = h.grid.n
     k = ARNOLDI_K0
     if 2 * k < n:
-        lu_solve = _band_lu(h.bands, centre)
-
-        def solve(v):
-            w = lu_solve(v)
-            if not np.all(np.isfinite(w)):
-                raise SingularShiftError(f"window centre {centre:.6g} is an eigenvalue to working precision")
-            return w
-
-        op = scipy.sparse.linalg.LinearOperator((n, n), matvec=solve, dtype=complex)
+        op = scipy.sparse.linalg.LinearOperator((n, n), matvec=_band_lu(h.bands, centre), dtype=complex)
         rng = np.random.default_rng(0)
         v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         while 2 * k < n:
@@ -402,10 +391,10 @@ def polish_eigenvalue(h: ScaledHamiltonian, z0: complex) -> tuple[complex, np.nd
 
     Inverse iteration with the complex-bilinear quotient z = (psi^T H psi) /
     (psi^T psi) is the Newton-type refinement adapted to complex symmetric
-    matrices; each step costs one banded solve.  Returns (eigenvalue,
-    eigenvector).  Raises ConvergenceError when POLISH_MAX_ITER steps do not
-    bring the relative eigenvalue change below POLISH_TOL; a singular solve
-    ends the iteration early, because z is then an exact eigenvalue.
+    matrices; each step costs one tridiagonal solve (_band_lu).  Returns
+    (eigenvalue, eigenvector).  Raises ConvergenceError when POLISH_MAX_ITER
+    steps do not bring the relative eigenvalue change below POLISH_TOL; a
+    SingularShiftError ends the iteration early: z is then an eigenvalue.
     """
     n = h.grid.n
     rng = np.random.default_rng(1)
@@ -414,9 +403,9 @@ def polish_eigenvalue(h: ScaledHamiltonian, z0: complex) -> tuple[complex, np.nd
     z = complex(z0)
     for _ in range(POLISH_MAX_ITER):
         try:
-            w = scipy.linalg.solve_banded((1, 1), h.bands.banded(z), v)
-        except np.linalg.LinAlgError:
-            return z, v  # z is an exact eigenvalue of the factorization
+            w = _band_lu(h.bands, z)(v)
+        except SingularShiftError:
+            return z, v  # z is an eigenvalue to working precision
         w /= np.linalg.norm(w)
         denom = w @ w
         if abs(denom) < 1e-13:

@@ -7,11 +7,13 @@ transpose identity H_q^T = H_{-q} hold bitwise, which is what the block
 embedding needs to turn decay estimates into resolvent-norm estimates.
 Operators store their three diagonals (Tridiagonal), not a dense matrix, and
 every resolvent norm comes from one engine, min_lambda: shift-invert Lanczos on
-the factored banded real doubling (for real H_q - E the block embedding).
+the banded real doubling (for real H_q - E the block embedding).  Every
+shifted solve, in scaling too, goes through one tridiagonal LU, _band_lu.
 
 Fixed tolerances: THETA_GAP is the closest a shift may come to an eigenvalue
 of H; find_gap's spacing test uses GAP_MIN and GAP_WINDOW, and it drops
-surface states by EDGE_MARGIN and EDGE_WEIGHT.
+surface states by EDGE_MARGIN and EDGE_WEIGHT; shift-invert ARPACK stops at
+LANCZOS_TOL and gives up after LANCZOS_MAXITER restarts.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .antilinear import ABS_FLOOR, LANCZOS_MAXITER, LANCZOS_TOL, SINGULAR_RTOL
+from .antilinear import ABS_FLOOR, SINGULAR_RTOL
 from .errors import (
     BallOutsideDomainError,
     ConvergenceError,
@@ -57,6 +59,8 @@ GAP_MIN = 1e-6       # absolute spacing a gap must exceed
 GAP_WINDOW = 5       # spacings on each side that set the local mean spacing
 EDGE_MARGIN = 5      # grid points next to a wall that count as its edge
 EDGE_WEIGHT = 0.25   # edge share of the norm above which an eigenvector is a surface state
+LANCZOS_TOL = 1e-14  # relative Ritz residual at which shift-invert Lanczos stops
+LANCZOS_MAXITER = 100  # ARPACK restarts before shift-invert Lanczos gives up
 
 
 @dataclass(frozen=True)
@@ -110,14 +114,6 @@ class Tridiagonal:
         out[idx, idx + 1] = self.sup
         return out
 
-    def banded(self, shift: complex = 0.0) -> np.ndarray:
-        """LAPACK (1, 1) band storage of self - shift * I, as solve_banded takes it."""
-        ab = np.zeros((3, self.main.size), dtype=np.result_type(self.main, self.sub, self.sup, shift))
-        ab[0, 1:] = self.sup
-        ab[1] = self.main - shift
-        ab[2, :-1] = self.sub
-        return ab
-
     def doubling(self, shift: complex = 0.0) -> np.ndarray:
         """Upper band storage (kd = 3) of a real symmetric 2n doubling of self - shift * I.
 
@@ -157,17 +153,32 @@ class Tridiagonal:
 
 
 def _band_lu(a: Tridiagonal, shift: complex):
-    """Factor a - shift once (?gbtrf) and return its solve, solve(b, trans=0) -> x.
+    """Factor a - shift once (?gttrf) and return its solve, solve(b, trans=0) -> x.
 
-    trans = 1 solves with the plain transpose.  A zero pivot is not raised
-    here: the solve then returns inf or NaN, which the callers test for.
+    trans = 1 solves with the plain transpose; b is a vector or a block of
+    columns.  Raises SingularShiftError at a zero pivot, and when a solve's
+    largest entry is not below 1 / sqrt(tiny) (inf and NaN included): that
+    puts sigma_min(a - shift) far below ABS_FLOOR, and its square would
+    overflow inside Lanczos.
     """
-    ab = np.vstack([np.zeros(a.main.size), a.banded(shift)])   # ?gbtrf keeps its fill-in in row 0
-    gbtrf, gbtrs = scipy.linalg.lapack.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
-    lu, piv, _ = gbtrf(ab, 1, 1)
+    n = a.main.size
+    # SciPy's ?gttrf wrapper refuses n < 3, and min_lambda takes any n: one
+    # code path pads the diagonals to 3 with a decoupled unit diagonal
+    pad = max(3 - n, 0)
+    diagonals = [np.concatenate([d, np.full(pad, fill)])
+                 for d, fill in ((a.sub, 0.0), (a.main - shift, 1.0), (a.sup, 0.0))]
+    gttrf, gttrs = scipy.linalg.lapack.get_lapack_funcs(("gttrf", "gttrs"), diagonals)
+    *lu, info = gttrf(*diagonals)
+    if info > 0:
+        raise SingularShiftError(f"shift {shift:.6g} makes A - shift singular: zero pivot {info}")
+    overflow = 1.0 / math.sqrt(np.finfo(float).tiny)
 
     def solve(b, trans=0):
-        return gbtrs(lu, 1, 1, b, piv, trans=trans)[0]
+        b = np.concatenate([b, np.zeros((pad,) + np.shape(b)[1:])])
+        x = gttrs(*lu, b, trans="NT"[trans])[0][:n]
+        if not np.max(np.abs(x)) < overflow:
+            raise SingularShiftError(f"shift {shift:.6g} makes A - shift singular to working precision")
+        return x
 
     return solve
 
@@ -176,12 +187,12 @@ def _lanczos_pair(a: Tridiagonal, shift: complex) -> tuple[float, np.ndarray]:
     """(sigma_min(a - shift), w) with no singularity threshold.
 
     Shift-invert Lanczos (ARPACK eigsh) on S = a.doubling(shift): a - shift is
-    factored once (?gbtrf), and S^-1 is one or two n x n banded solves in the
-    interleaved coordinates.  eigsh takes the largest-magnitude eigenvalue
-    +-1 / sigma_min of S^-1 (at a rounding-level sigma_min both computed
-    eigenvalues of S near 0 can share a sign) and w, the eigenvector of S at
-    +-sigma_min.  Ritz values lie inside the spectrum, so the value is an upper
-    bound on sigma_min.  Raises SingularShiftError when a solve overflows, and
+    factored once (_band_lu), and S^-1 is one or two n x n tridiagonal solves
+    in the interleaved coordinates.  eigsh takes the largest-magnitude
+    eigenvalue +-1 / sigma_min of S^-1 (at a rounding-level sigma_min both
+    computed eigenvalues of S near 0 can share a sign) and w, the eigenvector
+    of S at +-sigma_min.  Ritz values lie inside the spectrum, so the value is
+    an upper bound on sigma_min.  Raises SingularShiftError from _band_lu, and
     ConvergenceError when ARPACK fails or exceeds LANCZOS_MAXITER restarts.
     """
     complex_doubling = np.issubdtype(np.result_type(a.main, a.sub, a.sup, shift), np.complexfloating)
@@ -196,10 +207,6 @@ def _lanczos_pair(a: Tridiagonal, shift: complex) -> tuple[float, np.ndarray]:
             w = np.empty_like(v)
             w[0::2] = lu_solve(v[1::2])
             w[1::2] = lu_solve(v[0::2], trans=1)
-        # |S^-1 v| this large (or the inf or NaN of a zero pivot) puts sigma_min
-        # far below ABS_FLOOR, and its square would overflow inside Lanczos
-        if not np.max(np.abs(w)) < 1.0 / math.sqrt(np.finfo(float).tiny):
-            raise SingularShiftError(f"shift {shift:.6g} makes A - shift singular to working precision")
         return w
 
     m = 2 * a.main.size
@@ -488,14 +495,14 @@ def _indicator(grid: Grid1D, x: float, eps: float) -> np.ndarray:
 
 
 def _averaged_kernels(h: DiscreteHamiltonian, energy: complex, pairs, eps: float):
-    """omega_eps^-2 <chi_x1, (H - E)^-1 chi_x2> for each (x1, x2), one banded solve."""
+    """omega_eps^-2 <chi_x1, (H - E)^-1 chi_x2> for each (x1, x2), one tridiagonal solve."""
     _check_clear_of_spectrum(h, energy, "E")
     chi1 = np.empty((h.grid.n, len(pairs)))
     chi2 = np.empty_like(chi1)
     for j, (x1, x2) in enumerate(pairs):
         chi1[:, j] = _indicator(h.grid, x1, eps)
         chi2[:, j] = _indicator(h.grid, x2, eps)
-    y = scipy.linalg.solve_banded((1, 1), h.bands.banded(energy), chi2)
+    y = _band_lu(h.bands, energy)(chi2)
     return h.grid.h * np.sum(chi1 * y, axis=0) / (2.0 * eps) ** 2
 
 

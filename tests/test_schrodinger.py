@@ -24,6 +24,7 @@ from csop.schrodinger import (
     Grid1D,
     PotentialSpec,
     Tridiagonal,
+    _band_lu,
     avg_resolvent_kernel,
     boost,
     bq_norm,
@@ -184,6 +185,46 @@ class TestDoubling:
             min_lambda(case(1.4e-13))
         with pytest.raises(SingularShiftError):
             min_lambda(Tridiagonal(sub=np.zeros(2), main=np.array([2.0, 1.0, 0.0]), sup=np.zeros(2)))
+
+
+class TestBandLU:
+    @settings(max_examples=100, deadline=None)
+    @given(case=st.one_of(tridiagonals(True), tridiagonals(False)), cols=st.sampled_from([(), (3,)]))
+    @example(case=(Tridiagonal(sub=np.zeros(0), main=np.array([0.5 + 2.0j]), sup=np.zeros(0)), 1.5j), cols=())
+    @example(case=(Tridiagonal(sub=np.zeros(0), main=np.array([-3.0]), sup=np.zeros(0)), 0.5), cols=(3,))
+    def test_solve_matches_dense(self, case, cols):
+        t, shift = case
+        n = t.main.size
+        dense = t.dense(shift)
+        sv = np.linalg.svd(dense, compute_uv=False)
+        scale = max(sv[0], 1.0)
+        rng = np.random.default_rng(n)
+        b = rng.standard_normal((n,) + cols)
+        if np.iscomplexobj(dense):
+            b = b + 1j * rng.standard_normal(b.shape)
+        try:
+            solve = _band_lu(t, shift)
+            xs = [solve(b), solve(b, trans=1)]
+        except SingularShiftError:
+            assert sv[-1] <= 1e-12 * scale  # refused only on a numerically singular draw
+            return
+        for x, mat in zip(xs, (dense, dense.T)):
+            assert x.shape == b.shape
+            # partial pivoting is backward stable on every draw, singular ones included
+            assert np.max(np.abs(mat @ x - b)) <= 1e-13 * scale * max(np.max(np.abs(x)), 1.0)
+            if sv[-1] > 1e-8 * scale:
+                ref = np.linalg.solve(mat, b)
+                assert np.max(np.abs(x - ref)) <= 1e-12 * (scale / sv[-1]) * np.max(np.abs(ref))
+
+    def test_singular_shift_raises_from_the_factorization(self):
+        zero_pivot = Tridiagonal(sub=np.zeros(2), main=np.array([2.0, 1.0, 0.0]), sup=np.zeros(2))
+        with pytest.raises(SingularShiftError):
+            _band_lu(zero_pivot, 0.0)
+        # a finite solve at or above 1 / sqrt(tiny) is singular to working precision
+        overflow = Tridiagonal(sub=np.zeros(2), main=np.array([2.0, 1.0, 1e-160]), sup=np.zeros(2))
+        solve = _band_lu(overflow, 0.0)
+        with pytest.raises(SingularShiftError):
+            solve(np.ones(3))
 
 
 @pytest.fixture(scope="module")
