@@ -330,24 +330,29 @@ def takagi(a) -> TakagiFactorization:
     return TakagiFactorization(u=u, sigma=sigma)
 
 
+def _singular(lam: float, bound: float, norm) -> bool:
+    """True when lam < max(SINGULAR_RTOL * ||A||, ABS_FLOOR): the shift is numerically in the spectrum.
+
+    `bound` >= ||A|| decides first; the exact ||A||, from the zero-argument
+    callable `norm`, is computed only when lam falls below the bound's threshold.
+    """
+    return lam < max(SINGULAR_RTOL * bound, ABS_FLOOR) and lam < max(SINGULAR_RTOL * norm(), ABS_FLOOR)
+
+
 def resolvent_norm(a, conj: Conjugation | None = None, z: complex = 0.0) -> float:
     """Operator norm of (A - z I)^-1 as 1 / min lambda of the antilinear problem.
 
     Min lambda is eigenvalue n (from 0) of the 2n doubling of the reduced
     problem, taken alone.  Raises SingularShiftError when min lambda <
-    SINGULAR_RTOL * ||A||: z is numerically in the spectrum.  The exact
-    ||A|| is computed only when min lambda falls below SINGULAR_RTOL times
-    the Frobenius norm, which bounds it from above.
+    SINGULAR_RTOL * ||A||: z is numerically in the spectrum (_singular, with
+    the Frobenius norm as the bound).
     """
     mat, reduced = _reduced(a, conj, z)
     n = mat.shape[0]
     lam_min = max(float(scipy.linalg.eigh(
         real_doubling(reduced), eigvals_only=True, subset_by_index=[n, n]
     )[0]), 0.0)
-    if (
-        lam_min < max(SINGULAR_RTOL * float(np.linalg.norm(mat)), ABS_FLOOR)
-        and lam_min < max(SINGULAR_RTOL * _matrix_norm(a, mat), ABS_FLOOR)
-    ):
+    if _singular(lam_min, float(np.linalg.norm(mat)), lambda: _matrix_norm(a, mat)):
         raise SingularShiftError(
             f"min antilinear eigenvalue {lam_min:.3e} is below "
             f"{SINGULAR_RTOL:g} * ||A||; shift z={z} is numerically in the spectrum"
@@ -378,9 +383,11 @@ def minmax_norm(a) -> float:
     """max over unit u of Re(u^T A u); equals ||A|| for complex symmetric A.
 
     Exact identity Re(u^T A u) = w^T S w for w = (Re u, Im u) turns the
-    maximization into the largest eigenvalue of the real doubling S.
+    maximization into the largest eigenvalue of the real doubling S.  Raises
+    NotCSymmetricError, as antilinear_spectrum does, when A deviates from
+    symmetry by more than SYMMETRY_RTOL * ||A||.
     """
-    s = real_doubling(a)
+    s = real_doubling(_reduced(a, None, 0.0)[1])
     m = s.shape[0]
     top = scipy.linalg.eigh(s, eigvals_only=True, subset_by_index=[m - 1, m - 1])
     return float(top[0])
@@ -422,21 +429,14 @@ def minmax_even_lower_check(a, n_codim: int, trials: int, seed: int = 0) -> bool
     s = real_doubling(a)
     rng = np.random.default_rng(seed)
     for _ in range(trials):
-        if n_codim == 0:
-            basis = None
-        else:
-            f = rng.standard_normal((n_codim, dim)) + 1j * rng.standard_normal((n_codim, dim))
-            q = scipy.linalg.null_space(f)
-            basis = _real_subspace_basis(q)
-        if basis is None:
-            top = minmax_norm(a)
-        else:
-            compressed = basis.T @ s @ basis
-            compressed = 0.5 * (compressed + compressed.T)
-            m = compressed.shape[0]
-            top = float(
-                scipy.linalg.eigh(compressed, eigvals_only=True, subset_by_index=[m - 1, m - 1])[0]
-            )
+        f = rng.standard_normal((n_codim, dim)) + 1j * rng.standard_normal((n_codim, dim))
+        basis = _real_subspace_basis(scipy.linalg.null_space(f))
+        compressed = basis.T @ s @ basis
+        compressed = 0.5 * (compressed + compressed.T)
+        m = compressed.shape[0]
+        top = float(
+            scipy.linalg.eigh(compressed, eigvals_only=True, subset_by_index=[m - 1, m - 1])[0]
+        )
         if top < target:
             return False
     return True

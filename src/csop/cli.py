@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -231,12 +231,13 @@ def save_matrix_csv(path: str, matrix: np.ndarray):
     np.savetxt(path, out, delimiter=",", fmt="%.17g")
 
 
-def _base_metadata(cfg: RunConfig) -> dict:
-    meta = {"subcommand": cfg.subcommand, "csop_version": __version__}
+def _table(cfg: RunConfig, columns, rows, **meta) -> ResultTable:
+    """A ResultTable whose metadata is the subcommand, the version, every set config key, then `meta`."""
+    base = {"subcommand": cfg.subcommand, "csop_version": __version__}
     for key, val in sorted(cfg.params.items()):
         if val is not None:
-            meta[key] = list(val) if isinstance(val, tuple) else val
-    return meta
+            base[key] = list(val) if isinstance(val, tuple) else val
+    return ResultTable(columns=list(columns), rows=rows, metadata={**base, **meta})
 
 
 def _spectrum_table(cfg: RunConfig, name: str, values, vectors, **meta) -> ResultTable:
@@ -248,7 +249,7 @@ def _spectrum_table(cfg: RunConfig, name: str, values, vectors, **meta) -> Resul
     rows[:, 2::2] = vectors.T.real
     rows[:, 3::2] = vectors.T.imag
     columns = ["index", name] + [f"u{i}_{part}" for i in range(n) for part in ("re", "im")]
-    return ResultTable(columns=columns, rows=rows, metadata={**_base_metadata(cfg), "n": n, **meta})
+    return _table(cfg, columns, rows, n=n, **meta)
 
 
 def _run_takagi(cfg: RunConfig) -> ResultTable:
@@ -285,9 +286,7 @@ def _run_decay_bound(cfg: RunConfig) -> ResultTable:
             for energy, qc, q in zip(energies, qcs, qs)
         ]
         cols, columns = cols + ["q", "C"], columns + [qs, cs]
-    meta = _base_metadata(cfg)
-    meta.update(qbar=qbar, ebar=ebar, ebar_in_gap=in_gap)
-    return ResultTable(columns=cols, rows=np.column_stack(columns), metadata=meta)
+    return _table(cfg, cols, np.column_stack(columns), qbar=qbar, ebar=ebar, ebar_in_gap=in_gap)
 
 
 def _kp_hamiltonian(p):
@@ -318,25 +317,20 @@ def _run_kernel_scan(cfg: RunConfig) -> ResultTable:
     report = certify_bound(samples, inputs)
     envelope = report.c_value * np.exp(-q * samples[:, 0])
     rows = np.column_stack([samples, envelope, report.margins])
-    meta = _base_metadata(cfg)
-    meta.update(
+    return _table(
+        cfg, ["separation", "kernel_abs", "envelope", "margin"], rows,
         e_minus=gap.e_minus, e_plus=gap.e_plus, e_bottom=gap.e_bottom,
         energy=energy, q=q, q_c=qc, C=report.c_value,
         certificate_passed=report.passed, worst_margin=report.worst_margin,
         h=grid.h, theta_gap=THETA_GAP,
-    )
-    return ResultTable(
-        columns=["separation", "kernel_abs", "envelope", "margin"], rows=rows, metadata=meta
     )
 
 
 def _run_kp_fig1(cfg: RunConfig) -> ResultTable:
     p = cfg.params
     v0s = np.geomspace(p["v0_min"], p["v0_max"], p["n_points"])
-    rows = np.asarray([r.as_tuple() for r in fig1_sweep(v0s)])
-    meta = _base_metadata(cfg)
-    meta["max_rel_diff"] = float(np.max(rows[:, 6]))
-    return ResultTable(columns=list(FIG1_COLUMNS), rows=rows, metadata=meta)
+    rows = np.asarray([astuple(r) for r in fig1_sweep(v0s)])
+    return _table(cfg, FIG1_COLUMNS, rows, max_rel_diff=float(np.max(rows[:, 6])))
 
 
 def _run_resonance(cfg: RunConfig) -> ResultTable:
@@ -350,16 +344,11 @@ def _run_resonance(cfg: RunConfig) -> ResultTable:
     scan = perturbation_scan(pot, grid, theta, p["gamma_values"], z_probe, base.z)
     rows = np.column_stack([scan.gammas, scan.z_res.real, scan.z_res.imag, scan.norms, scan.bound_estimates])
     fitted = fit_relative_bound(pot, grid, theta)
-    meta = _base_metadata(cfg)
-    meta.update(
+    return _table(
+        cfg, ["gamma", "z_res_re", "z_res_im", "resolvent_norm", "bound_estimate"], rows,
         z_probe_re=z_probe.real, z_probe_im=z_probe.imag,
         rel_bound_a=scan.rel_bound.a, rel_bound_b=scan.rel_bound.b,
         rel_bound_fitted_a=fitted.a, rel_bound_fitted_b=fitted.b,
-    )
-    return ResultTable(
-        columns=["gamma", "z_res_re", "z_res_im", "resolvent_norm", "bound_estimate"],
-        rows=rows,
-        metadata=meta,
     )
 
 
@@ -373,8 +362,7 @@ def _run_resolvent_map(cfg: RunConfig) -> ResultTable:
     points = [(re, im) for re in res for im in ims]
     norms = [1.0 / sigma_min(ham, complex(*pt)) for pt in points]
     rows = np.asarray([(re, im, nv) for (re, im), nv in zip(points, norms)])
-    meta = _base_metadata(cfg)
-    return ResultTable(columns=["re_z", "im_z", "norm"], rows=rows, metadata=meta)
+    return _table(cfg, ["re_z", "im_z", "norm"], rows)
 
 
 _RUNNERS = {

@@ -92,7 +92,6 @@ class BoundResult:
     f_value: float
     c_value: float
     q_critical: float
-    valid: bool
 
 
 def decay_envelope(gap: GapSpectrum, energy: float, q: float) -> float:
@@ -154,7 +153,7 @@ def bound_constant(inputs: BoundInputs) -> BoundResult:
     c = math.exp(2.0 * q * inputs.eps) / (
         omega_eps(inputs.eps, inputs.dim) * margin * (1.0 - q / f)
     )
-    return BoundResult(f_value=f, c_value=c, q_critical=qc, valid=True)
+    return BoundResult(f_value=f, c_value=c, q_critical=qc)
 
 
 def qbar_and_ebar(gap: GapSpectrum) -> tuple[float, float, bool]:
@@ -190,16 +189,7 @@ def certify_bound(kernel_samples, inputs: BoundInputs) -> CertificateReport:
     margin.
     """
     result = bound_constant(inputs)
-    samples = np.atleast_2d(np.asarray(list(kernel_samples), dtype=float))
-    if samples.size == 0:
-        return CertificateReport(
-            passed=True,
-            margins=np.empty(0),
-            worst_margin=math.inf,
-            c_value=result.c_value,
-            q=inputs.q,
-            sample_pass=np.empty(0, dtype=bool),
-        )
+    samples = np.asarray(list(kernel_samples), dtype=float).reshape(-1, 2)
     seps = samples[:, 0]
     vals = samples[:, 1]
     log_bound = math.log(result.c_value) - inputs.q * seps
@@ -209,7 +199,7 @@ def certify_bound(kernel_samples, inputs: BoundInputs) -> CertificateReport:
     return CertificateReport(
         passed=bool(np.all(ok)),
         margins=margins,
-        worst_margin=float(np.min(margins)),
+        worst_margin=float(np.min(margins, initial=math.inf)),
         c_value=result.c_value,
         q=inputs.q,
         sample_pass=ok,

@@ -145,10 +145,6 @@ class Fig1Row:
     q_bound: float
     rel_diff: float
 
-    def as_tuple(self) -> tuple:
-        return (self.v0, self.gap, self.width, self.g_over_w,
-                self.q_exact, self.q_bound, self.rel_diff)
-
 
 def fig1_sweep(v0_values) -> list[Fig1Row]:
     """Exact decay rate vs the spectral bound across comb strengths.

@@ -133,6 +133,11 @@ class ScaledHamiltonian:
         return float(np.max(row))
 
 
+def _dilated(f: Callable[[np.ndarray], np.ndarray], grid: Grid1D, theta: complex) -> np.ndarray:
+    """f(e^theta x) at the grid points, as a complex array."""
+    return np.asarray(f(np.exp(theta) * grid.points.astype(complex)), dtype=complex)
+
+
 def build_scaled(
     pot: DilationPotential, grid: Grid1D, theta: complex, gamma: float = 0.0
 ) -> ScaledHamiltonian:
@@ -144,10 +149,9 @@ def build_scaled(
     if gamma != 0.0 and pot.w is None:
         raise ValueError("gamma != 0 requires a perturbation w on the potential")
 
-    zx = np.exp(theta) * grid.points.astype(complex)
-    diag_v = np.asarray(pot.v(zx), dtype=complex)
+    diag_v = _dilated(pot.v, grid, theta)
     if gamma != 0.0:
-        diag_v = diag_v + gamma * np.asarray(pot.w(zx), dtype=complex)
+        diag_v = diag_v + gamma * _dilated(pot.w, grid, theta)
 
     bands = Tridiagonal.laplacian(grid, np.exp(-2.0 * theta), diag_v)
     return ScaledHamiltonian(bands=bands, grid=grid, theta=theta, gamma=gamma, potential=pot)
@@ -164,8 +168,7 @@ class SpectrumClassification:
     dtheta: complex
 
     def with_label(self, label: str) -> np.ndarray:
-        mask = np.array([lab == label for lab in self.labels], dtype=bool)
-        return self.eigenvalues[mask]
+        return self.eigenvalues[np.array(self.labels, dtype=str) == label]
 
 
 def _eigenvalues_in_disc(h: ScaledHamiltonian, centre: complex, radius: float) -> np.ndarray:
@@ -476,7 +479,9 @@ class RelativeBound:
     """Constants (a, b) with ||w_theta psi|| <= a ||Lap psi|| + b ||psi||.
 
     `fitted` distinguishes least-squares sampled constants from the exact
-    multiplication-operator pair (0, sup|w_theta|).
+    multiplication-operator pair (0, sup|w_theta|), the one perturbation_scan
+    uses: its bound_estimate is b ||(H_theta - z)^-1|| = sup|w_theta| *
+    ||(H_theta - z)^-1||.
     """
 
     a: float
@@ -487,8 +492,7 @@ class RelativeBound:
 def _w_diagonal(pot: DilationPotential, grid: Grid1D, theta: complex) -> np.ndarray:
     if pot.w is None:
         raise ValueError("potential has no perturbation w")
-    zx = np.exp(theta) * grid.points.astype(complex)
-    return np.asarray(pot.w(zx), dtype=complex)
+    return _dilated(pot.w, grid, theta)
 
 
 def exact_relative_bound(pot: DilationPotential, grid: Grid1D, theta: complex) -> RelativeBound:
@@ -562,10 +566,9 @@ def perturbation_scan(
 
     The resonance is polished at every gamma, from the caller's located
     resonance `z_start` at the first gamma and from the previous one after
-    that.  bound_estimate is the closed-form
-    a/(1-a) + (b + a |z|)/(1-a) ||(H_theta - z)^-1|| controlling
-    ||w_theta (H_theta - z)^-1|| for the exact multiplication-operator pair
-    (a, b) = (0, sup|w_theta|); it uses the unperturbed resolvent, so the
+    that.  bound_estimate = sup|w_theta| * ||(H_theta - z)^-1|| bounds
+    ||w_theta (H_theta - z)^-1|| through the exact multiplication-operator
+    pair (a, b) = (0, sup|w_theta|); it uses the unperturbed resolvent, so the
     column is constant, and a gamma of 0 reuses that norm.
     """
     if pot.w is None:
@@ -575,8 +578,7 @@ def perturbation_scan(
     gammas = np.asarray(list(gamma_values), dtype=float)
     h0 = build_scaled(pot, grid, theta, 0.0)
     base_norm = 1.0 / sigma_min(h0, z_probe)
-    a, b = rel_bound.a, rel_bound.b
-    bound = a / (1.0 - a) + (b + a * abs(z_probe)) / (1.0 - a) * base_norm
+    bound = rel_bound.b * base_norm
 
     z_res = np.empty(gammas.size, dtype=complex)
     norms = np.empty(gammas.size)

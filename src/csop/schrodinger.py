@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .antilinear import ABS_FLOOR, SINGULAR_RTOL
+from .antilinear import SINGULAR_RTOL, _singular
 from .errors import (
     BallOutsideDomainError,
     ConvergenceError,
@@ -127,9 +127,7 @@ class Tridiagonal:
         """
         main = self.main - shift
         ab = np.zeros((4, 2 * main.size))
-        if np.iscomplexobj(main) or np.iscomplexobj(self.sup) or np.iscomplexobj(self.sub):
-            if not np.array_equal(self.sub, self.sup):
-                raise ValueError("the doubling of a complex tridiagonal needs it symmetric")
+        if self._complex_doubling(shift):
             ab[3, 0::2] = main.real
             ab[3, 1::2] = -main.real
             ab[2, 1::2] = -main.imag           # (x_i, y_i)
@@ -142,6 +140,13 @@ class Tridiagonal:
             ab[2, 2::2] = self.sup             # (y_i, x_i+1) = M[i, i + 1]
             ab[0, 3::2] = self.sub             # (x_i, y_i+1) = M[i + 1, i]
         return ab
+
+    def _complex_doubling(self, shift: complex) -> bool:
+        """Whether self - shift is complex; that doubling needs self symmetric (ValueError otherwise)."""
+        complex_ = np.issubdtype(np.result_type(self.main, self.sub, self.sup, shift), np.complexfloating)
+        if complex_ and not np.array_equal(self.sub, self.sup):
+            raise ValueError("the doubling of a complex tridiagonal needs it symmetric")
+        return complex_
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """self @ x for a vector or a block of column vectors."""
@@ -195,9 +200,7 @@ def _lanczos_pair(a: Tridiagonal, shift: complex) -> tuple[float, np.ndarray]:
     an upper bound on sigma_min.  Raises SingularShiftError from _band_lu, and
     ConvergenceError when ARPACK fails or exceeds LANCZOS_MAXITER restarts.
     """
-    complex_doubling = np.issubdtype(np.result_type(a.main, a.sub, a.sup, shift), np.complexfloating)
-    if complex_doubling and not np.array_equal(a.sub, a.sup):
-        raise ValueError("the doubling of a complex tridiagonal needs it symmetric")
+    complex_doubling = a._complex_doubling(shift)
     lu_solve = _band_lu(a, shift)
 
     def solve(v):
@@ -228,47 +231,45 @@ def min_lambda(a: Tridiagonal, shift: complex = 0.0) -> tuple[float, np.ndarray]
     symmetric a, psi = w[0::2] + 1j * w[1::2] solves (a - shift) psi =
     +-lambda conj(psi), and i psi turns -lambda into +lambda.  Raises
     SingularShiftError when lambda < SINGULAR_RTOL * ||a||: the shift is
-    numerically in the spectrum.  The exact ||a|| (top eigenvalue of
-    a.doubling()) is computed only when lambda falls below SINGULAR_RTOL
-    times the cheap bound max|main| + max|sub| + max|sup| >= ||a||.
+    numerically in the spectrum (antilinear._singular, with the bound
+    max|main| + max|sub| + max|sup| >= ||a|| and the exact ||a|| as the top
+    eigenvalue of a.doubling()).
     """
     lam, w = _lanczos_pair(a, shift)
     n = a.main.size
     bound = sum(float(np.max(np.abs(d), initial=0.0)) for d in (a.main, a.sub, a.sup))
-    if lam < max(SINGULAR_RTOL * bound, ABS_FLOOR):
-        norm = float(scipy.linalg.eig_banded(
-            a.doubling(), eigvals_only=True, select="i", select_range=(2 * n - 1, 2 * n - 1)
-        )[0])
-        if lam < max(SINGULAR_RTOL * norm, ABS_FLOOR):
-            raise SingularShiftError(
-                f"sigma_min = {lam:.3e} is below {SINGULAR_RTOL:g} * ||A|| = "
-                f"{SINGULAR_RTOL * norm:.3e}; shift {shift:.6g} is numerically in the spectrum"
-            )
+    if _singular(lam, bound, lambda: float(scipy.linalg.eig_banded(
+        a.doubling(), eigvals_only=True, select="i", select_range=(2 * n - 1, 2 * n - 1)
+    )[0])):
+        raise SingularShiftError(
+            f"sigma_min = {lam:.3e} is below {SINGULAR_RTOL:g} * ||A||; "
+            f"shift {shift:.6g} is numerically in the spectrum"
+        )
     return lam, w
 
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Scalar potential: either sampled values at the grid points or a delta comb."""
+    """Scalar potential: sampled values (>= 0) at the grid points, or a delta comb of strength > 0."""
 
     kind: str
     values: np.ndarray | None = None
     positions: np.ndarray | None = None
     strength: float = 0.0
 
+    def __post_init__(self):
+        if self.kind == "sampled" and np.any(np.asarray(self.values, dtype=float) < 0):
+            raise NegativePotentialError("sampled potential values must be >= 0")
+        if self.kind == "delta_comb" and self.strength <= 0:
+            raise ValueError("delta comb strength v0 must be positive")
+
     @classmethod
     def sampled(cls, values) -> "PotentialSpec":
-        vals = np.asarray(values, dtype=float)
-        if np.any(vals < 0):
-            raise NegativePotentialError("sampled potential values must be >= 0")
-        return cls(kind="sampled", values=vals)
+        return cls(kind="sampled", values=np.asarray(values, dtype=float))
 
     @classmethod
     def delta_comb(cls, positions, strength: float) -> "PotentialSpec":
-        if strength <= 0:
-            raise ValueError("delta comb strength v0 must be positive")
-        pos = np.asarray(positions, dtype=float)
-        return cls(kind="delta_comb", positions=pos, strength=float(strength))
+        return cls(kind="delta_comb", positions=np.asarray(positions, dtype=float), strength=float(strength))
 
 
 @dataclass
@@ -287,11 +288,6 @@ class DiscreteHamiltonian:
 
     def eigenvalues(self) -> np.ndarray:
         return self.eigensystem()[0]
-
-    @property
-    def norm(self) -> float:
-        evals = self.eigenvalues()
-        return float(max(abs(evals[0]), abs(evals[-1])))
 
 
 @dataclass(frozen=True)
@@ -325,8 +321,6 @@ def _potential_vector(grid: Grid1D, pot: PotentialSpec) -> np.ndarray:
             raise ValueError(
                 f"sampled potential needs {grid.n} values, got {vals.shape}"
             )
-        if np.any(vals < 0):
-            raise NegativePotentialError("sampled potential values must be >= 0")
         return vals.copy()
     if pot.kind == "delta_comb":
         pos = np.asarray(pot.positions, dtype=float)

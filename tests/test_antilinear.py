@@ -246,9 +246,25 @@ class TestMinmax:
         a = ComplexSymmetricMatrix(random_complex_symmetric(12, rng))
         assert minmax_norm(a) == pytest.approx(a.norm, rel=1e-11)
 
+    def test_not_symmetric_raises(self):
+        # the doubling of a non-symmetric array is not the form Re(u^T A u),
+        # and its top eigenvalue is neither ||A|| nor ||(A + A^T)/2||: refuse
+        # the array, as antilinear_spectrum, takagi and resolvent_norm do
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        with pytest.raises(NotCSymmetricError):
+            minmax_norm(a)
+
     def test_even_lower_check_diag(self):
         a = ComplexSymmetricMatrix(np.diag([3.0, 2.0, 1.0]))
         assert minmax_even_lower_check(a, 1, 25, seed=0)
+
+    def test_even_lower_check_codim_zero(self):
+        # with no functionals the sampled subspace is the whole space, and
+        # the compressed maximum is ||A|| = lambda_0 itself
+        rng = np.random.default_rng(13)
+        a = ComplexSymmetricMatrix(random_complex_symmetric(8, rng))
+        assert minmax_even_lower_check(a, 0, 3, seed=0)
 
     def test_even_lower_check_random(self):
         rng = np.random.default_rng(12)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csop import scaling, schrodinger
-from csop.errors import ConvergenceError, SingularShiftError, StripViolationError
+from csop.errors import ConvergenceError, PairingAmbiguityError, SingularShiftError, StripViolationError
 from csop.scaling import (
     DilationPotential,
     build_scaled,
@@ -116,6 +116,22 @@ class TestClassify:
         assert bound.size >= 1
         assert np.all(bound.real < 0)
         assert np.max(np.abs(bound.imag)) < 1e-3
+
+    def test_two_points_sharing_one_partner_raise(self, monkeypatch):
+        # both resonance points lie within the stationarity radius of the one
+        # eigenvalue of h2, but farther than that radius from each other
+        grid = Grid1D(length=40.0, n=60)
+        h1 = build_scaled(ALPHA75, grid, 0.3j)
+        h2 = build_scaled(ALPHA75, grid, 0.32j)
+        partner = 4.0 - 0.2j
+        reach = scaling.STAT_FACTOR * abs(partner) * 0.02
+        pair = partner + np.array([-0.75, 0.75]) * reach
+        monkeypatch.setattr(
+            scaling, "_eigenvalues_in_disc",
+            lambda h, centre, radius: pair if h is h1 else np.array([partner]),
+        )
+        with pytest.raises(PairingAmbiguityError):
+            classify_spectrum(h1, h2, WINDOW)
 
     def test_alpha75_exactly_one_resonance_in_window(self):
         grid = Grid1D(length=40.0, n=1000)
@@ -314,6 +330,13 @@ class TestEssentialFloor:
         report = essential_floor_check(ham, 2.0 - 1.0j)
         assert report.count_below == 0
         assert report.floor == pytest.approx(ray_distance(2.0 - 1.0j, 0.3j))
+
+    def test_zero_floor_gives_empty_report(self):
+        # z = 0 lies on the rotated ray: the floor is 0 and no value is below it
+        ham = build_scaled(ALPHA75, Grid1D(length=40.0, n=300), 0.3j)
+        report = essential_floor_check(ham, 0.0)
+        assert report.floor == report.tol == 0.0
+        assert report.count_below == report.near_floor_count == report.below.size == 0
 
     @pytest.mark.parametrize("n", [300, 1000])
     def test_z_on_polished_eigenvalue(self, n):

@@ -323,7 +323,7 @@ class TestBoost:
         ev = np.sort(np.linalg.eigvals(boost(ham, q).dense()).real)
         e0 = ham.eigenvalues()
         cut = np.searchsorted(e0, 30.0)
-        tol = 1.2 * q * q * 30.0 * ham.grid.h**2 / 2.0 + 1e-10 * ham.norm
+        tol = 1.2 * q * q * 30.0 * ham.grid.h**2 / 2.0 + 1e-10 * np.max(np.abs(e0))
         assert np.max(np.abs(ev[:cut] - e0[:cut])) < tol
 
     def test_real_spectrum_and_sigma_min_pattern(self, kp_grid_600):
@@ -331,7 +331,7 @@ class TestBoost:
         q = 0.2
         hq = boost(ham, q)
         evals = np.linalg.eigvals(hq.dense())
-        assert np.max(np.abs(evals.imag)) < 1e-9 * ham.norm
+        assert np.max(np.abs(evals.imag)) < 1e-9 * np.max(np.abs(ham.eigenvalues()))
         _, ebar, _ = qbar_and_ebar(gap)
         smin_q = np.linalg.svd(hq.dense(ebar), compute_uv=False).min()
         smin_0 = np.min(np.abs(ham.eigenvalues() - ebar))
@@ -369,7 +369,7 @@ class TestGammaNorm:
             bq = bq_norm(ham, gap, q, energy)
             lower = np.min(np.abs(evals - ebar)) * (1.0 - 2.0 * bq)
             if lower > 0:
-                assert 1.0 / gam >= lower - 1e-8 * ham.norm
+                assert 1.0 / gam >= lower - 1e-8 * np.max(np.abs(evals))
 
     def test_shift_outside_gap_raises(self, kp_grid_600):
         ham, gap = kp_grid_600
@@ -395,6 +395,13 @@ class TestBqNorm:
             gap.e_minus / ((gap.e_plus - shift) * (shift - gap.e_minus))
         )
         assert computed <= bound
+
+    def test_empty_lower_block_is_zero(self, kp_grid_600):
+        # a gap below every eigenvalue of H leaves P- empty, so B_q has no columns
+        ham, _ = kp_grid_600
+        e1 = float(ham.eigenvalues()[0])
+        q = math.sqrt(0.25 * e1)
+        assert bq_norm(ham, GapSpectrum(0.0, e1), q, 0.25 * e1) == 0.0
 
     def test_frozen_weights_linear_in_q(self, kp_grid_600):
         ham, gap = kp_grid_600
