@@ -9,8 +9,10 @@ Every solver here reduces it to one real symmetric eigenproblem of twice the
 size: writing u = x + i y and A = B + i C', the problem is equivalent to
 S w = lam w with w = (x, y) and S = [[B, -C'], [-C', -B]].  The positive
 eigenvalues of S are the singular values of A, and the eigenvectors give
-phase-correct antilinear eigenvectors u = x + i y.  This is also the engine
-behind the Takagi factorization and the variational norm principle.
+phase-correct antilinear eigenvectors u = x + i y.  Full spectra (and the
+Takagi factorization) come from divide-and-conquer eigh on S in place; the
+resolvent norm from _lanczos, the shift-invert Lanczos of schrodinger's
+banded norms too, on a dense LU of A - z (_dense_lu).
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 from .errors import (
+    ConvergenceError,
     DegenerateClusterWarning,
     IndexOutOfRangeError,
     NotCSymmetricError,
@@ -46,6 +50,9 @@ ABS_FLOOR = 1e-14        # absolute floor under all norm-relative thresholds
 SYMMETRY_RTOL = 1e-10    # allowed asymmetry of conj(P) @ (A - z I), rel. to ||A||
 CLUSTER_RTOL = 1e-10     # singular values closer than this (rel.) form a cluster
 SINGULAR_RTOL = 1e-13    # smallest lambda below this (rel.) means z is in the spectrum
+LANCZOS_TOL = 1e-14      # relative Ritz residual at which shift-invert Lanczos stops
+LANCZOS_MAXITER = 100    # ARPACK restarts before shift-invert Lanczos gives up
+SOLVE_MAX = np.finfo(float).tiny ** -0.5  # larger solves: sigma_min^2 overflows, shift singular
 
 
 class ComplexSymmetricMatrix:
@@ -162,9 +169,8 @@ def real_doubling(a) -> np.ndarray:
     spectrum is exactly {+-sigma_k(A)}.
     """
     mat = _as_matrix(a)
-    b = mat.real
-    c = mat.imag
-    return np.block([[b, -c], [-c, -b]])
+    minus_c = -mat.imag
+    return np.block([[mat.real, minus_c], [minus_c, -mat.real]])
 
 
 def _fix_sign(u: np.ndarray) -> np.ndarray:
@@ -204,14 +210,15 @@ def _orthonormal_columns(cands: np.ndarray, keep: int, rank_tol: float = 1e-4):
     return np.column_stack(out)
 
 
-def _antilinear_plain(mat: np.ndarray, scale: float):
-    """Solve A u = lam conj(u) for plain complex symmetric A.
+def _antilinear_plain(s: np.ndarray, scale: float):
+    """Solve A u = lam conj(u) for plain complex symmetric A from s = real_doubling(A), overwritten.
 
     Returns (lambdas descending, vectors as columns, degenerate flag).
     """
-    n = mat.shape[0]
-    s = real_doubling(mat)
-    evals, evecs = scipy.linalg.eigh(s)
+    n = s.shape[0] // 2
+    # s is symmetric, so s.T is a Fortran-ordered view that eigh overwrites
+    # instead of copying; divide-and-conquer deflates the clustered spectra
+    evals, evecs = scipy.linalg.eigh(s.T, driver="evd", overwrite_a=True)
     ctol = max(CLUSTER_RTOL * scale, ABS_FLOOR)
 
     # top-n eigenvalues of S, descending, are the singular values of A
@@ -301,7 +308,9 @@ def antilinear_spectrum(a, conj: Conjugation | None = None, z: complex = 0.0) ->
     """
     mat, reduced = _reduced(a, conj, z)
     scale = _matrix_norm(a, mat)
-    lam_desc, vec_desc, degenerate = _antilinear_plain(reduced, scale)
+    s = real_doubling(reduced)
+    del reduced  # freed before eigh, whose peak is the doubling plus its workspace
+    lam_desc, vec_desc, degenerate = _antilinear_plain(s, scale)
     return AntilinearSpectrum(
         lambdas=lam_desc[::-1].copy(),
         vectors=vec_desc[:, ::-1].copy(),
@@ -339,19 +348,54 @@ def _singular(lam: float, bound: float, norm) -> bool:
     return lam < max(SINGULAR_RTOL * bound, ABS_FLOOR) and lam < max(SINGULAR_RTOL * norm(), ABS_FLOOR)
 
 
+def _lanczos(solve, m: int, maxiter: int, what: str) -> tuple[float, np.ndarray]:
+    """(sigma, w): the smallest |eigenvalue| of an m x m real symmetric S (an upper bound) and its eigenvector.
+
+    Seeded ARPACK Lanczos on solve(v) = S^-1 v, largest magnitude +-1 / sigma.
+    Raises ConvergenceError, naming `what`, when ARPACK fails or exceeds `maxiter` restarts.
+    """
+    op = scipy.sparse.linalg.LinearOperator((m, m), matvec=solve, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(m)
+    try:
+        theta, w = scipy.sparse.linalg.eigsh(op, k=1, which="LM", v0=v0, tol=LANCZOS_TOL, maxiter=maxiter)
+    except scipy.sparse.linalg.ArpackError as exc:
+        raise ConvergenceError(f"Lanczos for {what}: {exc}") from None
+    return 1.0 / abs(float(theta[0])), w[:, 0]
+
+
+def _dense_lu(a: np.ndarray):
+    """Factor the square array a once (?getrf, in place) and return its solve, solve(b) -> x.
+
+    Raises SingularShiftError at a zero pivot and when a solve's largest
+    entry is not below SOLVE_MAX, as schrodinger._band_lu does.
+    """
+    getrf, getrs = scipy.linalg.lapack.get_lapack_funcs(("getrf", "getrs"), (a,))
+    lu, piv, info = getrf(a, overwrite_a=True)
+    if info > 0:
+        raise SingularShiftError(f"A - z is singular: zero pivot {info}")
+
+    def solve(b):
+        x = getrs(lu, piv, b)[0]
+        if not np.max(np.abs(x)) < SOLVE_MAX:
+            raise SingularShiftError("A - z is singular to working precision")
+        return x
+
+    return solve
+
+
 def resolvent_norm(a, conj: Conjugation | None = None, z: complex = 0.0) -> float:
     """Operator norm of (A - z I)^-1 as 1 / min lambda of the antilinear problem.
 
-    Min lambda is eigenvalue n (from 0) of the 2n doubling of the reduced
-    problem, taken alone.  Raises SingularShiftError when min lambda <
-    SINGULAR_RTOL * ||A||: z is numerically in the spectrum (_singular, with
-    the Frobenius norm as the bound).
+    _lanczos takes min lambda from the 2n doubling S of the reduced A', factored
+    once (_dense_lu): S w = v is A' u = conj(v) for w, v viewed as complex.
+    Raises SingularShiftError from _dense_lu and when min lambda < SINGULAR_RTOL
+    * ||A|| (_singular, Frobenius bound), ConvergenceError from _lanczos.
     """
     mat, reduced = _reduced(a, conj, z)
-    n = mat.shape[0]
-    lam_min = max(float(scipy.linalg.eigh(
-        real_doubling(reduced), eigvals_only=True, subset_by_index=[n, n]
-    )[0]), 0.0)
+    # reduced is symmetric, so reduced.T is a Fortran-ordered view that getrf overwrites
+    lu_solve = _dense_lu(reduced.T)
+    lam_min, _ = _lanczos(lambda v: lu_solve(np.conj(v.view(complex))).view(float),
+                          2 * mat.shape[0], LANCZOS_MAXITER, f"sigma_min at z={z}")
     if _singular(lam_min, float(np.linalg.norm(mat)), lambda: _matrix_norm(a, mat)):
         raise SingularShiftError(
             f"min antilinear eigenvalue {lam_min:.3e} is below "
@@ -389,7 +433,8 @@ def minmax_norm(a) -> float:
     """
     s = real_doubling(_reduced(a, None, 0.0)[1])
     m = s.shape[0]
-    top = scipy.linalg.eigh(s, eigvals_only=True, subset_by_index=[m - 1, m - 1])
+    # s is symmetric, so s.T is a Fortran-ordered view that eigh overwrites
+    top = scipy.linalg.eigh(s.T, eigvals_only=True, subset_by_index=[m - 1, m - 1], overwrite_a=True)
     return float(top[0])
 
 

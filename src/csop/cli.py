@@ -383,17 +383,16 @@ def run(subcommand: str, cfg: RunConfig) -> ResultTable:
     return _RUNNERS[subcommand](cfg)
 
 
-def _fmt(x) -> str:
-    return f"{float(x) + 0.0:.17g}"
-
-
 def emit(table: ResultTable, fmt: str = "csv") -> bytes:
     """Serialize a ResultTable; identical tables give identical bytes."""
     rows = np.atleast_2d(table.rows) if table.rows.size else np.empty((0, len(table.columns)))
     if fmt == "csv":
         lines = [f"# {key} = {table.metadata[key]}" for key in sorted(table.metadata)]
         lines.append(",".join(table.columns))
-        lines += [",".join(_fmt(x) for x in row) for row in rows]
+        # one %-format per row, + 0.0 turning -0.0 into 0.0; converting row by
+        # row keeps the table's Python floats from all being alive at once
+        row_fmt = ",".join(["%.17g"] * rows.shape[1])
+        lines += [row_fmt % tuple(row.tolist()) for row in rows + 0.0]
         return ("\n".join(lines) + "\n").encode()
     if fmt == "json":
         payload = {

@@ -6,14 +6,15 @@ H_q = H + 2 q D - q^2 I.  This choice keeps H real symmetric and makes the
 transpose identity H_q^T = H_{-q} hold bitwise, which is what the block
 embedding needs to turn decay estimates into resolvent-norm estimates.
 Operators store their three diagonals (Tridiagonal), not a dense matrix, and
-every resolvent norm comes from one engine, min_lambda: shift-invert Lanczos on
-the banded real doubling (for real H_q - E the block embedding).  Every
-shifted solve, in scaling too, goes through one tridiagonal LU, _band_lu.
+every resolvent norm, dense ones too, comes from one engine,
+antilinear._lanczos; min_lambda runs it on the banded real doubling (for
+real H_q - E the block embedding).  Every banded shifted solve, in scaling
+too, goes through one tridiagonal LU, _band_lu.
 
 Fixed tolerances: THETA_GAP is the closest a shift may come to an eigenvalue
 of H; find_gap's spacing test uses GAP_MIN and GAP_WINDOW, and it drops
 surface states by EDGE_MARGIN and EDGE_WEIGHT; shift-invert ARPACK stops at
-LANCZOS_TOL and gives up after LANCZOS_MAXITER restarts.
+LANCZOS_TOL and gives up after LANCZOS_MAXITER restarts (both from antilinear).
 """
 
 from __future__ import annotations
@@ -23,12 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
-from .antilinear import SINGULAR_RTOL, _singular
+from .antilinear import LANCZOS_MAXITER, LANCZOS_TOL, SINGULAR_RTOL, SOLVE_MAX, _lanczos, _singular
 from .errors import (
     BallOutsideDomainError,
-    ConvergenceError,
     InvalidGapError,
     NegativePotentialError,
     NoGapFoundError,
@@ -59,8 +58,6 @@ GAP_MIN = 1e-6       # absolute spacing a gap must exceed
 GAP_WINDOW = 5       # spacings on each side that set the local mean spacing
 EDGE_MARGIN = 5      # grid points next to a wall that count as its edge
 EDGE_WEIGHT = 0.25   # edge share of the norm above which an eigenvector is a surface state
-LANCZOS_TOL = 1e-14  # relative Ritz residual at which shift-invert Lanczos stops
-LANCZOS_MAXITER = 100  # ARPACK restarts before shift-invert Lanczos gives up
 
 
 @dataclass(frozen=True)
@@ -162,9 +159,8 @@ def _band_lu(a: Tridiagonal, shift: complex):
 
     trans = 1 solves with the plain transpose; b is a vector or a block of
     columns.  Raises SingularShiftError at a zero pivot, and when a solve's
-    largest entry is not below 1 / sqrt(tiny) (inf and NaN included): that
-    puts sigma_min(a - shift) far below ABS_FLOOR, and its square would
-    overflow inside Lanczos.
+    largest entry is not below antilinear.SOLVE_MAX = 1 / sqrt(tiny) (inf
+    and NaN included), as antilinear._dense_lu does.
     """
     n = a.main.size
     # SciPy's ?gttrf wrapper refuses n < 3, and min_lambda takes any n: one
@@ -176,12 +172,11 @@ def _band_lu(a: Tridiagonal, shift: complex):
     *lu, info = gttrf(*diagonals)
     if info > 0:
         raise SingularShiftError(f"shift {shift:.6g} makes A - shift singular: zero pivot {info}")
-    overflow = 1.0 / math.sqrt(np.finfo(float).tiny)
 
     def solve(b, trans=0):
         b = np.concatenate([b, np.zeros((pad,) + np.shape(b)[1:])])
         x = gttrs(*lu, b, trans="NT"[trans])[0][:n]
-        if not np.max(np.abs(x)) < overflow:
+        if not np.max(np.abs(x)) < SOLVE_MAX:
             raise SingularShiftError(f"shift {shift:.6g} makes A - shift singular to working precision")
         return x
 
@@ -191,14 +186,10 @@ def _band_lu(a: Tridiagonal, shift: complex):
 def _lanczos_pair(a: Tridiagonal, shift: complex) -> tuple[float, np.ndarray]:
     """(sigma_min(a - shift), w) with no singularity threshold.
 
-    Shift-invert Lanczos (ARPACK eigsh) on S = a.doubling(shift): a - shift is
-    factored once (_band_lu), and S^-1 is one or two n x n tridiagonal solves
-    in the interleaved coordinates.  eigsh takes the largest-magnitude
-    eigenvalue +-1 / sigma_min of S^-1 (at a rounding-level sigma_min both
-    computed eigenvalues of S near 0 can share a sign) and w, the eigenvector
-    of S at +-sigma_min.  Ritz values lie inside the spectrum, so the value is
-    an upper bound on sigma_min.  Raises SingularShiftError from _band_lu, and
-    ConvergenceError when ARPACK fails or exceeds LANCZOS_MAXITER restarts.
+    antilinear._lanczos on S = a.doubling(shift), with a - shift factored
+    once (_band_lu): S^-1 is one or two tridiagonal solves in the interleaved
+    coordinates.  Raises SingularShiftError from _band_lu, ConvergenceError
+    past LANCZOS_MAXITER restarts.
     """
     complex_doubling = a._complex_doubling(shift)
     lu_solve = _band_lu(a, shift)
@@ -212,16 +203,7 @@ def _lanczos_pair(a: Tridiagonal, shift: complex) -> tuple[float, np.ndarray]:
             w[1::2] = lu_solve(v[0::2], trans=1)
         return w
 
-    m = 2 * a.main.size
-    op = scipy.sparse.linalg.LinearOperator((m, m), matvec=solve, dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(m)
-    try:
-        theta, w = scipy.sparse.linalg.eigsh(
-            op, k=1, which="LM", v0=v0, tol=LANCZOS_TOL, maxiter=LANCZOS_MAXITER
-        )
-    except scipy.sparse.linalg.ArpackError as exc:
-        raise ConvergenceError(f"Lanczos for sigma_min at shift {shift:.6g}: {exc}") from None
-    return 1.0 / abs(float(theta[0])), w[:, 0]
+    return _lanczos(solve, 2 * a.main.size, LANCZOS_MAXITER, f"sigma_min at shift {shift:.6g}")
 
 
 def min_lambda(a: Tridiagonal, shift: complex = 0.0) -> tuple[float, np.ndarray]:

@@ -1,9 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from csop import antilinear
 from csop.antilinear import (
     ComplexSymmetricMatrix,
     Conjugation,
+    _dense_lu,
     antilinear_spectrum,
     block_embed,
     minmax_even_lower_check,
@@ -13,6 +19,7 @@ from csop.antilinear import (
     takagi,
 )
 from csop.errors import (
+    ConvergenceError,
     DegenerateClusterWarning,
     IndexOutOfRangeError,
     NotCSymmetricError,
@@ -141,6 +148,21 @@ class TestAntilinearSpectrum:
         expect = np.sort(np.concatenate([sv, sv]))
         assert np.max(np.abs(spec.lambdas - expect)) < 1e-10 * emb.norm
 
+    def test_block_embed_clusters(self):
+        # every singular value of M is a cluster of two in the embedding
+        rng = np.random.default_rng(14)
+        m = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+        emb, conj = block_embed(m)
+        spec = antilinear_spectrum(emb, conj)
+        sv = np.sort(np.linalg.svd(m, compute_uv=False))
+        tol = 1e-12 * sv[-1]
+        assert spec.degenerate
+        assert np.max(np.abs(spec.lambdas[0::2] - sv)) <= tol
+        assert np.max(np.abs(spec.lambdas[1::2] - sv)) <= tol
+        assert np.max(np.abs(spec.vectors.conj().T @ spec.vectors - np.eye(80))) <= 1e-12
+        resid = emb.matrix @ spec.vectors - spec.lambdas * (conj.p @ np.conj(spec.vectors))
+        assert np.max(np.linalg.norm(resid, axis=0)) <= tol
+
 
 class TestTakagi:
     def test_diagonal(self):
@@ -152,6 +174,16 @@ class TestTakagi:
         with pytest.warns(DegenerateClusterWarning):
             fac = takagi(ComplexSymmetricMatrix([[0.0, 1.0], [1.0, 0.0]]))
         assert fac.sigma == pytest.approx([1.0, 1.0])
+
+    def test_degenerate_and_rank_deficient_reconstruction(self):
+        rng = np.random.default_rng(15)
+        q, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+        a = (q * [3.0, 3.0, 1.0, 0.0, 0.0]) @ q.T
+        with pytest.warns(DegenerateClusterWarning):
+            fac = takagi(a)
+        assert np.max(np.abs(fac.sigma - [3.0, 3.0, 1.0, 0.0, 0.0])) <= 1e-12
+        assert np.linalg.norm((fac.u * fac.sigma) @ fac.u.T - a) <= 1e-10
+        assert np.max(np.abs(fac.u.conj().T @ fac.u - np.eye(5))) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 10, 50, 200])
     def test_reconstruction_random(self, n):
@@ -200,6 +232,77 @@ class TestResolventNorm:
         a = ComplexSymmetricMatrix(np.diag([1.0, 2.0]))
         with pytest.raises(SingularShiftError):
             resolvent_norm(a, None, 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), embed=st.booleans(),
+           z=st.complex_numbers(max_magnitude=3.0))
+    def test_equals_inverse_sigma_min(self, n, seed, embed, z):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if embed:
+            a, conj = block_embed(m)  # ||(diag(M, M^T) - z)^-1|| under the swap is ||(M - z)^-1||
+        else:
+            m = a = 0.5 * (m + m.T)
+            conj = None
+        sv = np.linalg.svd(m - z * np.eye(n), compute_uv=False)
+        # both sides lose about eps * cond, so keep the condition number modest
+        assume(sv[-1] > 1e-3 * sv[0])
+        assert resolvent_norm(a, conj, z) == pytest.approx(1.0 / sv[-1], rel=1e-12)
+
+    def test_exactly_singular_shift_raises_from_factorisation(self):
+        a = ComplexSymmetricMatrix(np.diag([1.0, 2.0, 3.0]))
+        with pytest.raises(SingularShiftError, match="zero pivot 2"):
+            resolvent_norm(a, None, 2.0)
+        with pytest.raises(SingularShiftError, match="zero pivot 2"):
+            _dense_lu(np.diag([-1.0, 0.0, 1.0]).astype(complex))
+
+    def test_tiny_pivot_raises_from_solve(self):
+        # a 1e-160 pivot factors, but its solve exceeds 1 / sqrt(tiny)
+        a = np.diag([1.0, 1e-160]).astype(complex)
+        solve = _dense_lu(a.copy())
+        with pytest.raises(SingularShiftError, match="working precision"):
+            solve(np.ones(2, dtype=complex))
+        with pytest.raises(SingularShiftError, match="working precision"):
+            resolvent_norm(a)
+
+    def test_lanczos_step_cap_raises(self, monkeypatch):
+        # singular values evenly spread over [1, 2]: one ARPACK restart is not enough
+        rng = np.random.default_rng(16)
+        q, _ = np.linalg.qr(rng.standard_normal((60, 60)) + 1j * rng.standard_normal((60, 60)))
+        a = (q * np.linspace(1.0, 2.0, 60)) @ q.T
+        assert resolvent_norm(a) == pytest.approx(1.0, rel=1e-12)
+        monkeypatch.setattr(antilinear, "LANCZOS_MAXITER", 1)
+        with pytest.raises(ConvergenceError):
+            resolvent_norm(a)
+
+
+def _peak_units(f, size):
+    """tracemalloc peak of f() above the memory in use before it, in units of size^2 * 8 bytes."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        f()
+        return (tracemalloc.get_traced_memory()[1] - before) / (size * size * 8)
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    # the units are the 2n x 2n real doubling, N = 600 for n = 300
+
+    def test_spectrum_peak(self):
+        # the doubling, overwritten in place by eigh (1), plus the
+        # divide-and-conquer workspace of 1 + 6N + 2N^2 doubles (2)
+        rng = np.random.default_rng(17)
+        emb, conj = block_embed(rng.standard_normal((150, 150)) + 1j * rng.standard_normal((150, 150)))
+        assert _peak_units(lambda: antilinear_spectrum(emb, conj), 600) <= 3.25
+
+    def test_resolvent_norm_peak(self):
+        # A - z, its symmetrised copy (factored in place) and the transients
+        # of that symmetrisation; no doubling is formed
+        a = random_complex_symmetric(300, np.random.default_rng(18))
+        assert _peak_units(lambda: resolvent_norm(a, None, 0.5j), 600) <= 1.5
 
 
 class TestBlockEmbed:

@@ -72,6 +72,21 @@ class TestEmit:
         text = emit(table, "csv").decode()
         assert "0.33333333333333331" in text
 
+    def test_csv_matches_per_value_format(self):
+        # the row format must give, byte for byte, f"{float(x) + 0.0:.17g}" per value
+        tiny = np.finfo(float).tiny
+        rows = np.array([
+            [-0.0, np.nan, np.inf, -np.inf],
+            [5e-324, -tiny / 3.0, 1e300, -1e300],
+            [1.0 / 3.0, -2.5, 0.0, 123456789.0],
+        ])
+        table = ResultTable(columns=["a", "b", "c", "d"], rows=rows, metadata={"k": "v"})
+        expected = "# k = v\na,b,c,d\n" + "".join(
+            ",".join(f"{float(x) + 0.0:.17g}" for x in row) + "\n" for row in rows
+        )
+        assert emit(table, "csv") == expected.encode()
+        assert expected.startswith("# k = v\na,b,c,d\n0,nan,inf,-inf\n")
+
 
 class TestMatrixIO:
     def test_round_trip(self, tmp_path):
