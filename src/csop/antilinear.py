@@ -120,7 +120,7 @@ class Conjugation:
 
     @property
     def is_identity(self) -> bool:
-        return bool(np.array_equal(self.p, np.eye(self.n)))
+        return bool(np.count_nonzero(self.p) == self.n and np.all(self.p.diagonal() == 1))
 
     def apply(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
@@ -277,7 +277,8 @@ def _reduced(a, conj: Conjugation | None, z: complex) -> tuple[np.ndarray, np.nd
     """
     mat = _as_matrix(a)
     n = mat.shape[0]
-    shifted = mat - z * np.eye(n)
+    shifted = mat.copy()
+    shifted.flat[::n + 1] -= z
     if conj is None or conj.is_identity:
         reduced = shifted
     else:

@@ -9,7 +9,8 @@ Operators store their three diagonals (Tridiagonal), not a dense matrix, and
 every resolvent norm, dense ones too, comes from one engine,
 antilinear._lanczos; min_lambda runs it on the banded real doubling (for
 real H_q - E the block embedding).  Every banded shifted solve, in scaling
-too, goes through one tridiagonal LU, _band_lu.
+too, goes through one tridiagonal LU, _band_lu.  find_gap, projector_decay
+and bq_norm compute only the eigenpairs of H up to the gap, never all n.
 
 Fixed tolerances: THETA_GAP is the closest a shift may come to an eigenvalue
 of H; find_gap's spacing test uses GAP_MIN and GAP_WINDOW, and it drops
@@ -262,11 +263,17 @@ class DiscreteHamiltonian:
     grid: Grid1D
     _eigh: tuple | None = field(default=None, repr=False, compare=False)
 
-    def eigensystem(self):
-        """Full (eigenvalues, eigenvectors), cached after the first call."""
-        if self._eigh is None:
-            self._eigh = scipy.linalg.eigh_tridiagonal(self.bands.main, self.bands.sup)
-        return self._eigh
+    def eigensystem(self, ceiling: float = math.inf):
+        """(eigenvalues, eigenvectors) at or below `ceiling` (all n pairs by default), ascending.
+
+        A finite ceiling computes only that window (?stebz + ?stein, not ?stemr,
+        whose SciPy wrapper allocates n x n); the widest window is cached and sliced."""
+        if self._eigh is None or self._eigh[0] < ceiling:
+            window = {} if ceiling == math.inf else {"select": "v", "select_range": (-math.inf, ceiling)}
+            self._eigh = (ceiling, *scipy.linalg.eigh_tridiagonal(self.bands.main, self.bands.sup, **window))
+        _, evals, evecs = self._eigh
+        k = int(np.searchsorted(evals, ceiling, side="right"))
+        return evals[:k], evecs[:, :k]
 
     def eigenvalues(self) -> np.ndarray:
         return self.eigensystem()[0]
@@ -347,13 +354,10 @@ def find_gap(
     energy.  Boundary-localized eigenvectors (more than EDGE_WEIGHT of their
     norm within EDGE_MARGIN points of a wall) are excluded from band-edge
     determination.  The largest qualifying spacing below `energy_ceiling`
-    wins.
+    wins, and only the eigenpairs up to the ceiling are computed.
     """
-    evals, evecs = h.eigensystem()
-    keep = _bulk_mask(evecs)
-    kept = evals[keep]
-    if energy_ceiling is not None:
-        kept = kept[kept <= energy_ceiling]
+    evals, evecs = h.eigensystem(math.inf if energy_ceiling is None else energy_ceiling)
+    kept = evals[_bulk_mask(evecs)]
     if kept.size < 2:
         raise NoGapFoundError("fewer than two bulk eigenvalues in the search window")
 
@@ -440,25 +444,23 @@ def bq_norm(
 ) -> float:
     """Operator norm of B_q = P+ |H-E-q^2|^(-1/2) (qD) |H-E-q^2|^(-1/2) P-.
 
-    Built from the full eigendecomposition; P+/P- project onto eigenvalues
-    above/below the shift.  With `frozen_shift` the weights use that fixed
-    shift while qD still scales with q (diagnostic mode: the norm is then
-    exactly linear in q).
+    P+/P- project above/below the weight shift s; only the k pairs (L-, U-)
+    below s are computed.  With Y = qD U- |L- - s|^(-1/2), B_q^T B_q =
+    Y^T P+ (H - s)^-1 P+ Y (H - s > 0 on P+): one k-column _band_lu solve.
+    `frozen_shift` fixes the weights' shift while qD still scales with q
+    (diagnostic mode: the norm is then exactly linear in q).
     """
     shift = energy + q * q
     weight_shift = shift if frozen_shift is None else frozen_shift
     _check_shift_in_gap(h, gap, weight_shift)
 
-    evals, evecs = h.eigensystem()
-    upper = evals > weight_shift
-    lower = ~upper
-    w = 1.0 / np.sqrt(np.abs(evals - weight_shift))
-    d = Tridiagonal.central_difference(h.grid)
-    core = q * (evecs[:, upper].T @ d.matvec(evecs[:, lower]))
-    b = (w[upper][:, None] * core) * w[lower][None, :]
-    if b.size == 0:
+    evals, evecs = h.eigensystem(weight_shift)
+    if evals.size == 0:
         return 0.0
-    return float(np.linalg.norm(b, 2))
+    y = Tridiagonal.central_difference(h.grid).matvec(evecs) * (q / np.sqrt(weight_shift - evals))
+    y -= evecs @ (evecs.T @ y)
+    g = y.T @ _band_lu(h.bands, weight_shift)(y)
+    return float(np.sqrt(np.linalg.eigvalsh(g)[-1]))
 
 
 def _indicator(grid: Grid1D, x: float, eps: float) -> np.ndarray:
@@ -532,18 +534,16 @@ def projector_decay(
 ) -> ProjectorDecay:
     """Exponential decay rate of the filled-band projector kernel.
 
-    Builds P- from eigenvectors with eigenvalue <= e_minus, averages it over
-    eps-balls at pairs symmetric about the domain midpoint, and least-squares
-    fits log |Pbar| = c - q s - p log s over separations inside
+    Builds P- from the eigenpairs at or below e_minus, the only ones computed,
+    averages it over eps-balls at pairs symmetric about the domain midpoint,
+    and least-squares fits log |Pbar| = c - q s - p log s over separations inside
     `fit_window` * L.  The algebraic prefactor term absorbs the branch-point
     power law of the band kernel; samples must keep their balls at least
     4 eps away from the walls.
     """
-    evals, evecs = h.eigensystem()
-    lower = evals <= gap.e_minus + 1e-12 * max(1.0, abs(gap.e_minus))
-    if not np.any(lower):
+    _, phi = h.eigensystem(gap.e_minus + 1e-12 * max(1.0, abs(gap.e_minus)))
+    if phi.shape[1] == 0:
         raise NoGapFoundError("no states at or below the lower band edge")
-    phi = evecs[:, lower]
 
     length = h.grid.length
     c = 0.5 * length

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from csop.schrodinger import (
     PotentialSpec,
     Tridiagonal,
     _band_lu,
+    _bulk_mask,
     avg_resolvent_kernel,
     boost,
     bq_norm,
@@ -35,6 +37,21 @@ from csop.schrodinger import (
     projector_decay,
     resolvent_kernel_scan,
 )
+
+
+def kp_comb(n, v0=3.0, length=40.0):
+    """The Kronig-Penney comb of strength v0 at the integers of (0, length)."""
+    return build_hamiltonian(Grid1D(length=length, n=n), PotentialSpec.delta_comb(np.arange(1.0, length), v0))
+
+
+def dense_bq_norm(ham, q, shift):
+    """||B_q|| from every eigenpair of H: the 2-norm of the (n - k) x k block
+    |L+ - s|^(-1/2) U+^T qD U- |L- - s|^(-1/2)."""
+    evals, evecs = scipy.linalg.eigh_tridiagonal(ham.bands.main, ham.bands.sup)
+    upper = evals > shift
+    w = 1.0 / np.sqrt(np.abs(evals - shift))
+    core = q * (evecs[:, upper].T @ Tridiagonal.central_difference(ham.grid).matvec(evecs[:, ~upper]))
+    return float(np.linalg.norm((w[upper][:, None] * core) * w[~upper][None, :], 2))
 
 
 def diagonal_hamiltonian(values, grid):
@@ -409,6 +426,106 @@ class TestBqNorm:
         b1 = bq_norm(ham, gap, 0.1, ebar - 0.01, frozen_shift=ebar)
         b2 = bq_norm(ham, gap, 0.2, ebar - 0.01, frozen_shift=ebar)
         assert b2 == pytest.approx(2.0 * b1, rel=1e-12)
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        v0=st.floats(1.5, 13.0),
+        n=st.integers(60, 1500),
+        frac=st.floats(0.05, 0.95),
+        frozen=st.none() | st.floats(0.05, 0.95),
+    )
+    def test_matches_dense_formula(self, v0, n, frac, frozen):
+        # the gap above the first band, whose 40 states fill the 40 cells
+        ham = kp_comb(n, v0)
+        evals = scipy.linalg.eigh_tridiagonal(ham.bands.main, ham.bands.sup, eigvals_only=True)
+        gap = GapSpectrum(e_minus=float(evals[39]), e_plus=float(evals[40]), e_bottom=float(evals[0]))
+        _, ebar, _ = qbar_and_ebar(gap)
+        q = frac * critical_q(gap, ebar)
+        shift = ebar if frozen is None else gap.e_minus + frozen * gap.gap
+        computed = bq_norm(ham, gap, q, ebar - q * q, frozen_shift=None if frozen is None else shift)
+        expected = dense_bq_norm(ham, q, shift)
+        assert abs(computed - expected) <= 1e-10 * expected
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The keyword arguments of every scipy.linalg.eigh_tridiagonal call from here on."""
+    calls = []
+    eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
+    monkeypatch.setattr(
+        scipy.linalg, "eigh_tridiagonal", lambda *a, **k: calls.append(k) or eigh_tridiagonal(*a, **k)
+    )
+    return calls
+
+
+class TestEigensystemWindow:
+    def test_narrower_window_slices_the_cache(self, eigh_calls):
+        ham = kp_comb(600)
+        evals, evecs = ham.eigensystem()
+        for ceiling in (35.0, float(evals[10]), float(evals[0]) - 1.0, math.inf):
+            window_evals, window_evecs = ham.eigensystem(ceiling)
+            k = int(np.sum(evals <= ceiling))
+            assert np.array_equal(window_evals, evals[:k])
+            assert np.array_equal(window_evecs, evecs[:, :k])
+        assert eigh_calls == [{}]  # the full eigensystem, and no window after it
+
+    def test_wider_window_recomputes_once(self, eigh_calls):
+        ham = kp_comb(600)
+        empty, no_vectors = ham.eigensystem(0.5)
+        narrow, _ = ham.eigensystem(20.0)
+        wide, _ = ham.eigensystem(35.0)
+        again, _ = ham.eigensystem(20.0)
+        assert [k["select_range"] for k in eigh_calls] == [(-math.inf, c) for c in (0.5, 20.0, 35.0)]
+        assert empty.size == 0 and no_vectors.shape == (600, 0)
+        assert wide.size > narrow.size == again.size and np.max(wide) <= 35.0
+        assert np.allclose(again, narrow, rtol=1e-12, atol=0.0)
+
+    def test_windowed_find_gap_matches_full(self, kp_grid_2000):
+        # the fixture cached every pair, so its gap came from the full eigensystem
+        full_ham, full_gap = kp_grid_2000
+        gap = find_gap(kp_comb(2000), energy_ceiling=35.0)
+        for edge in ("e_minus", "e_plus", "e_bottom"):
+            assert getattr(gap, edge) == pytest.approx(getattr(full_gap, edge), rel=1e-12)
+
+    @pytest.mark.parametrize("surface_pair", [False, True])
+    def test_windowed_vectors_orthonormal(self, surface_pair):
+        grid = Grid1D(length=40.0, n=2000)
+        if surface_pair:
+            # zero potential on the 10 sites next to each wall under a 400
+            # barrier binds one state at each wall; the two are degenerate
+            # to working precision and fall below the ceiling together
+            values = np.full(grid.n, 400.0)
+            values[:10] = values[-10:] = 0.0
+            ham, ceiling = build_hamiltonian(grid, PotentialSpec.sampled(values)), 420.0
+        else:
+            ham, ceiling = kp_comb(grid.n), 35.0
+        evals, evecs = ham.eigensystem(ceiling)
+        if surface_pair:
+            surface = evals[~_bulk_mask(evecs)]
+            assert surface.size == 2 and surface[1] - surface[0] < 1e-9
+        assert np.max(np.abs(evecs.T @ evecs - np.eye(evals.size))) <= 1e-12
+        residual = ham.bands.matvec(evecs) - evecs * evals
+        assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(ham.bands.main))
+
+    def test_filled_band_paths_allocate_o_nk(self):
+        # 64 MiB: the 72 pairs below the ceiling are 11 MiB, eigh_tridiagonal
+        # reorders them into a second copy, and bq_norm holds a few n x k
+        # blocks besides; the full eigensystem alone would be 3.2 GB
+        tracemalloc.start()
+        try:
+            ham = kp_comb(20000)
+            gap = find_gap(ham, energy_ceiling=35.0)
+            qbar, ebar, _ = qbar_and_ebar(gap)
+            q = 0.5 * critical_q(gap, ebar)
+            fit = projector_decay(ham, gap, 0.5, np.arange(8.0, 25.0, 2.0))
+            bq = bq_norm(ham, gap, q, ebar - q * q)
+            gam = gamma_norm(ham, q, ebar - q * q, gap)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert fit.q_fit >= qbar - 0.02 and 0.0 < bq < 0.5 and np.isfinite(gam)
 
 
 class TestKernel:
