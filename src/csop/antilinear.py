@@ -10,9 +10,10 @@ size: writing u = x + i y and A = B + i C', the problem is equivalent to
 S w = lam w with w = (x, y) and S = [[B, -C'], [-C', -B]].  The positive
 eigenvalues of S are the singular values of A, and the eigenvectors give
 phase-correct antilinear eigenvectors u = x + i y.  Full spectra (and the
-Takagi factorization) come from divide-and-conquer eigh on S in place; the
-resolvent norm from _lanczos, the shift-invert Lanczos of schrodinger's
-banded norms too, on a dense LU of A - z (_dense_lu).
+Takagi factorization) come from divide-and-conquer eigh on S in place, and
+at z = 0 its top eigenvalue is ||A||; the resolvent norm from _lanczos, the
+shift-invert Lanczos of schrodinger's banded norms too, on a dense LU of
+A - z (_dense_lu).  A permutation P is applied as a row gather.
 """
 
 from __future__ import annotations
@@ -58,13 +59,14 @@ SOLVE_MAX = np.finfo(float).tiny ** -0.5  # larger solves: sigma_min^2 overflows
 class ComplexSymmetricMatrix:
     """Dense complex square matrix, symmetrized at construction.
 
-    With ``symmetrize=False`` the entries are kept as given; the caller then
-    asserts C-selfadjointness with respect to an accompanying non-default
-    conjugation instead of plain symmetry (used by :func:`block_embed`).
+    With ``symmetrize=False`` the entries are kept as given (a complex array
+    is held, not copied); the caller then asserts C-selfadjointness with
+    respect to an accompanying non-default conjugation instead of plain
+    symmetry (used by :func:`block_embed`).
     """
 
     def __init__(self, entries, symmetrize: bool = True):
-        a = np.array(entries, dtype=complex)
+        a = np.asarray(entries, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a.view(float))):
@@ -90,7 +92,9 @@ class Conjugation:
     """Antilinear involution x -> P @ conj(x) with P symmetric unitary.
 
     Every conjugation on a finite-dimensional space has this form; the
-    default P = I is plain entrywise conjugation.
+    default P = I is plain entrywise conjugation.  A 0/1 P with one nonzero
+    per row, P[i, rows[i]] = 1, is recorded as ``rows`` (else None): it is
+    unitary, symmetric iff rows[rows] == arange(n), and applied as x[rows].
     """
 
     _TOL = 1e-12
@@ -99,13 +103,18 @@ class Conjugation:
         p = np.array(p, dtype=complex)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {p.shape}")
-        if np.max(np.abs(p - p.T)) > self._TOL:
+        n = p.shape[0]
+        self.p, self.n, self.rows = p, n, None
+        if np.count_nonzero(p) == n:
+            nonzero = np.flatnonzero(p)
+            if np.array_equal(nonzero // n, np.arange(n)) and np.all(p.flat[nonzero] == 1):
+                self.rows = nonzero % n
+        symmetric = (np.array_equal(self.rows[self.rows], np.arange(n)) if self.rows is not None
+                     else not np.max(np.abs(p - p.T)) > self._TOL)
+        if not symmetric:
             raise ValueError("conjugation matrix P must be symmetric (within 1e-12)")
-        eye = np.eye(p.shape[0])
-        if np.max(np.abs(p @ p.conj().T - eye)) > self._TOL:
+        if self.rows is None and np.max(np.abs(p @ p.conj().T - np.eye(n))) > self._TOL:
             raise ValueError("conjugation matrix P must be unitary (within 1e-12)")
-        self.p = p
-        self.n = p.shape[0]
 
     @classmethod
     def identity(cls, n: int) -> "Conjugation":
@@ -114,17 +123,17 @@ class Conjugation:
     @classmethod
     def swap(cls, n: int) -> "Conjugation":
         """Block swap [[0, I], [I, 0]] on C^(2n), used by the block embedding."""
-        eye = np.eye(n)
-        zero = np.zeros((n, n))
-        return cls(np.block([[zero, eye], [eye, zero]]))
+        p = np.zeros((2 * n, 2 * n))
+        p[np.arange(2 * n), np.roll(np.arange(2 * n), n)] = 1.0
+        return cls(p)
 
     @property
     def is_identity(self) -> bool:
-        return bool(np.count_nonzero(self.p) == self.n and np.all(self.p.diagonal() == 1))
+        return self.rows is not None and bool(np.array_equal(self.rows, np.arange(self.n)))
 
     def apply(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=complex)
-        return self.p @ np.conj(x)
+        x = np.conj(np.asarray(x, dtype=complex))
+        return x[self.rows] if self.rows is not None else self.p @ x
 
     def __repr__(self):
         return f"Conjugation(n={self.n}, identity={self.is_identity})"
@@ -136,8 +145,9 @@ class AntilinearSpectrum:
 
     lambdas are ascending and nonnegative; column k of ``vectors`` is the
     unit-norm eigenvector paired with lambdas[k] and the columns are
-    orthonormal.  ``matrix_norm`` is the spectral norm of the input matrix
-    and ``degenerate`` flags singular-value clusters that required
+    orthonormal.  ``matrix_norm`` is ||A||, not ||A - z||: the largest lambda
+    at z = 0 (conj(P) is unitary), else ComplexSymmetricMatrix.norm or one
+    SVD.  ``degenerate`` flags singular-value clusters that required
     re-orthogonalization.
     """
 
@@ -210,20 +220,23 @@ def _orthonormal_columns(cands: np.ndarray, keep: int, rank_tol: float = 1e-4):
     return np.column_stack(out)
 
 
-def _antilinear_plain(s: np.ndarray, scale: float):
+def _antilinear_plain(s: np.ndarray, scale: float | None):
     """Solve A u = lam conj(u) for plain complex symmetric A from s = real_doubling(A), overwritten.
 
-    Returns (lambdas descending, vectors as columns, degenerate flag).
+    `scale`, ||A|| or None for the largest lambda, sets the cluster tolerance.
+    Returns (lambdas descending, vectors as columns, degenerate flag, scale).
     """
     n = s.shape[0] // 2
     # s is symmetric, so s.T is a Fortran-ordered view that eigh overwrites
     # instead of copying; divide-and-conquer deflates the clustered spectra
     evals, evecs = scipy.linalg.eigh(s.T, driver="evd", overwrite_a=True)
-    ctol = max(CLUSTER_RTOL * scale, ABS_FLOOR)
 
     # top-n eigenvalues of S, descending, are the singular values of A
     lam = evals[::-1][:n].copy()
     cols = evecs[:, ::-1][:, :n]
+    if scale is None:
+        scale = max(float(lam[0]), 0.0) if n else 0.0
+    ctol = max(CLUSTER_RTOL * scale, ABS_FLOOR)
 
     # group indices into clusters of (numerically) equal singular values
     clusters = []
@@ -258,7 +271,7 @@ def _antilinear_plain(s: np.ndarray, scale: float):
             vectors[:, j] = _fix_sign(block[:, pos])
 
     lam = np.maximum(lam, 0.0)
-    return lam, vectors, degenerate
+    return lam, vectors, degenerate, scale
 
 
 def _matrix_norm(a, mat: np.ndarray) -> float:
@@ -270,31 +283,36 @@ def _reduced(a, conj: Conjugation | None, z: complex) -> tuple[np.ndarray, np.nd
     """(A, A' = conj(P) @ (A - z I) symmetrized), the plain problem behind (A, P, z).
 
     P symmetric unitary implies P^-1 = conj(P), so (A - z) u = lam P conj(u)
-    is A' u = lam conj(u).  Raises NotCSymmetricError when A' deviates from
-    symmetry by more than SYMMETRY_RTOL * ||A||, signalling an inconsistent
-    (matrix, conjugation) pair; ||A|| is computed only for an asymmetry above
-    ABS_FLOOR.
+    is A' u = lam conj(u); for a permutation P (or none) A' = (A - z I)[rows].
+    An exactly symmetric A' is returned as it is; otherwise raises
+    NotCSymmetricError when A' deviates from symmetry by more than
+    SYMMETRY_RTOL * ||A||, signalling an inconsistent (matrix, conjugation)
+    pair; ||A|| is computed only for an asymmetry above ABS_FLOOR.
     """
     mat = _as_matrix(a)
     n = mat.shape[0]
-    shifted = mat.copy()
-    shifted.flat[::n + 1] -= z
-    if conj is None or conj.is_identity:
-        reduced = shifted
+    if conj is not None and conj.n != n:
+        raise ValueError(f"conjugation size {conj.n} does not match matrix size {n}")
+    rows = np.arange(n) if conj is None else conj.rows
+    if rows is not None:
+        reduced = mat[rows]
+        reduced[np.arange(n), rows] -= z
     else:
-        if conj.n != n:
-            raise ValueError(f"conjugation size {conj.n} does not match matrix size {n}")
+        shifted = mat.copy()
+        shifted.flat[::n + 1] -= z
         reduced = np.conj(conj.p) @ shifted
 
-    asym = float(np.max(np.abs(reduced - reduced.T))) if n else 0.0
-    if asym > ABS_FLOOR:
-        scale = _matrix_norm(a, mat)
-        if asym > SYMMETRY_RTOL * scale:
-            raise NotCSymmetricError(
-                f"conj(P) @ (A - z I) deviates from symmetry by {asym:.3e} "
-                f"(> {SYMMETRY_RTOL:g} * ||A|| = {SYMMETRY_RTOL * scale:.3e})"
-            )
-    return mat, 0.5 * (reduced + reduced.T)
+    if not np.array_equal(reduced, reduced.T):
+        asym = float(np.max(np.abs(reduced - reduced.T)))
+        if asym > ABS_FLOOR:
+            scale = _matrix_norm(a, mat)
+            if asym > SYMMETRY_RTOL * scale:
+                raise NotCSymmetricError(
+                    f"conj(P) @ (A - z I) deviates from symmetry by {asym:.3e} "
+                    f"(> {SYMMETRY_RTOL:g} * ||A|| = {SYMMETRY_RTOL * scale:.3e})"
+                )
+        reduced = 0.5 * (reduced + reduced.T)
+    return mat, reduced
 
 
 def antilinear_spectrum(a, conj: Conjugation | None = None, z: complex = 0.0) -> AntilinearSpectrum:
@@ -302,16 +320,16 @@ def antilinear_spectrum(a, conj: Conjugation | None = None, z: complex = 0.0) ->
 
     Internally reduces to the plain problem for A' = conj(P) @ (A - z I)
     (P symmetric unitary implies P^-1 = conj(P)), so the lambdas equal the
-    singular values of A - z I.
+    singular values of A - z I; at z = 0 the largest is ``matrix_norm``.
 
     Raises NotCSymmetricError when A' deviates from symmetry by more than
     SYMMETRY_RTOL * ||A||, signalling an inconsistent (matrix, conjugation) pair.
     """
     mat, reduced = _reduced(a, conj, z)
-    scale = _matrix_norm(a, mat)
+    scale = None if z == 0 else _matrix_norm(a, mat)
     s = real_doubling(reduced)
     del reduced  # freed before eigh, whose peak is the doubling plus its workspace
-    lam_desc, vec_desc, degenerate = _antilinear_plain(s, scale)
+    lam_desc, vec_desc, degenerate, scale = _antilinear_plain(s, scale)
     return AntilinearSpectrum(
         lambdas=lam_desc[::-1].copy(),
         vectors=vec_desc[:, ::-1].copy(),

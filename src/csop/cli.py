@@ -255,7 +255,7 @@ def _spectrum_table(cfg: RunConfig, name: str, values, vectors, **meta) -> Resul
 def _run_takagi(cfg: RunConfig) -> ResultTable:
     mat = load_matrix_csv(cfg.params["matrix"])
     fac = takagi(mat)
-    recon = fac.u @ np.diag(fac.sigma) @ fac.u.T
+    recon = (fac.u * fac.sigma) @ fac.u.T
     residual = float(np.linalg.norm(recon - 0.5 * (mat + mat.T)))
     return _spectrum_table(cfg, "sigma", fac.sigma, fac.u, reconstruction_residual=residual)
 

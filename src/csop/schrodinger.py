@@ -175,7 +175,8 @@ def _band_lu(a: Tridiagonal, shift: complex):
         raise SingularShiftError(f"shift {shift:.6g} makes A - shift singular: zero pivot {info}")
 
     def solve(b, trans=0):
-        b = np.concatenate([b, np.zeros((pad,) + np.shape(b)[1:])])
+        if pad:
+            b = np.concatenate([b, np.zeros((pad,) + np.shape(b)[1:])])
         x = gttrs(*lu, b, trans="NT"[trans])[0][:n]
         if not np.max(np.abs(x)) < SOLVE_MAX:
             raise SingularShiftError(f"shift {shift:.6g} makes A - shift singular to working precision")

@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from csop.antilinear import (
     ComplexSymmetricMatrix,
     Conjugation,
     _dense_lu,
+    _reduced,
     antilinear_spectrum,
     block_embed,
     minmax_even_lower_check,
@@ -44,6 +46,12 @@ class TestTypes:
             Conjugation([[0, 1], [0.5, 0]])  # not symmetric
         with pytest.raises(ValueError):
             Conjugation([[2, 0], [0, 2]])  # not unitary
+
+    def test_non_involutive_permutation_raises(self):
+        # a 3-cycle, and a 0/1 matrix with one nonzero per row that is no permutation
+        for p in (np.eye(3)[[1, 2, 0]], [[1, 0], [1, 0]]):
+            with pytest.raises(ValueError, match="must be symmetric"):
+                Conjugation(p)
 
     def test_conjugation_is_involution_on_random_vectors(self):
         rng = np.random.default_rng(1)
@@ -162,6 +170,63 @@ class TestAntilinearSpectrum:
         assert np.max(np.abs(spec.vectors.conj().T @ spec.vectors - np.eye(80))) <= 1e-12
         resid = emb.matrix @ spec.vectors - spec.lambdas * (conj.p @ np.conj(spec.vectors))
         assert np.max(np.linalg.norm(resid, axis=0)) <= tol
+
+
+@st.composite
+def _involutions(draw):
+    """(Conjugation, rows) for an involutive permutation of n <= 12 points, identity and swap included."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["identity", "swap", "pairs"]))
+    rows = np.arange(n)
+    if kind == "identity":
+        return Conjugation.identity(n), rows
+    if kind == "swap":
+        m = max(n // 2, 1)
+        return Conjugation.swap(m), np.concatenate([np.arange(m, 2 * m), np.arange(m)])
+    order = draw(st.permutations(range(n)))
+    for k in range(draw(st.integers(0, n // 2))):
+        i, j = order[2 * k], order[2 * k + 1]
+        rows[i], rows[j] = j, i
+    return Conjugation(np.eye(n)[rows]), rows
+
+
+class TestPermutationConjugation:
+    @settings(max_examples=100, deadline=None)
+    @given(case=_involutions(), seed=st.integers(0, 2**32 - 1), z=st.complex_numbers(max_magnitude=3.0))
+    def test_gather_is_the_product(self, case, seed, z):
+        conj, rows = case
+        n = rows.size
+        assert np.array_equal(conj.rows, rows)
+        # A = P S with S symmetric is C-symmetric: conj(P) @ (A - z I) = S - z P
+        a = conj.p @ random_complex_symmetric(n, np.random.default_rng(seed))
+        _, reduced = _reduced(a, conj, z)
+        assert np.array_equal(reduced, np.conj(conj.p) @ (a - z * np.eye(n)))
+        spec = antilinear_spectrum(a, conj, z)
+        sv = np.sort(np.linalg.svd(a - z * np.eye(n), compute_uv=False))
+        norm = np.linalg.norm(a, 2)
+        assert np.max(np.abs(spec.lambdas - sv)) <= 1e-10 * norm
+        assert spec.matrix_norm == pytest.approx(norm, rel=1e-13)
+
+    def test_matrix_norm_at_zero_needs_no_svd(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        a = random_complex_symmetric(30, rng)
+        m = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
+        cases = [(a, None, np.linalg.norm(a, 2)), (*block_embed(m), np.linalg.norm(m, 2))]
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD called")
+
+        with monkeypatch.context() as patch:
+            # np.linalg.norm(x, 2) reaches svd through its own module's globals
+            patch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", no_svd)
+            patch.setattr(np.linalg, "svd", no_svd)
+            specs = [antilinear_spectrum(x, conj) for x, conj, _ in cases]
+        for spec, (_, _, norm) in zip(specs, cases):
+            assert abs(spec.matrix_norm - norm) <= 1e-13 * norm
+        # at z != 0 matrix_norm is still ||A||, not ||A - z||
+        spec = antilinear_spectrum(a, None, 2.0 + 1.0j)
+        assert spec.matrix_norm == np.linalg.norm(a, 2)
+        assert abs(np.linalg.norm(a - (2.0 + 1.0j) * np.eye(30), 2) - spec.matrix_norm) > 1e-3
 
 
 class TestTakagi:
@@ -303,6 +368,19 @@ class TestMemory:
         # of that symmetrisation; no doubling is formed
         a = random_complex_symmetric(300, np.random.default_rng(18))
         assert _peak_units(lambda: resolvent_norm(a, None, 0.5j), 600) <= 1.5
+
+    # in units of P's bytes, 2 x (600^2 * 8): a permutation P is checked and
+    # applied without products, differences or symmetrised copies
+
+    def test_swap_peak(self):
+        # the real 0/1 matrix (0.5) and its complex copy (1)
+        assert _peak_units(lambda: Conjugation.swap(300), 600) / 2 <= 1.6
+
+    def test_reduced_permutation_peak(self):
+        # the gathered rows (1) and the bool array of the exact symmetry test
+        rng = np.random.default_rng(20)
+        args = block_embed(rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300)))
+        assert _peak_units(lambda: _reduced(*args, 0.0), 600) / 2 <= 1.2
 
 
 class TestBlockEmbed:

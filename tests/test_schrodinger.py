@@ -243,6 +243,24 @@ class TestBandLU:
         with pytest.raises(SingularShiftError):
             solve(np.ones(3))
 
+    def test_block_solve_holds_two_blocks(self):
+        # the Fortran-ordered solution and its abs for the SOLVE_MAX check;
+        # b is not copied when n >= 3 needs no padding
+        n, k = 20000, 40
+        t = Tridiagonal(sub=np.ones(n - 1), main=np.full(n, 4.0), sup=np.ones(n - 1))
+        solve = _band_lu(t, 0.5)
+        b = np.random.default_rng(0).standard_normal((n, k))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            x = solve(b)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.01 * b.nbytes
+        assert np.max(np.abs(t.matvec(x) - 0.5 * x - b)) <= 1e-13 * np.max(np.abs(b))
+
 
 @pytest.fixture(scope="module")
 def kp_grid_600():
