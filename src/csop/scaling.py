@@ -31,7 +31,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 import scipy.sparse.linalg
 
 from .antilinear import _fix_sign
@@ -502,12 +501,25 @@ def exact_relative_bound(pot: DilationPotential, grid: Grid1D, theta: complex) -
     return RelativeBound(a=0.0, b=float(np.max(np.abs(w_diag))), fitted=False)
 
 
+# the active-set cases of Lawson & Hanson, Solving Least Squares Problems
+# (1974), ch. 23, enumerated for two columns
+def _nnls2(design: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """NNLS argmin_{c >= 0} ||design c - target|| for two nonzero columns: the
+    unconstrained fit if c >= 0, else the better one-column fit clamped at 0."""
+    coef = np.linalg.lstsq(design, target, rcond=None)[0]
+    if np.any(coef < 0.0):
+        fits = np.diag(np.maximum(design.T @ target, 0.0) / np.sum(design**2, axis=0))
+        coef = min(fits, key=lambda c: np.linalg.norm(design @ c - target))
+    return coef
+
+
 def fit_relative_bound(pot: DilationPotential, grid: Grid1D, theta: complex) -> RelativeBound:
     """Least-squares relative-bound constants over a sample of states.
 
     Fits ||w_theta psi|| against a ||Lap psi|| + b ||psi|| over FIT_SAMPLES
     smoothed random vectors plus localized bumps (which probe the sup of
-    |w_theta|), then inflates the pair so every sampled constraint holds.  Sampled
+    |w_theta|) by closed-form NNLS (_nnls2), then inflates the pair so every
+    sampled constraint holds.  Sampled
     constants are diagnostics recorded in scan metadata; they certify
     nothing beyond the sample family, so scans use
     :func:`exact_relative_bound` instead.
@@ -531,7 +543,7 @@ def fit_relative_bound(pot: DilationPotential, grid: Grid1D, theta: complex) -> 
     lap = Tridiagonal.laplacian(grid)
     design = np.asarray([[np.linalg.norm(lap.matvec(p)), np.linalg.norm(p)] for p in samples])
     target = np.asarray([np.linalg.norm(w_diag * p) for p in samples])
-    coef, _ = scipy.optimize.nnls(design, target)
+    coef = _nnls2(design, target)
     pred = design @ coef
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(pred > 0, target / pred, np.inf)

@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from csop import kronig_penney
+from csop.errors import ConvergenceError
 from csop.kronig_penney import (
+    ROOT_XTOL,
     KPModel,
+    _brentq,
+    _dh_ds,
     band_edges,
     dispersion,
     dispersion_derivative,
@@ -100,6 +106,35 @@ class TestBandEdges:
         in_gap = rng.uniform(edges.e_minus + 1e-9, edges.e_plus - 1e-9, 200)
         assert np.all(np.abs(dispersion(m, band)) <= 1.0 + 1e-12)
         assert np.all(np.abs(dispersion(m, in_gap)) > 1.0)
+
+
+class TestBrentq:
+    @settings(max_examples=200, deadline=None)
+    @given(log_v0=st.floats(-6.0, 4.0))
+    def test_bitwise_equal_to_scipy_brentq(self, log_v0):
+        # the three Kronig-Penney brackets: bottom of band 1, bottom of band 2
+        # and the branch point between the gap edges
+        v0 = 10.0**log_v0
+        edges = band_edges(KPModel(v0))
+        brackets = [
+            (lambda s: 0.5 * v0 * math.cos(0.5 * s) - s * math.sin(0.5 * s), 0.0, math.pi),
+            (lambda s: 2.0 * s * math.cos(0.5 * s) + v0 * math.sin(0.5 * s), math.pi, 2.0 * math.pi),
+            (lambda s: _dh_ds(v0, s), math.sqrt(edges.e_minus), math.sqrt(edges.e_plus)),
+        ]
+        roots = [_brentq(f, a, b) for f, a, b in brackets]
+        assert roots == [brentq(f, a, b, xtol=ROOT_XTOL) for f, a, b in brackets]
+        # the brackets are the ones band_edges and exact_decay solve
+        assert (edges.e_bottom, edges.e_plus) == (roots[0] ** 2, roots[1] ** 2)
+        assert exact_decay(KPModel(v0), edges)[0] == roots[2] ** 2
+
+    def test_no_sign_change_raises(self):
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(lambda s: s * s + 1.0, -1.0, 1.0)
+
+    def test_step_cap_raises_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(kronig_penney, "ROOT_MAXITER", 1)
+        with pytest.raises(ConvergenceError):
+            band_edges(KPModel(3.0))
 
 
 class TestExactDecay:

@@ -4,8 +4,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls
 
 from csop import scaling, schrodinger
 from csop.errors import ConvergenceError, PairingAmbiguityError, SingularShiftError, StripViolationError
@@ -459,3 +460,31 @@ class TestPerturbation:
         assert 0.0 <= fitted.a < 1.0
         # bump samples force the fit to see the sup of |w|
         assert fitted.a > 0 or fitted.b > 0.9 * exact.b
+
+
+class TestNNLS2:
+    @pytest.mark.parametrize("active", ["free", "one_clamped", "both_zero"])
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(3, 80), log_scale=st.floats(-2.0, 2.0))
+    def test_matches_scipy_nnls(self, active, seed, m, log_scale):
+        # each target is built from the KKT conditions of its active set
+        rng = np.random.default_rng(seed)
+        design = rng.uniform(0.0, 1.0, (m, 2)) * np.array([10.0**log_scale, 1.0])
+        assume(np.linalg.cond(design) < 1e3)
+        q, _ = np.linalg.qr(design, mode="complete")
+        perp = q[:, 2:] @ rng.standard_normal(m - 2)  # orthogonal to both columns
+        if active == "free":
+            target = design @ rng.uniform(0.1, 2.0, 2) + perp
+        elif active == "one_clamped":
+            j = int(rng.integers(2))
+            keep, drop = design[:, j], design[:, 1 - j]
+            # a negative multiple of drop's part orthogonal to keep
+            away = drop - (drop @ keep) / (keep @ keep) * keep
+            target = rng.uniform(0.1, 2.0) * keep - rng.uniform(0.1, 2.0) * away + perp
+        else:
+            target = -rng.uniform(0.0, 1.0, m)  # nonpositive correlation with both columns
+        ref, ref_res = nnls(design, target)
+        assert (ref > 0).sum() == {"free": 2, "one_clamped": 1, "both_zero": 0}[active]
+        coef = scaling._nnls2(design, target)
+        assert np.all(np.abs(coef - ref) <= 1e-10 * np.abs(ref))
+        assert np.linalg.norm(design @ coef - target) <= ref_res + 1e-12 * np.linalg.norm(target)
