@@ -358,25 +358,30 @@ def takagi(a) -> TakagiFactorization:
     return TakagiFactorization(u=u, sigma=sigma)
 
 
-def _singular(lam: float, bound: float, norm) -> bool:
-    """True when lam < max(SINGULAR_RTOL * ||A||, ABS_FLOOR): the shift is numerically in the spectrum.
+def _singular(lam: float, bound: float, norm, shift: complex) -> None:
+    """Raise SingularShiftError when lam < max(SINGULAR_RTOL * ||A||, ABS_FLOOR).
 
-    `bound` >= ||A|| decides first; the exact ||A||, from the zero-argument
-    callable `norm`, is computed only when lam falls below the bound's threshold.
+    The shift is then numerically in the spectrum.  `bound` >= ||A|| decides
+    first; the exact ||A||, from the zero-argument callable `norm`, is computed
+    only when lam falls below the bound's threshold.
     """
-    return lam < max(SINGULAR_RTOL * bound, ABS_FLOOR) and lam < max(SINGULAR_RTOL * norm(), ABS_FLOOR)
+    if lam < max(SINGULAR_RTOL * bound, ABS_FLOOR) and lam < max(SINGULAR_RTOL * norm(), ABS_FLOOR):
+        raise SingularShiftError(
+            f"min lambda {lam:.3e} is below {SINGULAR_RTOL:g} * ||A||; "
+            f"shift {shift:.6g} is numerically in the spectrum"
+        )
 
 
-def _lanczos(solve, m: int, maxiter: int, what: str) -> tuple[float, np.ndarray]:
+def _lanczos(solve, m: int, what: str) -> tuple[float, np.ndarray]:
     """(sigma, w): the smallest |eigenvalue| of an m x m real symmetric S (an upper bound) and its eigenvector.
 
     Seeded ARPACK Lanczos on solve(v) = S^-1 v, largest magnitude +-1 / sigma.
-    Raises ConvergenceError, naming `what`, when ARPACK fails or exceeds `maxiter` restarts.
+    Raises ConvergenceError, naming `what`, when ARPACK fails or exceeds LANCZOS_MAXITER restarts.
     """
     op = scipy.sparse.linalg.LinearOperator((m, m), matvec=solve, dtype=float)
     v0 = np.random.default_rng(0).standard_normal(m)
     try:
-        theta, w = scipy.sparse.linalg.eigsh(op, k=1, which="LM", v0=v0, tol=LANCZOS_TOL, maxiter=maxiter)
+        theta, w = scipy.sparse.linalg.eigsh(op, k=1, which="LM", v0=v0, tol=LANCZOS_TOL, maxiter=LANCZOS_MAXITER)
     except scipy.sparse.linalg.ArpackError as exc:
         raise ConvergenceError(f"Lanczos for {what}: {exc}") from None
     return 1.0 / abs(float(theta[0])), w[:, 0]
@@ -414,12 +419,8 @@ def resolvent_norm(a, conj: Conjugation | None = None, z: complex = 0.0) -> floa
     # reduced is symmetric, so reduced.T is a Fortran-ordered view that getrf overwrites
     lu_solve = _dense_lu(reduced.T)
     lam_min, _ = _lanczos(lambda v: lu_solve(np.conj(v.view(complex))).view(float),
-                          2 * mat.shape[0], LANCZOS_MAXITER, f"sigma_min at z={z}")
-    if _singular(lam_min, float(np.linalg.norm(mat)), lambda: _matrix_norm(a, mat)):
-        raise SingularShiftError(
-            f"min antilinear eigenvalue {lam_min:.3e} is below "
-            f"{SINGULAR_RTOL:g} * ||A||; shift z={z} is numerically in the spectrum"
-        )
+                          2 * mat.shape[0], f"sigma_min at z={z}")
+    _singular(lam_min, float(np.linalg.norm(mat)), lambda: _matrix_norm(a, mat), z)
     return 1.0 / lam_min
 
 

@@ -12,7 +12,8 @@ other two edges are roots of the bracketed factors on the fixed brackets
 complex band structure: at the in-gap stationary point E* of h, the imaginary
 Bloch momentum arccosh|h(E*)| is the asymptotic decay rate of the density
 matrix.  Lattice constant and hbar^2/2m are fixed at 1.  All three roots come
-from _brentq, a port of SciPy's brentq (Brent 1973, ch. 4): no scipy.optimize.
+from _bisect, which halves the bracket down to two adjacent doubles and
+returns the better end: the best double there is, with no tolerance to set.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decay import qbar_and_ebar
-from .errors import BranchPointNotFoundError, ConvergenceError
+from .errors import BranchPointNotFoundError
 from .schrodinger import GapSpectrum
 
 __all__ = [
@@ -38,12 +39,6 @@ __all__ = [
 ]
 
 PI_SQ = math.pi * math.pi
-# _brentq's absolute tolerance, negligible so that its relative tolerance
-# ROOT_RTOL sets the accuracy of every root at every v0
-ROOT_XTOL = 1e-300
-# SciPy brentq's defaults: relative tolerance 4 eps and a 100-step cap
-ROOT_RTOL = 4.0 * np.finfo(float).eps
-ROOT_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -77,52 +72,27 @@ def _dh_ds(v0: float, s: float) -> float:
     return -math.sin(s) + 0.5 * v0 * (s * math.cos(s) - math.sin(s)) / (s * s)
 
 
-# Brent, Algorithms for Minimization without Derivatives (1973), ch. 4
-def _brentq(f, a: float, b: float) -> float:
-    """Root of f on [a, b] to ROOT_XTOL + ROOT_RTOL |x|: a port of SciPy's brentq
-    (scipy/optimize/Zeros/brentq.c) in its update order, bitwise equal to it.
-    No sign change raises ValueError, ROOT_MAXITER steps ConvergenceError."""
-    xpre, xcur = a, b
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0 or fcur == 0.0:
-        return xpre if fpre == 0.0 else xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+def _bisect(f, a: float, b: float) -> float:
+    """Root of f on [a, b] by bisection down to two adjacent doubles.
+
+    Returns the end with the smaller |f|; it and one neighbour straddle the
+    sign change.  An exact zero at an end is returned as it is, and no sign
+    change raises ValueError.  Signs come from math.copysign (no underflow).
+    """
+    fa, fb = f(a), f(b)
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    if math.copysign(1.0, fa) == math.copysign(1.0, fb):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(ROOT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (ROOT_XTOL + ROOT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+    while (m := 0.5 * (a + b)) not in (a, b):
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if math.copysign(1.0, fm) == math.copysign(1.0, fa):
+            a, fa = m, fm
         else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise ConvergenceError(f"brentq did not converge in {ROOT_MAXITER} steps; last x = {xcur!r}")
+            b, fb = m, fm
+    return a if abs(fa) <= abs(fb) else b
 
 
 def dispersion_derivative(model: KPModel, energy: float) -> float:
@@ -142,8 +112,8 @@ def band_edges(model: KPModel) -> GapSpectrum:
     once across its bracket for every v0 > 0.
     """
     v0 = model.v0
-    s_bottom = _brentq(lambda s: 0.5 * v0 * math.cos(0.5 * s) - s * math.sin(0.5 * s), 0.0, math.pi)
-    s_plus = _brentq(lambda s: 2.0 * s * math.cos(0.5 * s) + v0 * math.sin(0.5 * s), math.pi, 2.0 * math.pi)
+    s_bottom = _bisect(lambda s: 0.5 * v0 * math.cos(0.5 * s) - s * math.sin(0.5 * s), 0.0, math.pi)
+    s_plus = _bisect(lambda s: 2.0 * s * math.cos(0.5 * s) + v0 * math.sin(0.5 * s), math.pi, 2.0 * math.pi)
     return GapSpectrum(e_minus=PI_SQ, e_plus=s_plus**2, e_bottom=s_bottom**2)
 
 
@@ -152,7 +122,7 @@ def exact_decay(model: KPModel, edges: GapSpectrum | None = None) -> tuple[float
 
     E* is the root of dh/dE inside the first gap (the real branch point of
     the complex band structure, where the in-gap imaginary Bloch momentum
-    arccosh|h(E)| is maximal), found by _brentq between the gap edges.  There
+    arccosh|h(E)| is maximal), found by _bisect between the gap edges.  There
     h < -1, and d = |h| - 1 = -(h + 1) comes from the factored h + 1 without
     the cancellation in cos s + (v0/2) sin(s)/s, which would cost digits as
     v0 -> 0 (|h| - 1 ~ q^2/2); the rate is arccosh(1 + d) =
@@ -167,7 +137,7 @@ def exact_decay(model: KPModel, edges: GapSpectrum | None = None) -> tuple[float
         raise BranchPointNotFoundError(
             "dh/dE has no sign change inside the first gap"
         )
-    s_star = _brentq(lambda s: _dh_ds(v0, s), s_lo, s_hi)
+    s_star = _bisect(lambda s: _dh_ds(v0, s), s_lo, s_hi)
     c, sn = math.cos(0.5 * s_star), math.sin(0.5 * s_star)
     d = -2.0 * c * (c + 0.5 * v0 * sn / s_star)
     if d <= 0.0:

@@ -33,9 +33,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .antilinear import _fix_sign
+from .antilinear import LANCZOS_MAXITER, LANCZOS_TOL, _fix_sign
 from .errors import ConvergenceError, PairingAmbiguityError, SingularShiftError, StripViolationError
-from .schrodinger import LANCZOS_MAXITER, LANCZOS_TOL, Grid1D, Tridiagonal, _band_lu, _lanczos_pair, min_lambda
+from .schrodinger import Grid1D, Tridiagonal, _band_lu, _lanczos_pair, min_lambda
 
 __all__ = [
     "DilationPotential",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from csop import scaling, schrodinger
+from csop import antilinear, scaling, schrodinger
 from csop.cli import (
     ResultTable,
     emit,
@@ -239,7 +239,7 @@ class TestMain:
             assert rows[i, 2] == pytest.approx(1.0 / smin, rel=1e-9)
 
     def test_lanczos_step_cap_exit_3(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(schrodinger, "LANCZOS_MAXITER", 1)
+        monkeypatch.setattr(antilinear, "LANCZOS_MAXITER", 1)
         cfg = tmp_path / "c.cfg"
         cfg.write_text("re_min = 2.5\nre_max = 2.5\nim_min = -0.3\nim_max = -0.3\nn_re = 1\nn_im = 1\n")
         assert main(["resolvent-map", "--config", str(cfg)]) == 3

@@ -5,14 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 
-from csop import kronig_penney
-from csop.errors import ConvergenceError
 from csop.kronig_penney import (
-    ROOT_XTOL,
     KPModel,
-    _brentq,
+    _bisect,
     _dh_ds,
     band_edges,
     dispersion,
@@ -108,10 +104,23 @@ class TestBandEdges:
         assert np.all(np.abs(dispersion(m, in_gap)) > 1.0)
 
 
-class TestBrentq:
+def _crosses(f, x):
+    """True when f(x) == 0, or x and one neighbouring double straddle a sign
+    change of f with |f(x)| no larger than |f| at that neighbour."""
+    fx = f(x)
+    if fx == 0.0:
+        return True
+    for direction in (-math.inf, math.inf):
+        fn = f(math.nextafter(x, direction))
+        if math.copysign(1.0, fn) != math.copysign(1.0, fx):
+            return abs(fx) <= abs(fn)
+    return False
+
+
+class TestBisect:
     @settings(max_examples=200, deadline=None)
     @given(log_v0=st.floats(-6.0, 4.0))
-    def test_bitwise_equal_to_scipy_brentq(self, log_v0):
+    def test_best_adjacent_double_property(self, log_v0):
         # the three Kronig-Penney brackets: bottom of band 1, bottom of band 2
         # and the branch point between the gap edges
         v0 = 10.0**log_v0
@@ -121,20 +130,28 @@ class TestBrentq:
             (lambda s: 2.0 * s * math.cos(0.5 * s) + v0 * math.sin(0.5 * s), math.pi, 2.0 * math.pi),
             (lambda s: _dh_ds(v0, s), math.sqrt(edges.e_minus), math.sqrt(edges.e_plus)),
         ]
-        roots = [_brentq(f, a, b) for f, a, b in brackets]
-        assert roots == [brentq(f, a, b, xtol=ROOT_XTOL) for f, a, b in brackets]
+        roots = [_bisect(f, a, b) for f, a, b in brackets]
+        for (f, a, b), x in zip(brackets, roots):
+            assert a <= x <= b
+            assert _crosses(f, x)
         # the brackets are the ones band_edges and exact_decay solve
         assert (edges.e_bottom, edges.e_plus) == (roots[0] ** 2, roots[1] ** 2)
         assert exact_decay(KPModel(v0), edges)[0] == roots[2] ** 2
 
     def test_no_sign_change_raises(self):
         with pytest.raises(ValueError, match="different signs"):
-            _brentq(lambda s: s * s + 1.0, -1.0, 1.0)
+            _bisect(lambda s: s * s + 1.0, -1.0, 1.0)
 
-    def test_step_cap_raises_convergence_error(self, monkeypatch):
-        monkeypatch.setattr(kronig_penney, "ROOT_MAXITER", 1)
-        with pytest.raises(ConvergenceError):
-            band_edges(KPModel(3.0))
+    def test_exact_zero_endpoint_is_returned(self):
+        calls = []
+
+        def f(s):
+            calls.append(s)
+            return s - 1.0
+
+        assert _bisect(f, 1.0, 3.0) == 1.0
+        assert _bisect(f, -2.0, 1.0) == 1.0
+        assert calls == [1.0, 3.0, -2.0, 1.0]
 
 
 class TestExactDecay:

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
-from csop import scaling, schrodinger
+from csop import antilinear, scaling
 from csop.errors import ConvergenceError, PairingAmbiguityError, SingularShiftError, StripViolationError
 from csop.scaling import (
     DilationPotential,
@@ -287,7 +287,7 @@ class TestResolventNorm:
     def test_lanczos_step_cap_raises(self, monkeypatch):
         # this point needs restarts, so one ARPACK iteration is not enough
         ham = build_scaled(ALPHA75, Grid1D(length=40.0, n=800), 0.3j)
-        monkeypatch.setattr(schrodinger, "LANCZOS_MAXITER", 1)
+        monkeypatch.setattr(antilinear, "LANCZOS_MAXITER", 1)
         with pytest.raises(ConvergenceError):
             sigma_min(ham, 2.5 - 0.3j)
         with pytest.raises(ConvergenceError):
