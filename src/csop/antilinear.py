@@ -9,7 +9,8 @@ Every solver here reduces it to one real symmetric eigenproblem of twice the
 size: writing u = x + i y and A = B + i C', the problem is equivalent to
 S w = lam w with w = (x, y) and S = [[B, -C'], [-C', -B]].  The positive
 eigenvalues of S are the singular values of A, and the eigenvectors give
-phase-correct antilinear eigenvectors u = x + i y.  Full spectra (and the
+phase-correct antilinear eigenvectors u = x + i y, orthonormal as they come
+except in the kernel, where one SVD orthonormalises.  Full spectra (and the
 Takagi factorization) come from divide-and-conquer eigh on S in place, and
 at z = 0 its top eigenvalue is ||A||; the resolvent norm from _lanczos, the
 shift-invert Lanczos of schrodinger's banded norms too, on a dense LU of
@@ -50,6 +51,7 @@ __all__ = [
 ABS_FLOOR = 1e-14        # absolute floor under all norm-relative thresholds
 SYMMETRY_RTOL = 1e-10    # allowed asymmetry of conj(P) @ (A - z I), rel. to ||A||
 CLUSTER_RTOL = 1e-10     # singular values closer than this (rel.) form a cluster
+RANK_TOL = 1e-4          # kernel singular values above this count toward the zero cluster's rank
 SINGULAR_RTOL = 1e-13    # smallest lambda below this (rel.) means z is in the spectrum
 LANCZOS_TOL = 1e-14      # relative Ritz residual at which shift-invert Lanczos stops
 LANCZOS_MAXITER = 100    # ARPACK restarts before shift-invert Lanczos gives up
@@ -147,8 +149,8 @@ class AntilinearSpectrum:
     unit-norm eigenvector paired with lambdas[k] and the columns are
     orthonormal.  ``matrix_norm`` is ||A||, not ||A - z||: the largest lambda
     at z = 0 (conj(P) is unitary), else ComplexSymmetricMatrix.norm or one
-    SVD.  ``degenerate`` flags singular-value clusters that required
-    re-orthogonalization.
+    SVD.  ``degenerate`` flags singular values within CLUSTER_RTOL * ||A|| of
+    each other; a cluster's columns are then one orthonormal basis of many.
     """
 
     lambdas: np.ndarray
@@ -184,94 +186,55 @@ def real_doubling(a) -> np.ndarray:
 
 
 def _fix_sign(u: np.ndarray) -> np.ndarray:
-    """Deterministic sign for an antilinear eigenvector.
+    """Deterministic sign for antilinear eigenvectors: u, a vector or columns, negated in place.
 
-    Only +-1 preserve the antilinear eigen-equation, so this normalizes the
-    sign such that the largest-magnitude entry has nonnegative real part
-    (nonnegative imaginary part breaking ties when the real part vanishes).
+    Only +-1 preserve the antilinear eigen-equation, so each column is
+    negated where needed such that its largest-magnitude entry has
+    nonnegative real part (nonnegative imaginary part breaking ties when the
+    real part vanishes).
     """
-    k = int(np.argmax(np.abs(u)))
-    z = u[k]
-    m = abs(z)
-    if m == 0.0:
-        return u
-    if z.real < -1e-12 * m or (abs(z.real) <= 1e-12 * m and z.imag < 0.0):
-        return -u
-    return u
-
-
-def _orthonormal_columns(cands: np.ndarray, keep: int, rank_tol: float = 1e-4):
-    """Modified Gram-Schmidt with rank selection; keeps `keep` columns."""
-    out = []
-    for j in range(cands.shape[1]):
-        v = cands[:, j].copy()
-        for _ in range(2):  # second pass restores orthogonality lost to rounding
-            for u in out:
-                v -= u * np.vdot(u, v)
-        nrm = np.linalg.norm(v)
-        if nrm > rank_tol:
-            out.append(v / nrm)
-        if len(out) == keep:
-            break
-    if len(out) < keep:
-        raise np.linalg.LinAlgError(
-            "rank-deficient degenerate cluster: could not extract an orthonormal basis"
-        )
-    return np.column_stack(out)
+    z = np.take_along_axis(u, np.argmax(np.abs(u), axis=0)[None], axis=0)[0]
+    m = np.abs(z)
+    flip = (z.real < -1e-12 * m) | ((np.abs(z.real) <= 1e-12 * m) & (z.imag < 0.0))
+    return np.negative(u, out=u, where=flip)
 
 
 def _antilinear_plain(s: np.ndarray, scale: float | None):
     """Solve A u = lam conj(u) for plain complex symmetric A from s = real_doubling(A), overwritten.
 
     `scale`, ||A|| or None for the largest lambda, sets the cluster tolerance.
-    Returns (lambdas descending, vectors as columns, degenerate flag, scale).
+    Returns (lambdas ascending, vectors as columns, degenerate flag, scale).
+    Raises LinAlgError when the zero cluster's kernel has too low a rank.
     """
     n = s.shape[0] // 2
     # s is symmetric, so s.T is a Fortran-ordered view that eigh overwrites
     # instead of copying; divide-and-conquer deflates the clustered spectra
     evals, evecs = scipy.linalg.eigh(s.T, driver="evd", overwrite_a=True)
 
-    # top-n eigenvalues of S, descending, are the singular values of A
-    lam = evals[::-1][:n].copy()
-    cols = evecs[:, ::-1][:, :n]
+    # the top n eigenvalues of S are the singular values of A.  For lam_j,
+    # lam_k > 0 the u = x + i y are already orthonormal, clusters included:
+    # Re<u_j, u_k> = w_j . w_k, and Im<u_j, u_k> = -w_j . J w_k = 0, since
+    # J (x, y) = (-y, x) maps the +lam_k eigenvector to the -lam_k eigenspace
+    lam = evals[n:]
+    vectors = evecs[:n, n:] + 1j * evecs[n:, n:]
     if scale is None:
-        scale = max(float(lam[0]), 0.0) if n else 0.0
+        scale = max(float(lam[-1]), 0.0) if n else 0.0
     ctol = max(CLUSTER_RTOL * scale, ABS_FLOOR)
+    split = np.flatnonzero(np.diff(lam) > ctol)
+    degenerate = split.size < n - 1
 
-    # group indices into clusters of (numerically) equal singular values
-    clusters = []
-    start = 0
-    for i in range(1, n):
-        if lam[i - 1] - lam[i] > ctol:
-            clusters.append(range(start, i))
-            start = i
-    clusters.append(range(start, n))
-
-    vectors = np.empty((n, n), dtype=complex)
-    degenerate = False
-    for cluster in clusters:
-        idx = list(cluster)
-        if len(idx) > 1:
-            degenerate = True
-        if lam[idx[-1]] > ctol:
-            # strictly positive cluster: real-orthonormal doubled eigenvectors
-            # already give C-orthonormal u = x + i y; re-orthogonalize anyway
-            # to clean up numerically split clusters
-            cand = cols[:n, idx] + 1j * cols[n:, idx]
-            block = cand if len(idx) == 1 else _orthonormal_columns(cand, len(idx))
-        else:
-            # zero cluster: the kernel of S has twice the complex dimension
-            # (u and i*u double it); rank-select a complex-orthonormal basis
-            zero_cut = max(ctol, lam[idx[0]] + ctol)
-            kern = evecs[:, np.abs(evals) <= zero_cut]
-            cand = kern[:n] + 1j * kern[n:]
-            block = _orthonormal_columns(cand, len(idx))
-            lam[idx] = np.maximum(lam[idx], 0.0)
-        for pos, j in enumerate(idx):
-            vectors[:, j] = _fix_sign(block[:, pos])
-
-    lam = np.maximum(lam, 0.0)
-    return lam, vectors, degenerate, scale
+    if n and lam[0] <= ctol:
+        # zero cluster of m: u and i u both lie in the kernel of S, which has
+        # twice its complex dimension; one SVD picks m orthonormal directions
+        m = split[0] + 1 if split.size else n
+        kern = evecs[:, np.abs(evals) <= max(ctol, lam[m - 1] + ctol)]
+        basis, sv, _ = np.linalg.svd(kern[:n] + 1j * kern[n:], full_matrices=False)
+        if np.count_nonzero(sv > RANK_TOL) < m:
+            raise np.linalg.LinAlgError(
+                "rank-deficient degenerate cluster: could not extract an orthonormal basis"
+            )
+        vectors[:, :m] = basis[:, :m]
+    return np.maximum(lam, 0.0), _fix_sign(vectors), degenerate, scale
 
 
 def _matrix_norm(a, mat: np.ndarray) -> float:
@@ -329,13 +292,8 @@ def antilinear_spectrum(a, conj: Conjugation | None = None, z: complex = 0.0) ->
     scale = None if z == 0 else _matrix_norm(a, mat)
     s = real_doubling(reduced)
     del reduced  # freed before eigh, whose peak is the doubling plus its workspace
-    lam_desc, vec_desc, degenerate, scale = _antilinear_plain(s, scale)
-    return AntilinearSpectrum(
-        lambdas=lam_desc[::-1].copy(),
-        vectors=vec_desc[:, ::-1].copy(),
-        matrix_norm=scale,
-        degenerate=degenerate,
-    )
+    lambdas, vectors, degenerate, scale = _antilinear_plain(s, scale)
+    return AntilinearSpectrum(lambdas=lambdas, vectors=vectors, matrix_norm=scale, degenerate=degenerate)
 
 
 def takagi(a) -> TakagiFactorization:
@@ -350,7 +308,7 @@ def takagi(a) -> TakagiFactorization:
     if spec.degenerate:
         warnings.warn(
             f"singular values cluster within {CLUSTER_RTOL:g} * ||A||; "
-            "cluster basis fixed by re-orthogonalization",
+            "the basis of each cluster is one orthonormal basis of many",
             DegenerateClusterWarning,
         )
     sigma = spec.lambdas[::-1].copy()

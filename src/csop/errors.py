@@ -88,5 +88,5 @@ class PairingAmbiguityError(ConvergenceError):
 
 
 class DegenerateClusterWarning(UserWarning):
-    """Singular values cluster within tolerance; orthonormality inside the
-    cluster was enforced by re-orthogonalization."""
+    """Singular values cluster within tolerance; each cluster's basis is one
+    orthonormal basis of many."""

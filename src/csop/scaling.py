@@ -396,18 +396,23 @@ def polish_eigenvalue(h: ScaledHamiltonian, z0: complex) -> tuple[complex, np.nd
     matrices; each step costs one tridiagonal solve (_band_lu).  Returns
     (eigenvalue, eigenvector).  Raises ConvergenceError when POLISH_MAX_ITER
     steps do not bring the relative eigenvalue change below POLISH_TOL; a
-    SingularShiftError ends the iteration early: z is then an eigenvalue.
+    SingularShiftError ends the iteration early: z is then an eigenvalue,
+    and a start vector no step has refined gets one inverse-iteration step
+    at z nudged by POLISH_TOL * max(1, |z|).
     """
     n = h.grid.n
     rng = np.random.default_rng(1)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     z = complex(z0)
-    for _ in range(POLISH_MAX_ITER):
+    for step in range(POLISH_MAX_ITER):
         try:
             w = _band_lu(h.bands, z)(v)
-        except SingularShiftError:
-            return z, v  # z is an eigenvalue to working precision
+        except SingularShiftError:  # z is an eigenvalue to working precision
+            if step == 0:
+                v = _band_lu(h.bands, z + POLISH_TOL * max(1.0, abs(z)))(v)
+                v /= np.linalg.norm(v)
+            return z, v
         w /= np.linalg.norm(w)
         denom = w @ w
         if abs(denom) < 1e-13:
@@ -477,15 +482,13 @@ def locate_resonance(
 class RelativeBound:
     """Constants (a, b) with ||w_theta psi|| <= a ||Lap psi|| + b ||psi||.
 
-    `fitted` distinguishes least-squares sampled constants from the exact
-    multiplication-operator pair (0, sup|w_theta|), the one perturbation_scan
-    uses: its bound_estimate is b ||(H_theta - z)^-1|| = sup|w_theta| *
-    ||(H_theta - z)^-1||.
+    perturbation_scan uses the exact multiplication-operator pair
+    (0, sup|w_theta|): its bound_estimate is b ||(H_theta - z)^-1|| =
+    sup|w_theta| * ||(H_theta - z)^-1||.
     """
 
     a: float
     b: float
-    fitted: bool
 
 
 def _w_diagonal(pot: DilationPotential, grid: Grid1D, theta: complex) -> np.ndarray:
@@ -498,7 +501,7 @@ def exact_relative_bound(pot: DilationPotential, grid: Grid1D, theta: complex) -
     """The provably valid pair for a bounded multiplication perturbation:
     a = 0 and b = sup|w_theta| on the grid."""
     w_diag = _w_diagonal(pot, grid, theta)
-    return RelativeBound(a=0.0, b=float(np.max(np.abs(w_diag))), fitted=False)
+    return RelativeBound(a=0.0, b=float(np.max(np.abs(w_diag))))
 
 
 # the active-set cases of Lawson & Hanson, Solving Least Squares Problems
@@ -550,8 +553,8 @@ def fit_relative_bound(pot: DilationPotential, grid: Grid1D, theta: complex) -> 
     inflate = float(np.max(ratio))
     a_fit, b_fit = float(coef[0]) * inflate, float(coef[1]) * inflate
     if not np.isfinite(inflate) or a_fit >= 1.0 or (a_fit == 0.0 and b_fit > b_sup):
-        return RelativeBound(a=0.0, b=b_sup, fitted=False)
-    return RelativeBound(a=a_fit, b=b_fit, fitted=True)
+        return RelativeBound(a=0.0, b=b_sup)
+    return RelativeBound(a=a_fit, b=b_fit)
 
 
 @dataclass

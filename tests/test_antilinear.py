@@ -1,5 +1,6 @@
 import inspect
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,30 @@ class TestAntilinearSpectrum:
         assert np.max(np.abs(spec.vectors.conj().T @ spec.vectors - np.eye(80))) <= 1e-12
         resid = emb.matrix @ spec.vectors - spec.lambdas * (conj.p @ np.conj(spec.vectors))
         assert np.max(np.linalg.norm(resid, axis=0)) <= tol
+
+    @settings(max_examples=100, deadline=None)
+    @given(sigma=st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=1, max_size=10),
+           seed=st.integers(0, 2**32 - 1))
+    def test_clusters_of_any_multiplicity(self, sigma, seed):
+        # A = U diag(sigma) U^T with repeats: positive clusters come straight
+        # from eigh, and a zero cluster of any size gets its basis from one SVD
+        n = len(sigma)
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        a = (u * sigma) @ u.T
+        top = max(max(sigma), 1.0)
+        repeat = len(set(sigma)) < n
+        spec = antilinear_spectrum(a)
+        assert np.max(np.abs(spec.lambdas - np.sort(sigma))) <= 1e-10 * top
+        assert np.max(np.abs(spec.vectors.conj().T @ spec.vectors - np.eye(n))) <= 1e-9
+        resid = a @ spec.vectors - spec.lambdas * np.conj(spec.vectors)
+        assert np.max(np.linalg.norm(resid, axis=0)) <= 1e-9 * max(max(sigma), 1e-14)
+        assert spec.degenerate == repeat
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fac = takagi(a)
+        assert any(issubclass(w.category, DegenerateClusterWarning) for w in caught) == repeat
+        assert np.linalg.norm((fac.u * fac.sigma) @ fac.u.T - a) <= 1e-10 * top
 
 
 @st.composite

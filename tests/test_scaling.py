@@ -406,6 +406,17 @@ class TestResonance:
         with pytest.raises(ConvergenceError):
             polish_eigenvalue(ham, res.z + 0.01)
 
+    @pytest.mark.parametrize("z0", [2.0, 2.001])
+    def test_polish_at_exact_eigenvalue_returns_eigenvector(self, z0):
+        # 2 is an exact eigenvalue of this 3-point free Hamiltonian: from
+        # z0 = 2 the first factorization is singular, and the random start
+        # vector (relative residual 1.07) was returned unrefined
+        ham = build_scaled(DilationPotential.alpha_r2_exp(0.0), Grid1D(4.0, 3), 0j)
+        z, v = polish_eigenvalue(ham, z0)
+        assert abs(z - 2.0) <= scaling.POLISH_TOL * 2.0
+        residual = np.linalg.norm(ham.bands.matvec(v) - z * v) / np.linalg.norm(v)
+        assert residual <= 1e-8 * max(1.0, abs(z))
+
 
 class TestPerturbation:
     def test_scan_and_bound(self, resonance_500):
