@@ -71,6 +71,8 @@ class ComplexSymmetricMatrix:
         a = np.asarray(entries, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        if a.size == 0:
+            raise ValueError("empty matrix: need n >= 1")
         if not np.all(np.isfinite(a.view(float))):
             raise ValueError("matrix entries must be finite")
         if symmetrize:
@@ -83,7 +85,7 @@ class ComplexSymmetricMatrix:
     def norm(self) -> float:
         """Spectral norm (largest singular value), cached."""
         if self._norm is None:
-            self._norm = float(np.linalg.norm(self.matrix, 2)) if self.n else 0.0
+            self._norm = float(np.linalg.norm(self.matrix, 2))
         return self._norm
 
     def __repr__(self):
@@ -254,6 +256,8 @@ def _reduced(a, conj: Conjugation | None, z: complex) -> tuple[np.ndarray, np.nd
     """
     mat = _as_matrix(a)
     n = mat.shape[0]
+    if n == 0:
+        raise ValueError("empty matrix: need n >= 1")
     if conj is not None and conj.n != n:
         raise ValueError(f"conjugation size {conj.n} does not match matrix size {n}")
     rows = np.arange(n) if conj is None else conj.rows

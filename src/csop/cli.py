@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -217,9 +218,15 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
 
 def load_matrix_csv(path: str) -> np.ndarray:
     """Read a complex matrix stored as interleaved real,imag column pairs."""
-    raw = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
+    with warnings.catch_warnings():  # loadtxt warns on an empty file, which is refused below
+        warnings.simplefilter("ignore", UserWarning)
+        raw = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
+    if raw.size == 0:
+        raise TypeMismatchError(f"{path}: empty matrix (no entries)")
     if raw.shape[1] % 2 != 0:
         raise TypeMismatchError(f"{path}: expected an even number of columns (re,im pairs)")
+    if raw.shape[1] != 2 * raw.shape[0]:
+        raise TypeMismatchError(f"{path}: expected a square matrix, got {raw.shape[0]} x {raw.shape[1] // 2}")
     return raw[:, 0::2] + 1j * raw[:, 1::2]
 
 

@@ -14,6 +14,8 @@ moves the discretized continuum string by -2 Im theta while discrete points
 each eigenvalue against both predictions.  Only the eigenvalues near the
 classification window are computed, by shift-invert Arnoldi on the one
 tridiagonal LU that min_lambda and polish_eigenvalue also use (_band_lu).
+BLAS, LAPACK and ARPACK run here on one OpenBLAS thread, process-wide while
+they run (_blas.one_blas_thread); a user-set OPENBLAS_NUM_THREADS wins.
 
 Fixed thresholds: classify_spectrum labels with STAT_FACTOR, ROT_FACTOR,
 RES_IM_TOL and BOUND_RE_MAX, and its eigenvalue search starts from
@@ -33,6 +35,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
+from ._blas import one_blas_thread
 from .antilinear import LANCZOS_MAXITER, LANCZOS_TOL, _fix_sign
 from .errors import ConvergenceError, PairingAmbiguityError, SingularShiftError, StripViolationError
 from .schrodinger import Grid1D, Tridiagonal, _band_lu, _lanczos_pair, min_lambda
@@ -170,6 +173,7 @@ class SpectrumClassification:
         return self.eigenvalues[np.array(self.labels, dtype=str) == label]
 
 
+@one_blas_thread
 def _eigenvalues_in_disc(h: ScaledHamiltonian, centre: complex, radius: float) -> np.ndarray:
     """Every eigenvalue of h within `radius` of `centre`.
 
@@ -307,6 +311,7 @@ class ResolventNorm:
     residual: float
 
 
+@one_blas_thread
 def resolvent_norm_at(h: ScaledHamiltonian, z: complex) -> ResolventNorm:
     """||(H_theta(gamma) - z)^-1|| = 1 / min lambda of the antilinear problem.
 
@@ -344,6 +349,7 @@ class FloorReport:
     n_total: int
 
 
+@one_blas_thread
 def essential_floor_check(h: ScaledHamiltonian, z: complex) -> FloorReport:
     """Singular values of H - z against the floor d(z, theta).
 
@@ -388,6 +394,7 @@ def sigma_min(h: ScaledHamiltonian, z: complex) -> float:
     return _lanczos_pair(h.bands, z)[0]
 
 
+@one_blas_thread
 def polish_eigenvalue(h: ScaledHamiltonian, z0: complex) -> tuple[complex, np.ndarray]:
     """Refine an eigenvalue estimate by bilinear Rayleigh-quotient iteration.
 
@@ -516,6 +523,7 @@ def _nnls2(design: np.ndarray, target: np.ndarray) -> np.ndarray:
     return coef
 
 
+@one_blas_thread
 def fit_relative_bound(pot: DilationPotential, grid: Grid1D, theta: complex) -> RelativeBound:
     """Least-squares relative-bound constants over a sample of states.
 

@@ -11,6 +11,8 @@ antilinear._lanczos; min_lambda runs it on the banded real doubling (for
 real H_q - E the block embedding).  Every banded shifted solve, in scaling
 too, goes through one tridiagonal LU, _band_lu.  find_gap, projector_decay
 and bq_norm compute only the eigenpairs of H up to the gap, never all n.
+BLAS, LAPACK and ARPACK run here on one OpenBLAS thread, process-wide while
+they run (_blas.one_blas_thread); a user-set OPENBLAS_NUM_THREADS wins.
 
 Fixed tolerances: THETA_GAP is the closest a shift may come to an eigenvalue
 of H; find_gap's spacing test uses GAP_MIN and GAP_WINDOW, and it drops
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from ._blas import one_blas_thread
 from .antilinear import SOLVE_MAX, _lanczos, _singular
 from .errors import (
     BallOutsideDomainError,
@@ -185,6 +188,7 @@ def _band_lu(a: Tridiagonal, shift: complex):
     return solve
 
 
+@one_blas_thread
 def _lanczos_pair(a: Tridiagonal, shift: complex) -> tuple[float, np.ndarray]:
     """(sigma_min(a - shift), w) with no singularity threshold.
 
@@ -208,6 +212,7 @@ def _lanczos_pair(a: Tridiagonal, shift: complex) -> tuple[float, np.ndarray]:
     return _lanczos(solve, 2 * a.main.size, f"sigma_min at shift {shift:.6g}")
 
 
+@one_blas_thread
 def min_lambda(a: Tridiagonal, shift: complex = 0.0) -> tuple[float, np.ndarray]:
     """(lambda, w): sigma_min(a - shift), the smallest antilinear eigenvalue, and w.
 
@@ -260,6 +265,7 @@ class DiscreteHamiltonian:
     grid: Grid1D
     _eigh: tuple | None = field(default=None, repr=False, compare=False)
 
+    @one_blas_thread
     def eigensystem(self, ceiling: float = math.inf):
         """(eigenvalues, eigenvectors) at or below `ceiling` (all n pairs by default), ascending.
 
@@ -390,6 +396,7 @@ def boost(h: DiscreteHamiltonian, q: float) -> Tridiagonal:
     )
 
 
+@one_blas_thread
 def _check_clear_of_spectrum(h: DiscreteHamiltonian, x: complex, what: str):
     """Raise ShiftInSpectrumError when an eigenvalue of H lies within THETA_GAP of x."""
     z = complex(x)
@@ -429,6 +436,7 @@ def gamma_norm(h: DiscreteHamiltonian, q: float, energy: float, gap: GapSpectrum
     return 1.0 / min_lambda(boost(h, q), energy)[0]
 
 
+@one_blas_thread
 def bq_norm(
     h: DiscreteHamiltonian,
     gap: GapSpectrum,
@@ -467,6 +475,7 @@ def _indicator(grid: Grid1D, x: float, eps: float) -> np.ndarray:
     return chi
 
 
+@one_blas_thread
 def _averaged_kernels(h: DiscreteHamiltonian, energy: complex, pairs, eps: float):
     """omega_eps^-2 <chi_x1, (H - E)^-1 chi_x2> for each (x1, x2), one tridiagonal solve."""
     _check_clear_of_spectrum(h, energy, "E")
@@ -519,6 +528,7 @@ class ProjectorDecay:
     fit_residual: float
 
 
+@one_blas_thread
 def projector_decay(
     h: DiscreteHamiltonian,
     gap: GapSpectrum,

@@ -42,6 +42,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             ComplexSymmetricMatrix([[np.inf, 0], [0, 1]])
 
+    @pytest.mark.parametrize("solver", [ComplexSymmetricMatrix, antilinear_spectrum, takagi,
+                                        resolvent_norm, minmax_norm])
+    def test_rejects_empty_matrix(self, solver):
+        with pytest.raises(ValueError, match="empty matrix"):
+            solver(np.zeros((0, 0)))
+
     def test_conjugation_validation(self):
         with pytest.raises(ValueError):
             Conjugation([[0, 1], [0.5, 0]])  # not symmetric

@@ -103,6 +103,18 @@ class TestMatrixIO:
         with pytest.raises(TypeMismatchError):
             load_matrix_csv(path)
 
+    @pytest.mark.parametrize("text, message", [("", "empty matrix"), ("1,0,2,0\n", "square matrix")],
+                             ids=["empty", "not_square"])
+    def test_empty_or_non_square_is_a_config_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(TypeMismatchError, match=message):
+            load_matrix_csv(path)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"matrix = {path}\n")
+        assert main(["takagi", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
 
 class TestRun:
     def test_takagi_two_by_two(self, tmp_path):

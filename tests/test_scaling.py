@@ -323,6 +323,22 @@ class TestBanded:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_resonance_paths_allocate_o_n_at_20000(self):
+        # 32 MiB: the Lanczos basis on the 2n doubling takes about 16 MiB at
+        # this size; one dense complex n x n matrix would be 6.0 GiB
+        grid = Grid1D(length=40.0, n=20000)
+        tracemalloc.start()
+        try:
+            ham = build_scaled(ALPHA75, grid, 0.3j)
+            norm = resolvent_norm_at(ham, 4.1 - 0.15j)
+            z, _ = polish_eigenvalue(ham, 4.0723 - 0.19631j)
+            res = locate_resonance(ALPHA75, grid, 0.3j, guess=4.0723 - 0.19631j)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert np.isfinite(norm.norm) and res.z == z and abs(z - (4.0723 - 0.19631j)) < 1e-3
+
 
 class TestEssentialFloor:
     def test_free_nothing_below_floor(self):
