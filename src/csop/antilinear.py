@@ -320,14 +320,17 @@ def takagi(a) -> TakagiFactorization:
     return TakagiFactorization(u=u, sigma=sigma)
 
 
-def _singular(lam: float, bound: float, norm, shift: complex) -> None:
+def _singular(lam: float, lower: float, upper: float, norm, shift: complex) -> None:
     """Raise SingularShiftError when lam < max(SINGULAR_RTOL * ||A||, ABS_FLOOR).
 
-    The shift is then numerically in the spectrum.  `bound` >= ||A|| decides
-    first; the exact ||A||, from the zero-argument callable `norm`, is computed
-    only when lam falls below the bound's threshold.
+    The shift is then numerically in the spectrum.  Bounds lower <= ||A|| <= upper
+    decide first; the exact ||A||, from the zero-argument callable `norm`, is
+    computed only when lam falls between their thresholds.
     """
-    if lam < max(SINGULAR_RTOL * bound, ABS_FLOOR) and lam < max(SINGULAR_RTOL * norm(), ABS_FLOOR):
+    def below(scale):
+        return lam < max(SINGULAR_RTOL * scale, ABS_FLOOR)
+
+    if below(lower) or (below(upper) and below(norm())):
         raise SingularShiftError(
             f"min lambda {lam:.3e} is below {SINGULAR_RTOL:g} * ||A||; "
             f"shift {shift:.6g} is numerically in the spectrum"
@@ -375,14 +378,15 @@ def resolvent_norm(a, conj: Conjugation | None = None, z: complex = 0.0) -> floa
     _lanczos takes min lambda from the 2n doubling S of the reduced A', factored
     once (_dense_lu): S w = v is A' u = conj(v) for w, v viewed as complex.
     Raises SingularShiftError from _dense_lu and when min lambda < SINGULAR_RTOL
-    * ||A|| (_singular, Frobenius bound), ConvergenceError from _lanczos.
+    * ||A|| (_singular, with ||A||_F / sqrt(n) <= ||A|| <= ||A||_F), ConvergenceError from _lanczos.
     """
     mat, reduced = _reduced(a, conj, z)
     # reduced is symmetric, so reduced.T is a Fortran-ordered view that getrf overwrites
     lu_solve = _dense_lu(reduced.T)
     lam_min, _ = _lanczos(lambda v: lu_solve(np.conj(v.view(complex))).view(float),
                           2 * mat.shape[0], f"sigma_min at z={z}")
-    _singular(lam_min, float(np.linalg.norm(mat)), lambda: _matrix_norm(a, mat), z)
+    fro = float(np.linalg.norm(mat))
+    _singular(lam_min, fro / mat.shape[0] ** 0.5, fro, lambda: _matrix_norm(a, mat), z)
     return 1.0 / lam_min
 
 

@@ -4,7 +4,8 @@ Configs are plain ``key = value`` text with ``#`` comments.  Every
 subcommand produces a ResultTable that serializes deterministically to CSV
 (17 significant digits, metadata as leading ``#`` lines) or JSON; identical
 configs yield byte-identical output.  Exit codes: 1 config error, 2
-numerical precondition, 3 convergence failure.
+numerical precondition, 3 convergence failure.  Each runner imports its
+modules when it runs, so decay-bound and kp-fig1 load NumPy and no SciPy.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from . import __version__
-from .antilinear import antilinear_spectrum, takagi
-from .decay import BoundInputs, bound_constant, certify_bound, critical_q, qbar_and_ebar
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -27,24 +26,6 @@ from .errors import (
     PreconditionError,
     TypeMismatchError,
     UnknownKeyError,
-)
-from .kronig_penney import FIG1_COLUMNS, fig1_sweep
-from .scaling import (
-    DilationPotential,
-    build_scaled,
-    fit_relative_bound,
-    locate_resonance,
-    perturbation_scan,
-    sigma_min,
-)
-from .schrodinger import (
-    THETA_GAP,
-    GapSpectrum,
-    Grid1D,
-    PotentialSpec,
-    build_hamiltonian,
-    find_gap,
-    resolvent_kernel_scan,
 )
 
 @dataclass
@@ -216,11 +197,22 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
     return RunConfig(subcommand=subcommand, params=params, format=fmt)
 
 
+def _read_csv(path: str) -> np.ndarray:
+    """The float table of a CSV file; unparsable or non-finite entries raise TypeMismatchError."""
+    try:
+        with warnings.catch_warnings():  # loadtxt warns on an empty file, which callers refuse
+            warnings.simplefilter("ignore", UserWarning)
+            raw = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    except ValueError as exc:
+        raise TypeMismatchError(f"{path}: {exc}") from None
+    if not np.all(np.isfinite(raw)):
+        raise TypeMismatchError(f"{path}: non-finite entry (nan or inf)")
+    return raw
+
+
 def load_matrix_csv(path: str) -> np.ndarray:
     """Read a complex matrix stored as interleaved real,imag column pairs."""
-    with warnings.catch_warnings():  # loadtxt warns on an empty file, which is refused below
-        warnings.simplefilter("ignore", UserWarning)
-        raw = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
+    raw = _read_csv(path)
     if raw.size == 0:
         raise TypeMismatchError(f"{path}: empty matrix (no entries)")
     if raw.shape[1] % 2 != 0:
@@ -260,6 +252,8 @@ def _spectrum_table(cfg: RunConfig, name: str, values, vectors, **meta) -> Resul
 
 
 def _run_takagi(cfg: RunConfig) -> ResultTable:
+    from .antilinear import takagi
+
     mat = load_matrix_csv(cfg.params["matrix"])
     fac = takagi(mat)
     recon = (fac.u * fac.sigma) @ fac.u.T
@@ -268,6 +262,8 @@ def _run_takagi(cfg: RunConfig) -> ResultTable:
 
 
 def _run_antilinear(cfg: RunConfig) -> ResultTable:
+    from .antilinear import antilinear_spectrum
+
     mat = load_matrix_csv(cfg.params["matrix"])
     z = complex(cfg.params["z_re"], cfg.params["z_im"])
     spec = antilinear_spectrum(mat, None, z)
@@ -275,7 +271,11 @@ def _run_antilinear(cfg: RunConfig) -> ResultTable:
 
 
 def _run_decay_bound(cfg: RunConfig) -> ResultTable:
+    from .decay import BoundInputs, GapSpectrum, bound_constant, critical_q, qbar_and_ebar
+
     p = cfg.params
+    if p["q"] is not None and p["q_frac"] is not None:
+        raise ConfigError("set q or q_frac, not both")
     gap = GapSpectrum(e_minus=p["e_minus"], e_plus=p["e_plus"], e_bottom=p["e_bottom"])
     qbar, ebar, in_gap = qbar_and_ebar(gap)
     margin = 1e-9 * gap.gap
@@ -297,9 +297,13 @@ def _run_decay_bound(cfg: RunConfig) -> ResultTable:
 
 
 def _kp_hamiltonian(p):
+    from .schrodinger import Grid1D, PotentialSpec, build_hamiltonian
+
     grid = Grid1D(length=p["length"], n=p["n"])
     if p.get("potential"):
-        data = np.atleast_2d(np.loadtxt(p["potential"], delimiter=",", dtype=float))
+        data = _read_csv(p["potential"])
+        if data.shape[1] != 2 or not np.all(np.diff(data[:, 0]) > 0):
+            raise TypeMismatchError(f"{p['potential']}: expected two columns (x, v) with x strictly increasing")
         values = np.interp(grid.points, data[:, 0], data[:, 1])
         pot = PotentialSpec.sampled(values)
     else:
@@ -309,6 +313,9 @@ def _kp_hamiltonian(p):
 
 
 def _run_kernel_scan(cfg: RunConfig) -> ResultTable:
+    from .decay import BoundInputs, certify_bound, critical_q, qbar_and_ebar
+    from .schrodinger import THETA_GAP, find_gap, resolvent_kernel_scan
+
     p = cfg.params
     if p["sep_min"] > p["sep_max"]:
         raise PreconditionError(f"sep_min = {p['sep_min']:g} exceeds sep_max = {p['sep_max']:g}")
@@ -334,6 +341,8 @@ def _run_kernel_scan(cfg: RunConfig) -> ResultTable:
 
 
 def _run_kp_fig1(cfg: RunConfig) -> ResultTable:
+    from .kronig_penney import FIG1_COLUMNS, fig1_sweep
+
     p = cfg.params
     v0s = np.geomspace(p["v0_min"], p["v0_max"], p["n_points"])
     rows = np.asarray([astuple(r) for r in fig1_sweep(v0s)])
@@ -341,6 +350,9 @@ def _run_kp_fig1(cfg: RunConfig) -> ResultTable:
 
 
 def _run_resonance(cfg: RunConfig) -> ResultTable:
+    from .scaling import DilationPotential, fit_relative_bound, locate_resonance, perturbation_scan
+    from .schrodinger import Grid1D
+
     p = cfg.params
     grid = Grid1D(length=p["length"], n=p["n"])
     pot = DilationPotential.alpha_r2_exp(p["alpha"], perturbation_alpha=p["alpha"])
@@ -360,6 +372,9 @@ def _run_resonance(cfg: RunConfig) -> ResultTable:
 
 
 def _run_resolvent_map(cfg: RunConfig) -> ResultTable:
+    from .scaling import DilationPotential, build_scaled, sigma_min
+    from .schrodinger import Grid1D
+
     p = cfg.params
     grid = Grid1D(length=p["length"], n=p["n"])
     pot = DilationPotential.alpha_r2_exp(p["alpha"])

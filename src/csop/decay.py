@@ -1,6 +1,6 @@
 """Closed-form exponential-decay bound for gapped Schrodinger operators.
 
-Everything here is a function of the two-band spectrum (E-, E+) alone:
+Everything here is NumPy arithmetic on the two-band GapSpectrum (E-, E+):
 the envelope F(q, E) = sqrt((E+ - E - q^2)(E - E- + q^2) / (4 E-)), the
 critical rate q_c(E) solving q = F(q, E) (the positive root of a quadratic
 in q^2, evaluated over scalar or array energies), the certificate constant
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGapError, QBeyondCriticalError, ShiftLeavesGapError
-from .schrodinger import GapSpectrum
 
 __all__ = [
+    "GapSpectrum",
     "BoundInputs",
     "BoundResult",
     "CertificateReport",
@@ -35,6 +35,30 @@ __all__ = [
     "qbar_and_ebar",
     "certify_bound",
 ]
+
+
+@dataclass(frozen=True)
+class GapSpectrum:
+    """Two-band spectrum data: lower band [e_bottom, e_minus], upper band from e_plus."""
+
+    e_minus: float
+    e_plus: float
+    e_bottom: float = 0.0
+
+    def __post_init__(self):
+        if not (0.0 <= self.e_bottom <= self.e_minus < self.e_plus):
+            raise InvalidGapError(
+                f"need 0 <= e_bottom <= e_minus < e_plus, got "
+                f"({self.e_bottom}, {self.e_minus}, {self.e_plus})"
+            )
+
+    @property
+    def gap(self) -> float:
+        return self.e_plus - self.e_minus
+
+    @property
+    def width(self) -> float:
+        return self.e_minus - self.e_bottom
 
 
 def unit_ball_volume(dim: int) -> float:

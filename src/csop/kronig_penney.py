@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decay import qbar_and_ebar
+from .decay import GapSpectrum, qbar_and_ebar
 from .errors import BranchPointNotFoundError
-from .schrodinger import GapSpectrum
 
 __all__ = [
     "KPModel",

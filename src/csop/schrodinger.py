@@ -30,9 +30,9 @@ import scipy.linalg
 
 from ._blas import one_blas_thread
 from .antilinear import SOLVE_MAX, _lanczos, _singular
+from .decay import GapSpectrum
 from .errors import (
     BallOutsideDomainError,
-    InvalidGapError,
     NegativePotentialError,
     NoGapFoundError,
     ShiftInSpectrumError,
@@ -220,14 +220,14 @@ def min_lambda(a: Tridiagonal, shift: complex = 0.0) -> tuple[float, np.ndarray]
     symmetric a, psi = w[0::2] + 1j * w[1::2] solves (a - shift) psi =
     +-lambda conj(psi), and i psi turns -lambda into +lambda.  Raises
     SingularShiftError when lambda < SINGULAR_RTOL * ||a||: the shift is
-    numerically in the spectrum (antilinear._singular, with the bound
-    max|main| + max|sub| + max|sup| >= ||a|| and the exact ||a|| as the top
-    eigenvalue of a.doubling()).
+    numerically in the spectrum (antilinear._singular, with the bounds
+    max |entry| <= ||a|| <= max|main| + max|sub| + max|sup|, and the exact
+    ||a|| as the top eigenvalue of a.doubling() only between them).
     """
     lam, w = _lanczos_pair(a, shift)
     n = a.main.size
-    bound = sum(float(np.max(np.abs(d), initial=0.0)) for d in (a.main, a.sub, a.sup))
-    _singular(lam, bound, lambda: float(scipy.linalg.eig_banded(
+    maxima = [float(np.max(np.abs(d), initial=0.0)) for d in (a.main, a.sub, a.sup)]
+    _singular(lam, max(maxima), sum(maxima), lambda: float(scipy.linalg.eig_banded(
         a.doubling(), eigvals_only=True, select="i", select_range=(2 * n - 1, 2 * n - 1)
     )[0]), shift)
     return lam, w
@@ -277,30 +277,6 @@ class DiscreteHamiltonian:
         _, evals, evecs = self._eigh
         k = int(np.searchsorted(evals, ceiling, side="right"))
         return evals[:k], evecs[:, :k]
-
-
-@dataclass(frozen=True)
-class GapSpectrum:
-    """Two-band spectrum data: lower band [e_bottom, e_minus], upper band from e_plus."""
-
-    e_minus: float
-    e_plus: float
-    e_bottom: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.e_bottom <= self.e_minus < self.e_plus):
-            raise InvalidGapError(
-                f"need 0 <= e_bottom <= e_minus < e_plus, got "
-                f"({self.e_bottom}, {self.e_minus}, {self.e_plus})"
-            )
-
-    @property
-    def gap(self) -> float:
-        return self.e_plus - self.e_minus
-
-    @property
-    def width(self) -> float:
-        return self.e_minus - self.e_bottom
 
 
 def _potential_vector(grid: Grid1D, pot: PotentialSpec) -> np.ndarray:

@@ -329,6 +329,16 @@ class TestResolventNorm:
         with pytest.raises(SingularShiftError):
             resolvent_norm(a, None, 1.0)
 
+    def test_singular_threshold_uses_exact_norm(self):
+        # diag(1, 1, 1, 1, s): ||A|| = 1 while ||A||_F is about 2, so a sigma_min
+        # of 1.5e-13 lies between the thresholds of ||A||_F / sqrt(5) and ||A||_F
+        def case(s):
+            return np.diag([1.0, 1.0, 1.0, 1.0, s]).astype(complex)
+
+        assert resolvent_norm(case(1.5e-13)) == pytest.approx(1.0 / 1.5e-13, rel=1e-6)
+        with pytest.raises(SingularShiftError):
+            resolvent_norm(case(0.5e-13))
+
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), embed=st.booleans(),
            z=st.complex_numbers(max_magnitude=3.0))

@@ -115,6 +115,37 @@ class TestMatrixIO:
         assert main(["takagi", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("text, message", [
+        ("1,0,abc,0\n0,0,1,0\n", "could not convert"),
+        ("1,0,2,0\n3,0\n", "number of columns changed"),
+        ("nan,0\n", "non-finite"),
+        ("1,inf\n", "non-finite"),
+    ], ids=["not_a_number", "ragged", "nan", "inf"])
+    def test_malformed_matrix_is_a_config_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(TypeMismatchError, match=message):
+            load_matrix_csv(path)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"matrix = {path}\n")
+        for subcommand in ("takagi", "antilinear"):
+            assert main([subcommand, "--config", str(cfg)]) == 1
+            assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("text, message", [
+        ("0\n3\n5\n", "two columns"),
+        ("0,1\n20,nan\n40,1\n", "non-finite"),
+        ("0,1\n30,2\n20,1\n40,1\n", "strictly increasing"),
+    ], ids=["one_column", "nan", "decreasing_x"])
+    def test_malformed_potential_is_a_config_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "v.csv"
+        path.write_text(text)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"n = 300\npotential = {path}\n")
+        assert main(["kernel-scan", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+
 
 class TestRun:
     def test_takagi_two_by_two(self, tmp_path):
@@ -205,6 +236,14 @@ class TestMain:
         cfg.write_text(text)
         assert main(["decay-bound", "--config", str(cfg)]) == 2
         assert "e_bottom <= e_minus < e_plus" in capsys.readouterr().err
+
+    def test_decay_bound_q_and_q_frac_exit_1(self, tmp_path, capsys):
+        # the rows would use q while the metadata recorded q_frac as applied
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("e_minus = 1\ne_plus = 2\nq = 0.1\nq_frac = 0.5\n")
+        assert main(["decay-bound", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "q" in err.split() and "q_frac" in err
 
     def test_seed_is_unknown_key_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

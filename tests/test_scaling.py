@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
@@ -268,6 +269,19 @@ class TestResolventNorm:
         ham = build_scaled(ALPHA75, grid, 0.3j)
         with pytest.raises(SingularShiftError):
             resolvent_norm_at(ham, res.z)
+
+    def test_singular_at_resonance_computes_no_exact_norm(self, monkeypatch):
+        # min lambda is below SINGULAR_RTOL * max |entry| <= SINGULAR_RTOL * ||H||
+        # here, so the raise needs no eig_banded on the 2n doubling (O(n^2))
+        grid = Grid1D(length=40.0, n=2000)
+        z = locate_resonance(ALPHA75, grid, 0.3j, guess=4.0723 - 0.19631j).z
+        ham = build_scaled(ALPHA75, grid, 0.3j)
+        calls = []
+        eig_banded = scipy.linalg.eig_banded
+        monkeypatch.setattr(scipy.linalg, "eig_banded", lambda *a, **k: calls.append(1) or eig_banded(*a, **k))
+        with pytest.raises(SingularShiftError):
+            resolvent_norm_at(ham, z)
+        assert calls == []
 
     def test_eigenvector_not_converged_raises(self, monkeypatch):
         ham = build_scaled(ALPHA75, Grid1D(length=40.0, n=200), 0.3j)
