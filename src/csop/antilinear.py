@@ -15,6 +15,8 @@ Takagi factorization) come from divide-and-conquer eigh on S in place, and
 at z = 0 its top eigenvalue is ||A||; the resolvent norm from _lanczos, the
 shift-invert Lanczos of schrodinger's banded norms too, on a dense LU of
 A - z (_dense_lu).  A permutation P is applied as a row gather.
+Every dense input, a ComplexSymmetricMatrix (always symmetric) or a plain
+array, passes one gate, _as_matrix: n x n, n >= 1, finite, else ValueError.
 """
 
 from __future__ import annotations
@@ -59,25 +61,11 @@ SOLVE_MAX = np.finfo(float).tiny ** -0.5  # larger solves: sigma_min^2 overflows
 
 
 class ComplexSymmetricMatrix:
-    """Dense complex square matrix, symmetrized at construction.
+    """Dense complex symmetric matrix (A + A^T) / 2 of an input that passes _as_matrix."""
 
-    With ``symmetrize=False`` the entries are kept as given (a complex array
-    is held, not copied); the caller then asserts C-selfadjointness with
-    respect to an accompanying non-default conjugation instead of plain
-    symmetry (used by :func:`block_embed`).
-    """
-
-    def __init__(self, entries, symmetrize: bool = True):
-        a = np.asarray(entries, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if a.size == 0:
-            raise ValueError("empty matrix: need n >= 1")
-        if not np.all(np.isfinite(a.view(float))):
-            raise ValueError("matrix entries must be finite")
-        if symmetrize:
-            a = 0.5 * (a + a.T)
-        self.matrix = a
+    def __init__(self, entries):
+        a = _as_matrix(entries)
+        self.matrix = 0.5 * (a + a.T)
         self.n = a.shape[0]
         self._norm = None
 
@@ -170,9 +158,17 @@ class TakagiFactorization:
 
 
 def _as_matrix(a) -> np.ndarray:
+    """The complex n x n array (n >= 1, finite) of a dense input, else ValueError naming the defect."""
     if isinstance(a, ComplexSymmetricMatrix):
         return a.matrix
-    return np.asarray(a, dtype=complex)
+    mat = np.asarray(a, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    if mat.size == 0:
+        raise ValueError("empty matrix: need n >= 1")
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix entries must be finite")
+    return mat
 
 
 def real_doubling(a) -> np.ndarray:
@@ -245,7 +241,7 @@ def _matrix_norm(a, mat: np.ndarray) -> float:
 
 
 def _reduced(a, conj: Conjugation | None, z: complex) -> tuple[np.ndarray, np.ndarray]:
-    """(A, A' = conj(P) @ (A - z I) symmetrized), the plain problem behind (A, P, z).
+    """(A, A' = conj(P) @ (A - z I) made exactly symmetric), the plain problem behind (A, P, z).
 
     P symmetric unitary implies P^-1 = conj(P), so (A - z) u = lam P conj(u)
     is A' u = lam conj(u); for a permutation P (or none) A' = (A - z I)[rows].
@@ -256,8 +252,6 @@ def _reduced(a, conj: Conjugation | None, z: complex) -> tuple[np.ndarray, np.nd
     """
     mat = _as_matrix(a)
     n = mat.shape[0]
-    if n == 0:
-        raise ValueError("empty matrix: need n >= 1")
     if conj is not None and conj.n != n:
         raise ValueError(f"conjugation size {conj.n} does not match matrix size {n}")
     rows = np.arange(n) if conj is None else conj.rows
@@ -390,8 +384,8 @@ def resolvent_norm(a, conj: Conjugation | None = None, z: complex = 0.0) -> floa
     return 1.0 / lam_min
 
 
-def block_embed(m) -> tuple[ComplexSymmetricMatrix, Conjugation]:
-    """Embed a general square M as the C-selfadjoint block diag(M, M^T).
+def block_embed(m) -> tuple[np.ndarray, Conjugation]:
+    """Embed a general square M as the C-selfadjoint block diag(M, M^T), a plain array.
 
     The returned pair uses the swap conjugation C = [[0, conj], [conj, 0]];
     conj(P) @ H = [[0, M^T], [M, 0]] is then plain complex symmetric.  The
@@ -399,14 +393,12 @@ def block_embed(m) -> tuple[ComplexSymmetricMatrix, Conjugation]:
     of M with every multiplicity doubled, so the embedded resolvent norm
     equals ||(M - z)^-1||.
     """
-    mat = np.asarray(m, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    mat = _as_matrix(m)
     n = mat.shape[0]
     h = np.zeros((2 * n, 2 * n), dtype=complex)
     h[:n, :n] = mat
     h[n:, n:] = mat.T
-    return ComplexSymmetricMatrix(h, symmetrize=False), Conjugation.swap(n)
+    return h, Conjugation.swap(n)
 
 
 def minmax_norm(a) -> float:

@@ -201,8 +201,6 @@ class CertificateReport:
     margins: np.ndarray          # log(C e^{-q s}) - log|Gbar| per sample
     worst_margin: float
     c_value: float
-    q: float
-    sample_pass: np.ndarray
 
 
 def certify_bound(kernel_samples, inputs: BoundInputs) -> CertificateReport:
@@ -219,12 +217,9 @@ def certify_bound(kernel_samples, inputs: BoundInputs) -> CertificateReport:
     log_bound = math.log(result.c_value) - inputs.q * seps
     with np.errstate(divide="ignore"):
         margins = log_bound - np.log(vals)
-    ok = margins >= 0.0
     return CertificateReport(
-        passed=bool(np.all(ok)),
+        passed=bool(np.all(margins >= 0.0)),
         margins=margins,
         worst_margin=float(np.min(margins, initial=math.inf)),
         c_value=result.c_value,
-        q=inputs.q,
-        sample_pass=ok,
     )

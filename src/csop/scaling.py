@@ -167,7 +167,6 @@ class SpectrumClassification:
     labels: list[str]                 # "bound" | "resonance" | "continuum" | "unlabeled"
     stationarity: np.ndarray          # distance to the nearest unmoved eigenvalue
     rotation_residual: np.ndarray     # distance to the nearest rotated prediction
-    dtheta: complex
 
     def with_label(self, label: str) -> np.ndarray:
         return self.eigenvalues[np.array(self.labels, dtype=str) == label]
@@ -280,9 +279,7 @@ def classify_spectrum(
         else:
             labels.append("unlabeled")
 
-    return SpectrumClassification(
-        eigenvalues=z1, labels=labels, stationarity=stat, rotation_residual=rres, dtheta=dtheta
-    )
+    return SpectrumClassification(eigenvalues=z1, labels=labels, stationarity=stat, rotation_residual=rres)
 
 
 def ray_distance(z: complex, theta: complex) -> float:
@@ -306,7 +303,6 @@ class ResolventNorm:
     """Resolvent norm together with the minimizing antilinear eigenvector."""
 
     norm: float
-    min_lambda: float
     vector: np.ndarray
     residual: float
 
@@ -334,7 +330,7 @@ def resolvent_norm_at(h: ScaledHamiltonian, z: complex) -> ResolventNorm:
         raise ConvergenceError(
             f"antilinear eigenvector at z = {z:.6g} has residual {residual:.3g} > {tol:.3g}"
         )
-    return ResolventNorm(norm=1.0 / lam, min_lambda=lam, vector=_fix_sign(psi), residual=residual)
+    return ResolventNorm(norm=1.0 / lam, vector=_fix_sign(psi), residual=residual)
 
 
 @dataclass
@@ -574,7 +570,6 @@ class PerturbationScan:
     norms: np.ndarray
     bound_estimates: np.ndarray
     rel_bound: RelativeBound
-    z_probe: complex
 
 
 def perturbation_scan(
@@ -617,5 +612,4 @@ def perturbation_scan(
         norms=norms,
         bound_estimates=np.full(gammas.size, bound),
         rel_bound=rel_bound,
-        z_probe=z_probe,
     )

@@ -11,6 +11,8 @@ antilinear._lanczos; min_lambda runs it on the banded real doubling (for
 real H_q - E the block embedding).  Every banded shifted solve, in scaling
 too, goes through one tridiagonal LU, _band_lu.  find_gap, projector_decay
 and bq_norm compute only the eigenpairs of H up to the gap, never all n.
+All three kernels average over eps-balls with one sampler, _ball_average,
+which refuses eps <= 0 and a ball without a grid point (PreconditionError).
 BLAS, LAPACK and ARPACK run here on one OpenBLAS thread, process-wide while
 they run (_blas.one_blas_thread); a user-set OPENBLAS_NUM_THREADS wins.
 
@@ -35,6 +37,7 @@ from .errors import (
     BallOutsideDomainError,
     NegativePotentialError,
     NoGapFoundError,
+    PreconditionError,
     ShiftInSpectrumError,
     SingularShiftError,
 )
@@ -442,26 +445,39 @@ def bq_norm(
     return float(np.sqrt(np.linalg.eigvalsh(g)[-1]))
 
 
-def _indicator(grid: Grid1D, x: float, eps: float) -> np.ndarray:
-    if x - eps <= 0.0 or x + eps >= grid.length:
-        raise BallOutsideDomainError(
-            f"ball [{x - eps:.6g}, {x + eps:.6g}] is not inside (0, {grid.length:g})"
-        )
-    chi = (np.abs(grid.points - x) <= eps).astype(float)
-    return chi
+def _ball_average(grid: Grid1D, pairs, eps: float, apply) -> np.ndarray:
+    """omega_eps^-2 <chi_x1, K chi_x2> for each row (x1, x2) of `pairs`, where apply(b) = K b.
+
+    chi_x is 1 at the grid points with |t - x| <= eps (weight h each),
+    omega_eps = 2 eps, and the chi_x2 reach `apply` as one n x k block.
+    Raises PreconditionError when eps <= 0 or a ball holds no grid point,
+    BallOutsideDomainError when a ball is not inside (0, L).
+    """
+    if not eps > 0.0:
+        raise PreconditionError(f"ball radius eps = {eps:g} must be positive")
+    centres = np.asarray(pairs, dtype=float).ravel()  # x1, x2 of each pair in turn
+    outside = centres[(centres - eps <= 0.0) | (centres + eps >= grid.length)]
+    if outside.size:
+        raise BallOutsideDomainError(f"ball at {outside[0]:.6g} +- {eps:g} is not inside (0, {grid.length:g})")
+    chi = np.abs(grid.points[:, None] - centres) <= eps
+    empty = centres[~chi.any(axis=0)]
+    if empty.size:
+        raise PreconditionError(f"ball at {empty[0]:.6g} +- {eps:g} holds no grid point (h = {grid.h:.6g})")
+    chi1, chi2 = chi[:, 0::2].astype(float), chi[:, 1::2].astype(float)
+    return grid.h * np.sum(chi1 * apply(chi2), axis=0) / (2.0 * eps) ** 2
+
+
+def _centred_pairs(grid: Grid1D, separations) -> tuple[np.ndarray, np.ndarray]:
+    """(separations s, rows (c - s/2, c + s/2)) about the domain midpoint c."""
+    seps = np.asarray(separations, dtype=float)
+    return seps, 0.5 * grid.length + np.multiply.outer(seps, [-0.5, 0.5])
 
 
 @one_blas_thread
 def _averaged_kernels(h: DiscreteHamiltonian, energy: complex, pairs, eps: float):
     """omega_eps^-2 <chi_x1, (H - E)^-1 chi_x2> for each (x1, x2), one tridiagonal solve."""
     _check_clear_of_spectrum(h, energy, "E")
-    chi1 = np.empty((h.grid.n, len(pairs)))
-    chi2 = np.empty_like(chi1)
-    for j, (x1, x2) in enumerate(pairs):
-        chi1[:, j] = _indicator(h.grid, x1, eps)
-        chi2[:, j] = _indicator(h.grid, x2, eps)
-    y = _band_lu(h.bands, energy)(chi2)
-    return h.grid.h * np.sum(chi1 * y, axis=0) / (2.0 * eps) ** 2
+    return _ball_average(h.grid, pairs, eps, _band_lu(h.bands, energy))
 
 
 def avg_resolvent_kernel(
@@ -487,11 +503,8 @@ def resolvent_kernel_scan(
     x2 = c + s/2.  Returns rows (separation, |G|); one banded solve covers
     every separation.
     """
-    c = 0.5 * h.grid.length
-    seps = np.asarray(separations, dtype=float)
-    pairs = [(c - 0.5 * s, c + 0.5 * s) for s in seps]
-    vals = _averaged_kernels(h, energy, pairs, eps)
-    return np.column_stack([seps, np.abs(vals)])
+    seps, pairs = _centred_pairs(h.grid, separations)
+    return np.column_stack([seps, np.abs(_averaged_kernels(h, energy, pairs, eps))])
 
 
 @dataclass
@@ -527,19 +540,12 @@ def projector_decay(
         raise NoGapFoundError("no states at or below the lower band edge")
 
     length = h.grid.length
-    c = 0.5 * length
-    seps = np.asarray(separations, dtype=float)
-    samples = np.empty((seps.size, 2))
-    for i, s in enumerate(seps):
-        x1, x2 = c - 0.5 * s, c + 0.5 * s
-        if x1 - 4.0 * eps < 0.0 or x2 + 4.0 * eps > length:
-            raise BallOutsideDomainError(
-                f"separation {s:g}: sample points closer than 4*eps to a wall"
-            )
-        chi1 = _indicator(h.grid, x1, eps)
-        chi2 = _indicator(h.grid, x2, eps)
-        val = h.grid.h * (chi1 @ phi) @ (phi.T @ chi2) / (2.0 * eps) ** 2
-        samples[i] = (s, abs(val))
+    seps, pairs = _centred_pairs(h.grid, separations)
+    near_wall = seps[(pairs[:, 0] - 4.0 * eps < 0.0) | (pairs[:, 1] + 4.0 * eps > length)]
+    if near_wall.size:
+        raise BallOutsideDomainError(f"separation {near_wall[0]:g}: sample points closer than 4*eps to a wall")
+    vals = _ball_average(h.grid, pairs, eps, lambda chi2: phi @ (phi.T @ chi2))
+    samples = np.column_stack([seps, np.abs(vals)])
 
     lo, hi = fit_window[0] * length, fit_window[1] * length
     mask = (samples[:, 0] >= lo) & (samples[:, 0] <= hi) & (samples[:, 1] > 0)

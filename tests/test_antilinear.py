@@ -43,10 +43,29 @@ class TestTypes:
             ComplexSymmetricMatrix([[np.inf, 0], [0, 1]])
 
     @pytest.mark.parametrize("solver", [ComplexSymmetricMatrix, antilinear_spectrum, takagi,
-                                        resolvent_norm, minmax_norm])
+                                        resolvent_norm, minmax_norm, real_doubling, block_embed,
+                                        minmax_even_lower_check])
     def test_rejects_empty_matrix(self, solver):
-        with pytest.raises(ValueError, match="empty matrix"):
-            solver(np.zeros((0, 0)))
+        # every dense entry point goes through one gate, which names the defect
+        args = (0, 1) if solver is minmax_even_lower_check else ()
+        for bad, message in [
+            (np.zeros((0, 0)), "empty matrix"),
+            (np.array([[np.nan, 0.0], [0.0, 1.0]]), "must be finite"),
+            (np.array([[1.0, np.inf], [np.inf, 1.0]]), "must be finite"),
+            (np.ones((2, 3)), "expected a square matrix"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                solver(bad, *args)
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: Conjugation(np.eye(2, 3)), ValueError, "expected a square matrix"),
+        (lambda: antilinear_spectrum(np.eye(3), Conjugation.identity(2)), ValueError,
+         "conjugation size 2 does not match matrix size 3"),
+        (lambda: minmax_even_lower_check(np.eye(3), 0, 0), ValueError, "trials must be >= 1"),
+    ], ids=["conjugation_not_square", "conjugation_wrong_size", "zero_trials"])
+    def test_outside_input_checks(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
 
     def test_conjugation_validation(self):
         with pytest.raises(ValueError):
@@ -161,7 +180,7 @@ class TestAntilinearSpectrum:
         spec = antilinear_spectrum(emb, conj)
         sv = np.linalg.svd(m, compute_uv=False)
         expect = np.sort(np.concatenate([sv, sv]))
-        assert np.max(np.abs(spec.lambdas - expect)) < 1e-10 * emb.norm
+        assert np.max(np.abs(spec.lambdas - expect)) < 1e-10 * np.linalg.norm(emb, 2)
 
     def test_block_embed_clusters(self):
         # every singular value of M is a cluster of two in the embedding
@@ -175,7 +194,7 @@ class TestAntilinearSpectrum:
         assert np.max(np.abs(spec.lambdas[0::2] - sv)) <= tol
         assert np.max(np.abs(spec.lambdas[1::2] - sv)) <= tol
         assert np.max(np.abs(spec.vectors.conj().T @ spec.vectors - np.eye(80))) <= 1e-12
-        resid = emb.matrix @ spec.vectors - spec.lambdas * (conj.p @ np.conj(spec.vectors))
+        resid = emb @ spec.vectors - spec.lambdas * (conj.p @ np.conj(spec.vectors))
         assert np.max(np.linalg.norm(resid, axis=0)) <= tol
 
     @settings(max_examples=100, deadline=None)

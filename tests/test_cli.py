@@ -52,6 +52,15 @@ class TestParseConfig:
         cfg = parse_config("gamma_values = 0, 0.01, 0.02", "resonance")
         assert cfg.params["gamma_values"] == (0.0, 0.01, 0.02)
 
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: parse_config("n_points 5\n", "kp-fig1"), TypeMismatchError, "expected 'key = value'"),
+        (lambda: emit(ResultTable(columns=["a"], rows=np.zeros((1, 1))), "xml"), TypeMismatchError,
+         "unknown output format 'xml'"),
+    ], ids=["line_without_equals", "unknown_format"])
+    def test_outside_input_checks(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
 
 class TestEmit:
     def test_empty_table(self):
@@ -221,6 +230,19 @@ class TestMain:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("bogus = 1\n")
         assert main(["kp-fig1", "--config", str(cfg)]) == 1
+
+    def test_missing_config_file_exit_1(self, tmp_path, capsys):
+        assert main(["kp-fig1", "--config", str(tmp_path / "absent.cfg")]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_kernel_scan_empty_ball_exit_2(self, tmp_path, capsys):
+        # at the default n = 2000 the grid step is 0.02, so most eps = 0.005
+        # balls hold no grid point; they must not average to a kernel of 0
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("eps = 0.005\n")
+        assert main(["kernel-scan", "--config", str(cfg), "--output", str(tmp_path / "k.csv")]) == 2
+        assert capsys.readouterr().err.startswith("precondition error:")
+        assert not (tmp_path / "k.csv").exists()
 
     def test_precondition_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -68,6 +68,21 @@ class TestGeometry:
     def test_omega_eps_1d(self):
         assert omega_eps(0.5, 1) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: BoundInputs(gap=GAP12, energy=1.4375, q=-0.1, eps=0.5), InvalidGapError, "q must be >= 0"),
+        (lambda: BoundInputs(gap=GAP12, energy=1.4375, q=0.2, eps=0.0), InvalidGapError, "eps must be > 0"),
+        (lambda: BoundInputs(gap=GAP12, energy=1.4375, q=0.2, eps=0.5, dim=0), InvalidGapError,
+         "dimension must be >= 1"),
+        (lambda: omega_eps(0.0, 1), ValueError, "eps must be positive"),
+        (lambda: omega_eps(-0.5, 1), ValueError, "eps must be positive"),
+        (lambda: unit_ball_volume(0), ValueError, "dimension must be >= 1"),
+        (lambda: decay_envelope(GAP12, 1.9, 0.5), ShiftLeavesGapError, "above e_plus"),
+    ], ids=["negative_q", "zero_eps", "zero_dim", "omega_zero_eps", "omega_negative_eps",
+            "ball_zero_dim", "envelope_above_e_plus"])
+    def test_outside_input_checks(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
 
 class TestCriticalQ:
     def test_qc_at_ebar_closed_form(self):

@@ -29,6 +29,14 @@ def transfer_half_trace(v0, energy):
 
 
 class TestDispersion:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: KPModel(0.0), "v0 must be positive"),
+        (lambda: KPModel(-3.0), "v0 must be positive"),
+    ], ids=["zero_v0", "negative_v0"])
+    def test_outside_input_checks(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_free_limit(self):
         assert dispersion(KPModel(1e-14), 4.0) == pytest.approx(math.cos(2.0), abs=1e-12)
 

@@ -97,6 +97,17 @@ class TestBuild:
 
 
 class TestClassify:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: classify_spectrum(build_scaled(FREE, Grid1D(10.0, 20), 0.3j),
+                                   build_scaled(FREE, Grid1D(10.0, 20), 0.3j), WINDOW),
+         "must differ in theta"),
+        (lambda: perturbation_scan(ALPHA75, Grid1D(10.0, 20), 0.3j, [0.0], 4.0 - 0.1j, 4.0 - 0.2j),
+         "requires a potential with w"),
+    ], ids=["equal_theta", "no_w"])
+    def test_outside_input_checks(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_free_all_continuum(self):
         # the window holds the whole spectrum, so the search ends on the dense branch
         grid = Grid1D(length=10.0, n=120)

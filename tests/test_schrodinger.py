@@ -15,6 +15,7 @@ from csop.errors import (
     InvalidGapError,
     NegativePotentialError,
     NoGapFoundError,
+    PreconditionError,
     ShiftInSpectrumError,
     SingularShiftError,
 )
@@ -141,7 +142,7 @@ class TestDoubling:
             emb, conj = block_embed(t.dense(shift))
             # conj(P) @ diag(M, M^T) = [[0, M^T], [M, 0]] is real for real M, and
             # the 4n doubling is that block and its negative
-            dense = real_doubling(np.conj(conj.p) @ emb.matrix)[:2 * n, :2 * n]
+            dense = real_doubling(np.conj(conj.p) @ emb)[:2 * n, :2 * n]
         s = interleave(dense)
         assert not np.triu(s, 4).any()
         assert np.array_equal(t.doubling(shift), upper_band(s))
@@ -295,6 +296,21 @@ class TestBuild:
         grid = Grid1D(length=2.0, n=19)
         with pytest.raises(ValueError):
             build_hamiltonian(grid, PotentialSpec.delta_comb([2.5], 1.0))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: Grid1D(length=0.0, n=10), "grid length must be positive"),
+        (lambda: Grid1D(length=-1.0, n=10), "grid length must be positive"),
+        (lambda: Grid1D(length=1.0, n=2), "need at least 3 interior points"),
+        (lambda: PotentialSpec.delta_comb([1.0], 0.0), "strength v0 must be positive"),
+        (lambda: build_hamiltonian(Grid1D(length=1.0, n=5), PotentialSpec.sampled(np.zeros(4))),
+         "sampled potential needs 5 values"),
+        (lambda: Tridiagonal(sub=np.array([1j]), main=np.zeros(2, dtype=complex), sup=np.array([2j])).doubling(),
+         "needs it symmetric"),
+    ], ids=["zero_length", "negative_length", "two_points", "zero_strength", "sampled_wrong_length",
+            "complex_not_symmetric"])
+    def test_outside_input_checks(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
     def test_kp_band_edges_match_dispersion_oracle(self, kp_grid_2000):
         ham, gap = kp_grid_2000
@@ -565,6 +581,26 @@ class TestKernel:
         val = avg_resolvent_kernel(ham, energy, x1, x2, eps)
         rmat = np.linalg.inv(ham.bands.dense(energy))
         assert val == pytest.approx(grid.h * rmat[i, j] / (2 * eps) ** 2, rel=1e-10)
+
+    @pytest.mark.parametrize("eps_per_h, message", [
+        (0.0, "must be positive"), (-0.5, "must be positive"), (0.25, "holds no grid point"),
+    ], ids=["zero", "negative", "between_points"])
+    def test_sampler_refuses_empty_balls(self, kp_grid_600, eps_per_h, message):
+        # the midpoint 20 = 300.5 h lies halfway between two grid points, and so
+        # does 20 +- m h: a ball of radius h / 4 there holds none, and all three
+        # kernels refuse it instead of averaging it to 0
+        ham, gap = kp_grid_600
+        h = ham.grid.h
+        eps = eps_per_h * h
+        seps = 2.0 * h * np.array([60, 90, 120, 150])
+        calls = [
+            lambda: avg_resolvent_kernel(ham, -1.0, 20.0 - 60 * h, 20.0 + 60 * h, eps),
+            lambda: resolvent_kernel_scan(ham, -1.0, seps, eps),
+            lambda: projector_decay(ham, gap, eps, seps),
+        ]
+        for call in calls:
+            with pytest.raises(PreconditionError, match=message):
+                call()
 
     def test_ball_outside_domain(self, kp_grid_600):
         ham, _ = kp_grid_600
