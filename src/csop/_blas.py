@@ -1,4 +1,4 @@
-"""One OpenBLAS thread for schrodinger's and scaling's O(n) BLAS, LAPACK and ARPACK calls.
+"""One OpenBLAS thread for schrodinger's and scaling's O(n) BLAS and LAPACK calls, ARPACK's included.
 
 `one_blas_thread`, a re-entrant context manager and decorator, sets the OpenBLAS
 bundled with NumPy and the one bundled with SciPy to one thread; the outermost

@@ -13,26 +13,29 @@ phase-correct antilinear eigenvectors u = x + i y, orthonormal as they come
 except in the kernel, where one SVD orthonormalises.  Full spectra (and the
 Takagi factorization) come from divide-and-conquer eigh on S in place, and
 at z = 0 its top eigenvalue is ||A||; the resolvent norm from _lanczos, the
-shift-invert Lanczos of schrodinger's banded norms too, on a dense LU of
+thick-restart shift-invert Lanczos of schrodinger's banded norms too (at most
+NCV basis vectors, a convergence test after every step), on a dense LU of
 A - z (_dense_lu).  A permutation P is applied as a row gather.
 Every dense input, a ComplexSymmetricMatrix (always symmetric) or a plain
-array, passes one gate, _as_matrix: n x n, n >= 1, finite, else ValueError.
+array, passes one gate, _as_matrix: n x n, n >= 1, finite, else ValueError;
+a shift z that is not finite raises PreconditionError (_reduced).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .errors import (
     ConvergenceError,
     DegenerateClusterWarning,
     IndexOutOfRangeError,
     NotCSymmetricError,
+    PreconditionError,
     SingularShiftError,
 )
 
@@ -56,7 +59,9 @@ CLUSTER_RTOL = 1e-10     # singular values closer than this (rel.) form a cluste
 RANK_TOL = 1e-4          # kernel singular values above this count toward the zero cluster's rank
 SINGULAR_RTOL = 1e-13    # smallest lambda below this (rel.) means z is in the spectrum
 LANCZOS_TOL = 1e-14      # relative Ritz residual at which shift-invert Lanczos stops
-LANCZOS_MAXITER = 100    # ARPACK restarts before shift-invert Lanczos gives up
+LANCZOS_MAXITER = 100    # restarts before shift-invert Lanczos gives up
+NCV = 20                 # Lanczos basis vectors held at once (ARPACK's ncv for one eigenpair)
+_RESTART_COLUMNS = 4096  # columns of the basis turned into Ritz vectors at once
 SOLVE_MAX = np.finfo(float).tiny ** -0.5  # larger solves: sigma_min^2 overflows, shift singular
 
 
@@ -248,9 +253,12 @@ def _reduced(a, conj: Conjugation | None, z: complex) -> tuple[np.ndarray, np.nd
     An exactly symmetric A' is returned as it is; otherwise raises
     NotCSymmetricError when A' deviates from symmetry by more than
     SYMMETRY_RTOL * ||A||, signalling an inconsistent (matrix, conjugation)
-    pair; ||A|| is computed only for an asymmetry above ABS_FLOOR.
+    pair; ||A|| is computed only for an asymmetry above ABS_FLOOR.  Raises
+    PreconditionError for a shift z that is not finite.
     """
     mat = _as_matrix(a)
+    if not np.isfinite(z):
+        raise PreconditionError(f"shift z = {z} must be finite")
     n = mat.shape[0]
     if conj is not None and conj.n != n:
         raise ValueError(f"conjugation size {conj.n} does not match matrix size {n}")
@@ -334,16 +342,51 @@ def _singular(lam: float, lower: float, upper: float, norm, shift: complex) -> N
 def _lanczos(solve, m: int, what: str) -> tuple[float, np.ndarray]:
     """(sigma, w): the smallest |eigenvalue| of an m x m real symmetric S (an upper bound) and its eigenvector.
 
-    Seeded ARPACK Lanczos on solve(v) = S^-1 v, largest magnitude +-1 / sigma.
-    Raises ConvergenceError, naming `what`, when ARPACK fails or exceeds LANCZOS_MAXITER restarts.
+    Thick-restart Lanczos (Wu & Simon 2000) on solve(v) = S^-1 v, from a
+    seeded start, for its largest-magnitude eigenvalue theta = +-1 / sigma.
+    The basis holds at most NCV vectors, each new one orthogonalized against
+    all by two classical Gram-Schmidt passes; the coefficients fill the
+    projection T = V^T S^-1 V.  After every step LAPACK (?stev, ?syev once a
+    restart has put an arrowhead block in T) gives T's Ritz pair (theta, y)
+    of largest |theta|, converged when beta |y_last| <= LANCZOS_TOL |theta|
+    (ARPACK's rule, beta the residual norm) or when the basis spans R^m.  A
+    full basis restarts from its NCV / 2 Ritz vectors of largest |theta| and
+    the residual.  Raises ConvergenceError, naming `what`, when LANCZOS_MAXITER
+    restarts do not converge.
     """
-    op = scipy.sparse.linalg.LinearOperator((m, m), matvec=solve, dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(m)
-    try:
-        theta, w = scipy.sparse.linalg.eigsh(op, k=1, which="LM", v0=v0, tol=LANCZOS_TOL, maxiter=LANCZOS_MAXITER)
-    except scipy.sparse.linalg.ArpackError as exc:
-        raise ConvergenceError(f"Lanczos for {what}: {exc}") from None
-    return 1.0 / abs(float(theta[0])), w[:, 0]
+    size = min(NCV, m)
+    basis, t = np.empty((size, m)), np.zeros((size, size))
+    syev, stev = scipy.linalg.lapack.get_lapack_funcs(("syev", "stev"), (t,))
+    v = np.random.default_rng(0).standard_normal(m)
+    basis[0] = v / np.linalg.norm(v)
+    j = restarts = 0
+    while True:
+        w = solve(basis[j])
+        h = basis[:j + 1] @ w
+        w -= h @ basis[:j + 1]
+        again = basis[:j + 1] @ w
+        w -= again @ basis[:j + 1]
+        t[j, :j + 1] = t[:j + 1, j] = h + again
+        beta = math.sqrt(w @ w)
+        if j and not restarts:  # T is tridiagonal, to rounding
+            theta, y, _ = stev(t.diagonal()[:j + 1], t.diagonal(1)[:j])
+        else:
+            theta, y, _ = syev(t[:j + 1, :j + 1])
+        top = 0 if -theta[0] > theta[j] else j  # theta ascends
+        if beta * abs(y[j, top]) <= LANCZOS_TOL * abs(theta[top]) or j + 1 == m:
+            return 1.0 / abs(theta[top]), y[:, top] @ basis[:j + 1]
+        if j + 1 == size:
+            if restarts == LANCZOS_MAXITER:
+                raise ConvergenceError(f"Lanczos for {what}: not converged after {LANCZOS_MAXITER} restarts")
+            restarts += 1
+            keep = np.argsort(-np.abs(theta))[:size // 2]
+            for lo in range(0, m, _RESTART_COLUMNS):  # Ritz vectors in place, a block of columns at a time
+                basis[:keep.size, lo:lo + _RESTART_COLUMNS] = y[:, keep].T @ basis[:, lo:lo + _RESTART_COLUMNS]
+            t[:] = 0.0
+            t[:keep.size, :keep.size] = np.diag(theta[keep])
+            j = keep.size - 1
+        j += 1
+        basis[j] = w / beta
 
 
 def _dense_lu(a: np.ndarray):
@@ -359,7 +402,7 @@ def _dense_lu(a: np.ndarray):
 
     def solve(b):
         x = getrs(lu, piv, b)[0]
-        if not np.max(np.abs(x)) < SOLVE_MAX:
+        if not np.abs(x).max() < SOLVE_MAX:
             raise SingularShiftError("A - z is singular to working precision")
         return x
 

@@ -13,13 +13,16 @@ too, goes through one tridiagonal LU, _band_lu.  find_gap, projector_decay
 and bq_norm compute only the eigenpairs of H up to the gap, never all n.
 All three kernels average over eps-balls with one sampler, _ball_average,
 which refuses eps <= 0 and a ball without a grid point (PreconditionError).
-BLAS, LAPACK and ARPACK run here on one OpenBLAS thread, process-wide while
-they run (_blas.one_blas_thread); a user-set OPENBLAS_NUM_THREADS wins.
+BLAS and LAPACK run here on one OpenBLAS thread, process-wide while they
+run (_blas.one_blas_thread); a user-set OPENBLAS_NUM_THREADS wins.  A shift
+or energy that is not finite raises PreconditionError (_band_lu and
+_check_clear_of_spectrum).
 
 Fixed tolerances: THETA_GAP is the closest a shift may come to an eigenvalue
 of H; find_gap's spacing test uses GAP_MIN and GAP_WINDOW, and it drops
-surface states by EDGE_MARGIN and EDGE_WEIGHT; shift-invert ARPACK stops at
-LANCZOS_TOL and gives up after LANCZOS_MAXITER restarts (both in antilinear).
+surface states by EDGE_MARGIN and EDGE_WEIGHT; shift-invert Lanczos holds
+NCV basis vectors, stops at LANCZOS_TOL and gives up after LANCZOS_MAXITER
+restarts (all three in antilinear).
 """
 
 from __future__ import annotations
@@ -165,10 +168,13 @@ def _band_lu(a: Tridiagonal, shift: complex):
     """Factor a - shift once (?gttrf) and return its solve, solve(b, trans=0) -> x.
 
     trans = 1 solves with the plain transpose; b is a vector or a block of
-    columns.  Raises SingularShiftError at a zero pivot, and when a solve's
-    largest entry is not below antilinear.SOLVE_MAX = 1 / sqrt(tiny) (inf
-    and NaN included), as antilinear._dense_lu does.
+    columns.  Raises PreconditionError for a shift that is not finite,
+    SingularShiftError at a zero pivot, and when a solve's largest entry is
+    not below antilinear.SOLVE_MAX = 1 / sqrt(tiny) (inf and NaN included),
+    as antilinear._dense_lu does.
     """
+    if not np.isfinite(shift):
+        raise PreconditionError(f"shift {shift} must be finite")
     n = a.main.size
     # SciPy's ?gttrf wrapper refuses n < 3, and min_lambda takes any n: one
     # code path pads the diagonals to 3 with a decoupled unit diagonal
@@ -184,7 +190,7 @@ def _band_lu(a: Tridiagonal, shift: complex):
         if pad:
             b = np.concatenate([b, np.zeros((pad,) + np.shape(b)[1:])])
         x = gttrs(*lu, b, trans="NT"[trans])[0][:n]
-        if not np.max(np.abs(x)) < SOLVE_MAX:
+        if not np.abs(x).max() < SOLVE_MAX:
             raise SingularShiftError(f"shift {shift:.6g} makes A - shift singular to working precision")
         return x
 
@@ -197,8 +203,8 @@ def _lanczos_pair(a: Tridiagonal, shift: complex) -> tuple[float, np.ndarray]:
 
     antilinear._lanczos on S = a.doubling(shift), with a - shift factored
     once (_band_lu): S^-1 is one or two tridiagonal solves in the interleaved
-    coordinates.  Raises SingularShiftError from _band_lu, ConvergenceError
-    past LANCZOS_MAXITER restarts.
+    coordinates.  Raises PreconditionError and SingularShiftError from
+    _band_lu, ConvergenceError past LANCZOS_MAXITER restarts.
     """
     complex_doubling = a._complex_doubling(shift)
     lu_solve = _band_lu(a, shift)
@@ -377,8 +383,10 @@ def boost(h: DiscreteHamiltonian, q: float) -> Tridiagonal:
 
 @one_blas_thread
 def _check_clear_of_spectrum(h: DiscreteHamiltonian, x: complex, what: str):
-    """Raise ShiftInSpectrumError when an eigenvalue of H lies within THETA_GAP of x."""
+    """Raise PreconditionError when x is not finite, ShiftInSpectrumError when an eigenvalue of H is within THETA_GAP."""
     z = complex(x)
+    if not np.isfinite(z):
+        raise PreconditionError(f"{what} = {x} must be finite")
     if abs(z.imag) >= THETA_GAP:
         return
     half = math.sqrt(THETA_GAP * THETA_GAP - z.imag * z.imag)

@@ -377,7 +377,7 @@ def test_criterion_10_resonance_machinery(located_resonance):
         radius = 10 ** rng.uniform(-3, -0.7) * abs(z5)
         probes.append(z5 + radius * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
     # all dense SVD oracles first, then all Lanczos runs: with two OpenBLAS
-    # threads the first large LAPACK call after an ARPACK solve runs about
+    # threads the first large LAPACK call after a Lanczos solve runs about
     # twice as slowly, so alternating the two doubles the oracles' cost
     eye = np.eye(grid5.n)
     smins = [np.linalg.svd(ham5.matrix - z * eye, compute_uv=False).min() for z in probes]

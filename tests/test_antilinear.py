@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from csop import antilinear
 from csop.antilinear import (
+    NCV,
     ComplexSymmetricMatrix,
     Conjugation,
     _dense_lu,
+    _lanczos,
     _reduced,
     antilinear_spectrum,
     block_embed,
@@ -26,6 +28,7 @@ from csop.errors import (
     DegenerateClusterWarning,
     IndexOutOfRangeError,
     NotCSymmetricError,
+    PreconditionError,
     SingularShiftError,
 )
 from conftest import random_complex_symmetric
@@ -390,8 +393,15 @@ class TestResolventNorm:
         with pytest.raises(SingularShiftError, match="working precision"):
             resolvent_norm(a)
 
+    @pytest.mark.parametrize("z", [np.nan, np.inf])
+    def test_nonfinite_shift_is_refused(self, z):
+        # a nan shift is not a singular shift, and inf is not a Lanczos failure
+        with pytest.raises(PreconditionError, match="must be finite") as info:
+            resolvent_norm(np.eye(3), None, z)
+        assert not isinstance(info.value, SingularShiftError)
+
     def test_lanczos_step_cap_raises(self, monkeypatch):
-        # singular values evenly spread over [1, 2]: one ARPACK restart is not enough
+        # singular values evenly spread over [1, 2]: one Lanczos restart is not enough
         rng = np.random.default_rng(16)
         q, _ = np.linalg.qr(rng.standard_normal((60, 60)) + 1j * rng.standard_normal((60, 60)))
         a = (q * np.linspace(1.0, 2.0, 60)) @ q.T
@@ -399,6 +409,56 @@ class TestResolventNorm:
         monkeypatch.setattr(antilinear, "LANCZOS_MAXITER", 1)
         with pytest.raises(ConvergenceError):
             resolvent_norm(a)
+
+
+def _diagonal(d):
+    """(solve, calls) for S = diag(d): solve(v) = S^-1 v, and a one-item list counting the solves."""
+    calls = [0]
+
+    def solve(v):
+        calls[0] += 1
+        return v / d
+
+    return solve, calls
+
+
+class TestLanczos:
+    # _lanczos on explicit diagonal S, whose smallest |eigenvalue| is known
+
+    def test_smallest_magnitude_and_unit_ritz_vector(self):
+        rng = np.random.default_rng(3)
+        d = rng.choice([-1.0, 1.0], 200) * rng.uniform(1.0, 10.0, 200)
+        sigma, w = _lanczos(_diagonal(d)[0], d.size, "diag")
+        k = np.argmin(np.abs(d))
+        assert sigma == pytest.approx(abs(d[k]), rel=1e-14)
+        assert np.linalg.norm(w) == pytest.approx(1.0, rel=1e-14)
+        assert abs(w[k]) == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("d", [[2.5], [-3.0, 0.5], [1.0, -2.0, 4.0]])
+    def test_exact_below_ncv(self, d):
+        # m < NCV: at the latest the basis spans R^m and the Ritz pair is exact
+        d = np.array(d)
+        sigma, w = _lanczos(_diagonal(d)[0], d.size, "diag")
+        k = np.argmin(np.abs(d))
+        assert sigma == pytest.approx(abs(d[k]), rel=1e-15)
+        assert abs(w[k]) == pytest.approx(1.0, rel=1e-15)
+
+    def test_converges_past_restarts(self):
+        # |eigenvalues| evenly spread over [1, 2]: many more steps than NCV;
+        # m > _RESTART_COLUMNS, so each restart forms its Ritz vectors in two blocks
+        d = np.concatenate([np.linspace(1.0, 2.0, 300), np.full(4800, 2.0)]) * np.resize([1.0, -1.0], 5100)
+        assert d.size > antilinear._RESTART_COLUMNS
+        solve, calls = _diagonal(d)
+        sigma, w = _lanczos(solve, d.size, "diag")
+        assert calls[0] > 2 * NCV
+        assert sigma == pytest.approx(1.0, rel=1e-14)
+        assert abs(w[0]) == pytest.approx(1.0, rel=1e-14)
+
+    def test_step_cap_names_the_problem(self, monkeypatch):
+        d = np.linspace(1.0, 2.0, 300) * np.resize([1.0, -1.0], 300)
+        monkeypatch.setattr(antilinear, "LANCZOS_MAXITER", 1)
+        with pytest.raises(ConvergenceError, match="Lanczos for spread diagonal"):
+            _lanczos(_diagonal(d)[0], d.size, "spread diagonal")
 
 
 def _peak_units(f, size):

@@ -244,6 +244,16 @@ class TestMain:
         assert capsys.readouterr().err.startswith("precondition error:")
         assert not (tmp_path / "k.csv").exists()
 
+    def test_antilinear_nonfinite_shift_exit_2(self, tmp_path, capsys):
+        # a nan shift is a precondition error, not a traceback from eigh (exit 1)
+        path = tmp_path / "m.csv"
+        save_matrix_csv(path, np.eye(3, dtype=complex))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"matrix = {path}\nz_re = nan\n")
+        assert main(["antilinear", "--config", str(cfg), "--output", str(tmp_path / "a.csv")]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "a.csv").exists()
+
     def test_precondition_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("e_minus = 1\ne_plus = 2\nq = -3\n")

@@ -56,3 +56,9 @@ def test_no_scipy_optimize_import():
 
 def test_decay_bound_and_kp_fig1_load_no_scipy(tmp_path):
     assert _fresh(NO_SCIPY_PROBE, str(tmp_path)) == "[]"
+
+
+def test_antilinear_loads_no_scipy_sparse():
+    # the Lanczos engine calls LAPACK itself; only scaling's windowed eigs needs scipy.sparse.linalg
+    probe = "import sys, csop.antilinear\nprint([name for name in sys.modules if name.startswith('scipy.sparse')])"
+    assert _fresh(probe) == "[]"

@@ -310,7 +310,7 @@ class TestResolventNorm:
         assert abs(sigma_min(ham, z) - direct) <= 1e-12 * direct
 
     def test_lanczos_step_cap_raises(self, monkeypatch):
-        # this point needs restarts, so one ARPACK iteration is not enough
+        # this point needs restarts, so one Lanczos restart is not enough
         ham = build_scaled(ALPHA75, Grid1D(length=40.0, n=800), 0.3j)
         monkeypatch.setattr(antilinear, "LANCZOS_MAXITER", 1)
         with pytest.raises(ConvergenceError):

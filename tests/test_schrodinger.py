@@ -244,6 +244,12 @@ class TestBandLU:
         with pytest.raises(SingularShiftError):
             solve(np.ones(3))
 
+    @pytest.mark.parametrize("shift", [np.nan, np.inf, complex(1.0, np.nan)])
+    def test_nonfinite_shift_is_refused(self, shift):
+        t = Tridiagonal(sub=np.ones(2), main=np.full(3, 3.0), sup=np.ones(2))
+        with pytest.raises(PreconditionError, match="must be finite"):
+            _band_lu(t, shift)
+
     def test_block_solve_holds_two_blocks(self):
         # the Fortran-ordered solution and its abs for the SOLVE_MAX check;
         # b is not copied when n >= 3 needs no padding
@@ -462,7 +468,7 @@ class TestBqNorm:
         assert b2 == pytest.approx(2.0 * b1, rel=1e-12)
 
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         v0=st.floats(1.5, 13.0),
         n=st.integers(60, 1500),
@@ -617,6 +623,13 @@ class TestKernel:
             avg_resolvent_kernel(ham, ev + 0.5e-6j, 10.0, 20.0, 0.5)
         avg_resolvent_kernel(ham, ev + 0.8e-6 + 0.8e-6j, 10.0, 20.0, 0.5)
         avg_resolvent_kernel(ham, ev + 2e-6j, 10.0, 20.0, 0.5)
+
+    @pytest.mark.parametrize("energy", [np.nan, -np.inf, complex(13.0, np.inf)])
+    def test_nonfinite_energy_is_refused(self, kp_grid_600, energy):
+        # refused before the spectrum check, whose ?stebz raises LinAlgError on nan
+        ham, _ = kp_grid_600
+        with pytest.raises(PreconditionError, match="E = .* must be finite"):
+            avg_resolvent_kernel(ham, energy, 10.0, 20.0, 0.5)
 
     def test_certificate_up_to_095_qc(self, kp_grid_2000):
         # envelope holds for every sampled interior pair at all q <= 0.95 q_c
