@@ -11,11 +11,13 @@ S w = lam w with w = (x, y) and S = [[B, -C'], [-C', -B]].  The positive
 eigenvalues of S are the singular values of A, and the eigenvectors give
 phase-correct antilinear eigenvectors u = x + i y, orthonormal as they come
 except in the kernel, where one SVD orthonormalises.  Full spectra (and the
-Takagi factorization) come from divide-and-conquer eigh on S in place, and
-at z = 0 its top eigenvalue is ||A||; the resolvent norm from _lanczos, the
-thick-restart shift-invert Lanczos of schrodinger's banded norms too (at most
-NCV basis vectors, a convergence test after every step), on a dense LU of
-A - z (_dense_lu).  A permutation P is applied as a row gather.
+Takagi factorization) come from divide-and-conquer eigh on S in place, whose
+top eigenvalue ||A - z|| (||A|| at z = 0) scales the cluster tolerance, so no
+SVD of A runs; the exact ||A|| (_matrix_norm) is computed only for the
+asymmetry and singular-shift thresholds.  The resolvent norm comes from
+_lanczos, the thick-restart shift-invert Lanczos of schrodinger's banded
+norms too (at most NCV basis vectors, a convergence test after every step),
+on a dense LU of A - z (_dense_lu).  A permutation P is applied as a row gather.
 Every dense input, a ComplexSymmetricMatrix (always symmetric) or a plain
 array, passes one gate, _as_matrix: n x n, n >= 1, finite, else ValueError;
 a shift z that is not finite raises PreconditionError (_reduced).
@@ -142,15 +144,14 @@ class AntilinearSpectrum:
 
     lambdas are ascending and nonnegative; column k of ``vectors`` is the
     unit-norm eigenvector paired with lambdas[k] and the columns are
-    orthonormal.  ``matrix_norm`` is ||A||, not ||A - z||: the largest lambda
-    at z = 0 (conj(P) is unitary), else ComplexSymmetricMatrix.norm or one
-    SVD.  ``degenerate`` flags singular values within CLUSTER_RTOL * ||A|| of
-    each other; a cluster's columns are then one orthonormal basis of many.
+    orthonormal.  The largest lambda is ||A - z||, and ||A|| at z = 0
+    (conj(P) is unitary).  ``degenerate`` flags singular values within
+    CLUSTER_RTOL * ||A - z|| of each other; a cluster's columns are then one
+    orthonormal basis of many.
     """
 
     lambdas: np.ndarray
     vectors: np.ndarray
-    matrix_norm: float = 0.0
     degenerate: bool = False
 
 
@@ -202,12 +203,13 @@ def _fix_sign(u: np.ndarray) -> np.ndarray:
     return np.negative(u, out=u, where=flip)
 
 
-def _antilinear_plain(s: np.ndarray, scale: float | None):
+def _antilinear_plain(s: np.ndarray):
     """Solve A u = lam conj(u) for plain complex symmetric A from s = real_doubling(A), overwritten.
 
-    `scale`, ||A|| or None for the largest lambda, sets the cluster tolerance.
-    Returns (lambdas ascending, vectors as columns, degenerate flag, scale).
-    Raises LinAlgError when the zero cluster's kernel has too low a rank.
+    Singular values within CLUSTER_RTOL * ||A|| (the largest lambda) of each
+    other form a cluster.  Returns (lambdas ascending, vectors as columns,
+    degenerate flag).  Raises LinAlgError when the zero cluster's kernel has
+    too low a rank.
     """
     n = s.shape[0] // 2
     # s is symmetric, so s.T is a Fortran-ordered view that eigh overwrites
@@ -220,13 +222,11 @@ def _antilinear_plain(s: np.ndarray, scale: float | None):
     # J (x, y) = (-y, x) maps the +lam_k eigenvector to the -lam_k eigenspace
     lam = evals[n:]
     vectors = evecs[:n, n:] + 1j * evecs[n:, n:]
-    if scale is None:
-        scale = max(float(lam[-1]), 0.0) if n else 0.0
-    ctol = max(CLUSTER_RTOL * scale, ABS_FLOOR)
+    ctol = max(CLUSTER_RTOL * lam[-1], ABS_FLOOR)
     split = np.flatnonzero(np.diff(lam) > ctol)
     degenerate = split.size < n - 1
 
-    if n and lam[0] <= ctol:
+    if lam[0] <= ctol:
         # zero cluster of m: u and i u both lie in the kernel of S, which has
         # twice its complex dimension; one SVD picks m orthonormal directions
         m = split[0] + 1 if split.size else n
@@ -237,7 +237,7 @@ def _antilinear_plain(s: np.ndarray, scale: float | None):
                 "rank-deficient degenerate cluster: could not extract an orthonormal basis"
             )
         vectors[:, :m] = basis[:, :m]
-    return np.maximum(lam, 0.0), _fix_sign(vectors), degenerate, scale
+    return np.maximum(lam, 0.0), _fix_sign(vectors), degenerate
 
 
 def _matrix_norm(a, mat: np.ndarray) -> float:
@@ -289,17 +289,15 @@ def antilinear_spectrum(a, conj: Conjugation | None = None, z: complex = 0.0) ->
 
     Internally reduces to the plain problem for A' = conj(P) @ (A - z I)
     (P symmetric unitary implies P^-1 = conj(P)), so the lambdas equal the
-    singular values of A - z I; at z = 0 the largest is ``matrix_norm``.
+    singular values of A - z I and the largest is ||A - z||.
 
     Raises NotCSymmetricError when A' deviates from symmetry by more than
     SYMMETRY_RTOL * ||A||, signalling an inconsistent (matrix, conjugation) pair.
     """
-    mat, reduced = _reduced(a, conj, z)
-    scale = None if z == 0 else _matrix_norm(a, mat)
-    s = real_doubling(reduced)
-    del reduced  # freed before eigh, whose peak is the doubling plus its workspace
-    lambdas, vectors, degenerate, scale = _antilinear_plain(s, scale)
-    return AntilinearSpectrum(lambdas=lambdas, vectors=vectors, matrix_norm=scale, degenerate=degenerate)
+    # A' is freed before eigh, whose peak is the doubling plus its workspace
+    s = real_doubling(_reduced(a, conj, z)[1])
+    lambdas, vectors, degenerate = _antilinear_plain(s)
+    return AntilinearSpectrum(lambdas=lambdas, vectors=vectors, degenerate=degenerate)
 
 
 def takagi(a) -> TakagiFactorization:
@@ -479,8 +477,8 @@ def minmax_even_lower_check(a, n_codim: int, trials: int, seed: int = 0) -> bool
     is the top eigenvalue of the doubled matrix restricted to the matching
     real subspace.
     """
-    mat = _as_matrix(a)
-    dim = mat.shape[0]
+    reduced = _reduced(a, None, 0.0)[1]
+    dim = reduced.shape[0]
     if 2 * n_codim >= dim:
         raise IndexOutOfRangeError(
             f"need 2n < dimension, got 2*{n_codim} >= {dim}"
@@ -488,11 +486,11 @@ def minmax_even_lower_check(a, n_codim: int, trials: int, seed: int = 0) -> bool
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
-    spec = antilinear_spectrum(a)
-    lam_desc = spec.lambdas[::-1]
-    target = lam_desc[2 * n_codim] - 1e-9 * max(spec.matrix_norm, ABS_FLOOR)
+    # the doubling's eigenvalues, descending, begin with the singular values: the first is ||A||
+    s = real_doubling(reduced)
+    sv = scipy.linalg.eigvalsh(s)[::-1]
+    target = sv[2 * n_codim] - 1e-9 * max(sv[0], ABS_FLOOR)
 
-    s = real_doubling(a)
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         f = rng.standard_normal((n_codim, dim)) + 1j * rng.standard_normal((n_codim, dim))

@@ -267,7 +267,7 @@ def _run_antilinear(cfg: RunConfig) -> ResultTable:
     mat = load_matrix_csv(cfg.params["matrix"])
     z = complex(cfg.params["z_re"], cfg.params["z_im"])
     spec = antilinear_spectrum(mat, None, z)
-    return _spectrum_table(cfg, "lambda", spec.lambdas, spec.vectors, matrix_norm=spec.matrix_norm)
+    return _spectrum_table(cfg, "lambda", spec.lambdas, spec.vectors)
 
 
 def _run_decay_bound(cfg: RunConfig) -> ResultTable:

@@ -33,7 +33,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from ._blas import one_blas_thread
 from .antilinear import LANCZOS_MAXITER, LANCZOS_TOL, _fix_sign
@@ -189,6 +188,8 @@ def _eigenvalues_in_disc(h: ScaledHamiltonian, centre: complex, radius: float) -
     n = h.grid.n
     k = ARNOLDI_K0
     if 2 * k < n:
+        import scipy.sparse.linalg  # here only: the dense branch and every other path do without it
+
         op = scipy.sparse.linalg.LinearOperator((n, n), matvec=_band_lu(h.bands, centre), dtype=complex)
         rng = np.random.default_rng(0)
         v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -338,11 +339,9 @@ class FloorReport:
     """Diagnostic count of singular values below the essential-spectrum floor."""
 
     floor: float
-    tol: float
     count_below: int
     below: np.ndarray
     near_floor_count: int
-    n_total: int
 
 
 @one_blas_thread
@@ -370,14 +369,7 @@ def essential_floor_check(h: ScaledHamiltonian, z: complex) -> FloorReport:
         sv = np.empty(0)
     below = sv[sv < floor - tol]
     near = int(np.sum((sv >= floor - tol) & (sv <= cut)))
-    return FloorReport(
-        floor=floor,
-        tol=tol,
-        count_below=int(below.size),
-        below=np.sort(below),
-        near_floor_count=near,
-        n_total=h.grid.n,
-    )
+    return FloorReport(floor=floor, count_below=int(below.size), below=np.sort(below), near_floor_count=near)
 
 
 def sigma_min(h: ScaledHamiltonian, z: complex) -> float:

@@ -186,19 +186,21 @@ class TestAntilinearSpectrum:
         assert np.max(np.abs(spec.lambdas - expect)) < 1e-10 * np.linalg.norm(emb, 2)
 
     def test_block_embed_clusters(self):
-        # every singular value of M is a cluster of two in the embedding
+        # every singular value of M - z is a cluster of two in the embedding,
+        # at z = 0 and at a shift, where the cluster scale is ||M - z||
         rng = np.random.default_rng(14)
         m = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
         emb, conj = block_embed(m)
-        spec = antilinear_spectrum(emb, conj)
-        sv = np.sort(np.linalg.svd(m, compute_uv=False))
-        tol = 1e-12 * sv[-1]
-        assert spec.degenerate
-        assert np.max(np.abs(spec.lambdas[0::2] - sv)) <= tol
-        assert np.max(np.abs(spec.lambdas[1::2] - sv)) <= tol
-        assert np.max(np.abs(spec.vectors.conj().T @ spec.vectors - np.eye(80))) <= 1e-12
-        resid = emb @ spec.vectors - spec.lambdas * (conj.p @ np.conj(spec.vectors))
-        assert np.max(np.linalg.norm(resid, axis=0)) <= tol
+        for z in (0.0, 0.7 - 0.4j):
+            spec = antilinear_spectrum(emb, conj, z)
+            sv = np.sort(np.linalg.svd(m - z * np.eye(40), compute_uv=False))
+            tol = 1e-12 * sv[-1]
+            assert spec.degenerate
+            assert np.max(np.abs(spec.lambdas[0::2] - sv)) <= tol
+            assert np.max(np.abs(spec.lambdas[1::2] - sv)) <= tol
+            assert np.max(np.abs(spec.vectors.conj().T @ spec.vectors - np.eye(80))) <= 1e-12
+            resid = (emb - z * np.eye(80)) @ spec.vectors - spec.lambdas * (conj.p @ np.conj(spec.vectors))
+            assert np.max(np.linalg.norm(resid, axis=0)) <= tol
 
     @settings(max_examples=100, deadline=None)
     @given(sigma=st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=1, max_size=10),
@@ -256,15 +258,16 @@ class TestPermutationConjugation:
         assert np.array_equal(reduced, np.conj(conj.p) @ (a - z * np.eye(n)))
         spec = antilinear_spectrum(a, conj, z)
         sv = np.sort(np.linalg.svd(a - z * np.eye(n), compute_uv=False))
-        norm = np.linalg.norm(a, 2)
-        assert np.max(np.abs(spec.lambdas - sv)) <= 1e-10 * norm
-        assert spec.matrix_norm == pytest.approx(norm, rel=1e-13)
+        assert np.max(np.abs(spec.lambdas - sv)) <= 1e-10 * np.linalg.norm(a, 2)
 
-    def test_matrix_norm_at_zero_needs_no_svd(self, monkeypatch):
+    @pytest.mark.parametrize("z", [0.0, 2.0 + 1.0j])
+    def test_spectrum_needs_no_svd(self, monkeypatch, z):
+        # the largest lambda, ||A - z||, is the cluster scale: no SVD of A runs
         rng = np.random.default_rng(19)
         a = random_complex_symmetric(30, rng)
         m = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
-        cases = [(a, None, np.linalg.norm(a, 2)), (*block_embed(m), np.linalg.norm(m, 2))]
+        cases = [(a, None), block_embed(m)]
+        expected = [np.sort(np.linalg.svd(x - z * np.eye(x.shape[0]), compute_uv=False)) for x, _ in cases]
 
         def no_svd(*args, **kwargs):
             raise AssertionError("SVD called")
@@ -273,13 +276,9 @@ class TestPermutationConjugation:
             # np.linalg.norm(x, 2) reaches svd through its own module's globals
             patch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", no_svd)
             patch.setattr(np.linalg, "svd", no_svd)
-            specs = [antilinear_spectrum(x, conj) for x, conj, _ in cases]
-        for spec, (_, _, norm) in zip(specs, cases):
-            assert abs(spec.matrix_norm - norm) <= 1e-13 * norm
-        # at z != 0 matrix_norm is still ||A||, not ||A - z||
-        spec = antilinear_spectrum(a, None, 2.0 + 1.0j)
-        assert spec.matrix_norm == np.linalg.norm(a, 2)
-        assert abs(np.linalg.norm(a - (2.0 + 1.0j) * np.eye(30), 2) - spec.matrix_norm) > 1e-3
+            specs = [antilinear_spectrum(x, conj, z) for x, conj in cases]
+        for spec, sv in zip(specs, expected):
+            assert np.max(np.abs(spec.lambdas - sv)) <= 1e-13 * sv[-1]
 
 
 class TestTakagi:
@@ -547,14 +546,16 @@ class TestMinmax:
         a = ComplexSymmetricMatrix(random_complex_symmetric(12, rng))
         assert minmax_norm(a) == pytest.approx(a.norm, rel=1e-11)
 
-    def test_not_symmetric_raises(self):
+    @pytest.mark.parametrize("call", [minmax_norm, lambda a: minmax_even_lower_check(a, 1, 3)],
+                             ids=["minmax_norm", "minmax_even_lower_check"])
+    def test_not_symmetric_raises(self, call):
         # the doubling of a non-symmetric array is not the form Re(u^T A u),
         # and its top eigenvalue is neither ||A|| nor ||(A + A^T)/2||: refuse
         # the array, as antilinear_spectrum, takagi and resolvent_norm do
         rng = np.random.default_rng(1)
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         with pytest.raises(NotCSymmetricError):
-            minmax_norm(a)
+            call(a)
 
     def test_even_lower_check_diag(self):
         a = ComplexSymmetricMatrix(np.diag([3.0, 2.0, 1.0]))

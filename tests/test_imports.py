@@ -40,6 +40,18 @@ assert csop.cli.main(["kp-fig1", "--output", os.path.join(workdir, "fig1.csv")])
 print(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy.")))
 """
 
+# the map runs sigma_min only: scipy.sparse.linalg is imported by the windowed eigs alone
+RESOLVENT_MAP_PROBE = """
+import os, sys
+import csop.cli
+workdir = sys.argv[1]
+cfg = os.path.join(workdir, "map.cfg")
+with open(cfg, "w") as fh:
+    fh.write("n = 200\\nn_re = 2\\nn_im = 2\\n")
+assert csop.cli.main(["resolvent-map", "--config", cfg, "--output", os.path.join(workdir, "map.csv")]) == 0
+print([name for name in sys.modules if name.startswith("scipy.sparse")])
+"""
+
 
 def _fresh(probe, *args):
     # a fresh interpreter: this test process has imported scipy
@@ -62,3 +74,7 @@ def test_antilinear_loads_no_scipy_sparse():
     # the Lanczos engine calls LAPACK itself; only scaling's windowed eigs needs scipy.sparse.linalg
     probe = "import sys, csop.antilinear\nprint([name for name in sys.modules if name.startswith('scipy.sparse')])"
     assert _fresh(probe) == "[]"
+
+
+def test_resolvent_map_loads_no_scipy_sparse(tmp_path):
+    assert _fresh(RESOLVENT_MAP_PROBE, str(tmp_path)) == "[]"

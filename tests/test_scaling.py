@@ -12,6 +12,7 @@ from scipy.optimize import nnls
 from csop import antilinear, scaling
 from csop.errors import ConvergenceError, PairingAmbiguityError, SingularShiftError, StripViolationError
 from csop.scaling import (
+    FLOOR_RTOL,
     DilationPotential,
     build_scaled,
     classify_spectrum,
@@ -377,7 +378,7 @@ class TestEssentialFloor:
         # z = 0 lies on the rotated ray: the floor is 0 and no value is below it
         ham = build_scaled(ALPHA75, Grid1D(length=40.0, n=300), 0.3j)
         report = essential_floor_check(ham, 0.0)
-        assert report.floor == report.tol == 0.0
+        assert report.floor == 0.0
         assert report.count_below == report.near_floor_count == report.below.size == 0
 
     @pytest.mark.parametrize("n", [300, 1000])
@@ -390,14 +391,14 @@ class TestEssentialFloor:
         ham = build_scaled(ALPHA75, grid, 0.3j)
         report = essential_floor_check(ham, z)
         sv = np.linalg.svd(ham.matrix - z * np.eye(n), compute_uv=False)
-        below = np.sort(sv[sv < report.floor - report.tol])
+        edge = report.floor - FLOOR_RTOL * report.floor
+        below = np.sort(sv[sv < edge])
         assert report.count_below == below.size == 2
         assert report.below[0] < 1e-10 * abs(z)
         assert report.below[1] == pytest.approx(below[1], rel=1e-10)
         assert report.near_floor_count == np.sum(
-            (sv >= report.floor - report.tol) & (sv <= 1.1 * report.floor)
+            (sv >= edge) & (sv <= 1.1 * report.floor)
         )
-        assert report.n_total == n
 
     def test_resonance_pushes_singular_value_below(self, resonance_500):
         grid, res = resonance_500
