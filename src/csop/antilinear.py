@@ -13,14 +13,16 @@ phase-correct antilinear eigenvectors u = x + i y, orthonormal as they come
 except in the kernel, where one SVD orthonormalises.  Full spectra (and the
 Takagi factorization) come from divide-and-conquer eigh on S in place, whose
 top eigenvalue ||A - z|| (||A|| at z = 0) scales the cluster tolerance, so no
-SVD of A runs; the exact ||A|| (_matrix_norm) is computed only for the
-asymmetry and singular-shift thresholds.  The resolvent norm comes from
+SVD of A runs; the exact ||A||, np.linalg.norm(A, 2), is computed only for
+the asymmetry and singular-shift thresholds.  The resolvent norm comes from
 _lanczos, the thick-restart shift-invert Lanczos of schrodinger's banded
 norms too (at most NCV basis vectors, a convergence test after every step),
 on a dense LU of A - z (_dense_lu).  A permutation P is applied as a row gather.
 Every dense input, a ComplexSymmetricMatrix (always symmetric) or a plain
 array, passes one gate, _as_matrix: n x n, n >= 1, finite, else ValueError;
-a shift z that is not finite raises PreconditionError (_reduced).
+a shift z that is not finite raises PreconditionError (_reduced).  Every
+solve, dense here and banded in schrodinger._band_lu, passes one bound,
+_check_solve: an entry not below SOLVE_MAX means the shift is singular.
 """
 
 from __future__ import annotations
@@ -74,14 +76,11 @@ class ComplexSymmetricMatrix:
         a = _as_matrix(entries)
         self.matrix = 0.5 * (a + a.T)
         self.n = a.shape[0]
-        self._norm = None
 
     @property
     def norm(self) -> float:
-        """Spectral norm (largest singular value), cached."""
-        if self._norm is None:
-            self._norm = float(np.linalg.norm(self.matrix, 2))
-        return self._norm
+        """Spectral norm (largest singular value)."""
+        return float(np.linalg.norm(self.matrix, 2))
 
     def __repr__(self):
         return f"ComplexSymmetricMatrix(n={self.n})"
@@ -126,16 +125,12 @@ class Conjugation:
         p[np.arange(2 * n), np.roll(np.arange(2 * n), n)] = 1.0
         return cls(p)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.rows is not None and bool(np.array_equal(self.rows, np.arange(self.n)))
-
     def apply(self, x) -> np.ndarray:
         x = np.conj(np.asarray(x, dtype=complex))
         return x[self.rows] if self.rows is not None else self.p @ x
 
     def __repr__(self):
-        return f"Conjugation(n={self.n}, identity={self.is_identity})"
+        return f"Conjugation(n={self.n})"
 
 
 @dataclass
@@ -240,11 +235,6 @@ def _antilinear_plain(s: np.ndarray):
     return np.maximum(lam, 0.0), _fix_sign(vectors), degenerate
 
 
-def _matrix_norm(a, mat: np.ndarray) -> float:
-    """||A||_2 of the input `a` whose array is `mat`, cached on a ComplexSymmetricMatrix."""
-    return a.norm if isinstance(a, ComplexSymmetricMatrix) else float(np.linalg.norm(mat, 2))
-
-
 def _reduced(a, conj: Conjugation | None, z: complex) -> tuple[np.ndarray, np.ndarray]:
     """(A, A' = conj(P) @ (A - z I) made exactly symmetric), the plain problem behind (A, P, z).
 
@@ -274,7 +264,7 @@ def _reduced(a, conj: Conjugation | None, z: complex) -> tuple[np.ndarray, np.nd
     if not np.array_equal(reduced, reduced.T):
         asym = float(np.max(np.abs(reduced - reduced.T)))
         if asym > ABS_FLOOR:
-            scale = _matrix_norm(a, mat)
+            scale = float(np.linalg.norm(mat, 2))
             if asym > SYMMETRY_RTOL * scale:
                 raise NotCSymmetricError(
                     f"conj(P) @ (A - z I) deviates from symmetry by {asym:.3e} "
@@ -387,24 +377,23 @@ def _lanczos(solve, m: int, what: str) -> tuple[float, np.ndarray]:
         basis[j] = w / beta
 
 
+def _check_solve(x: np.ndarray, singular: str) -> np.ndarray:
+    """x, a shifted solve; SingularShiftError(singular) for an entry not below SOLVE_MAX (inf and NaN included)."""
+    if not np.abs(x).max() < SOLVE_MAX:
+        raise SingularShiftError(singular)
+    return x
+
+
 def _dense_lu(a: np.ndarray):
     """Factor the square array a once (?getrf, in place) and return its solve, solve(b) -> x.
 
-    Raises SingularShiftError at a zero pivot and when a solve's largest
-    entry is not below SOLVE_MAX, as schrodinger._band_lu does.
+    Raises SingularShiftError at a zero pivot and from _check_solve.
     """
     getrf, getrs = scipy.linalg.lapack.get_lapack_funcs(("getrf", "getrs"), (a,))
     lu, piv, info = getrf(a, overwrite_a=True)
     if info > 0:
         raise SingularShiftError(f"A - z is singular: zero pivot {info}")
-
-    def solve(b):
-        x = getrs(lu, piv, b)[0]
-        if not np.abs(x).max() < SOLVE_MAX:
-            raise SingularShiftError("A - z is singular to working precision")
-        return x
-
-    return solve
+    return lambda b: _check_solve(getrs(lu, piv, b)[0], "A - z is singular to working precision")
 
 
 def resolvent_norm(a, conj: Conjugation | None = None, z: complex = 0.0) -> float:
@@ -421,7 +410,7 @@ def resolvent_norm(a, conj: Conjugation | None = None, z: complex = 0.0) -> floa
     lam_min, _ = _lanczos(lambda v: lu_solve(np.conj(v.view(complex))).view(float),
                           2 * mat.shape[0], f"sigma_min at z={z}")
     fro = float(np.linalg.norm(mat))
-    _singular(lam_min, fro / mat.shape[0] ** 0.5, fro, lambda: _matrix_norm(a, mat), z)
+    _singular(lam_min, fro / mat.shape[0] ** 0.5, fro, lambda: float(np.linalg.norm(mat, 2)), z)
     return 1.0 / lam_min
 
 

@@ -37,11 +37,11 @@ class Param:
 
 
 def _positive(name):
-    return lambda v: None if v > 0 else f"{name} must be > 0"
+    return lambda v: None if 0 < v < np.inf else f"{name} must be > 0 and finite"
 
 
 def _nonnegative(name):
-    return lambda v: None if v >= 0 else f"{name} must be >= 0"
+    return lambda v: None if 0 <= v < np.inf else f"{name} must be >= 0 and finite"
 
 
 _COMMON = {
@@ -165,7 +165,8 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
 
     Unknown keys, type mismatches and missing required keys raise with the
     offending line number; numeric values are checked against the target
-    module's preconditions before any heavy computation.
+    module's preconditions before any heavy computation, and a NaN in any
+    of them raises PreconditionError.
     """
     if subcommand not in SCHEMAS:
         raise UnknownKeyError(f"unknown subcommand {subcommand!r}")
@@ -182,6 +183,8 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         if key not in schema:
             raise UnknownKeyError(f"line {lineno}: unknown key {key!r} for {subcommand}")
         value = _coerce(key, raw, schema[key], lineno)
+        if schema[key].type is not str and np.isnan(value).any():
+            raise PreconditionError(f"line {lineno}: value {raw!r} for key {key!r} is NaN; it must be finite or +-inf")
         check = schema[key].check
         if check is not None and value is not None:
             msg = check(value)
@@ -248,7 +251,7 @@ def _spectrum_table(cfg: RunConfig, name: str, values, vectors, **meta) -> Resul
     rows[:, 2::2] = vectors.T.real
     rows[:, 3::2] = vectors.T.imag
     columns = ["index", name] + [f"u{i}_{part}" for i in range(n) for part in ("re", "im")]
-    return _table(cfg, columns, rows, n=n, **meta)
+    return _table(cfg, columns, rows, **meta)
 
 
 def _run_takagi(cfg: RunConfig) -> ResultTable:
@@ -285,9 +288,7 @@ def _run_decay_bound(cfg: RunConfig) -> ResultTable:
     if p["q"] is not None or p["q_frac"] is not None:
         qs = np.full_like(qcs, p["q"]) if p["q"] is not None else p["q_frac"] * qcs
         cs = [
-            bound_constant(
-                BoundInputs(gap=gap, energy=energy, q=q, eps=p["eps"], dim=p["dim"])
-            ).c_value
+            bound_constant(BoundInputs(gap=gap, energy=energy, q=q, eps=p["eps"], dim=p["dim"]))
             if q < qc and energy + q * q < gap.e_plus
             else np.nan
             for energy, qc, q in zip(energies, qcs, qs)
@@ -309,17 +310,17 @@ def _kp_hamiltonian(p):
     else:
         positions = np.arange(1.0, p["length"], 1.0)
         pot = PotentialSpec.delta_comb(positions, p["v0"])
-    return grid, build_hamiltonian(grid, pot)
+    return build_hamiltonian(grid, pot)
 
 
 def _run_kernel_scan(cfg: RunConfig) -> ResultTable:
     from .decay import BoundInputs, certify_bound, critical_q, qbar_and_ebar
-    from .schrodinger import THETA_GAP, find_gap, resolvent_kernel_scan
+    from .schrodinger import find_gap, resolvent_kernel_scan
 
     p = cfg.params
     if p["sep_min"] > p["sep_max"]:
         raise PreconditionError(f"sep_min = {p['sep_min']:g} exceeds sep_max = {p['sep_max']:g}")
-    grid, ham = _kp_hamiltonian(p)
+    ham = _kp_hamiltonian(p)
     gap = find_gap(ham, energy_ceiling=p["energy_ceiling"])
     qbar, ebar, _ = qbar_and_ebar(gap)
     energy = p["energy"] if p["energy"] is not None else ebar
@@ -335,8 +336,7 @@ def _run_kernel_scan(cfg: RunConfig) -> ResultTable:
         cfg, ["separation", "kernel_abs", "envelope", "margin"], rows,
         e_minus=gap.e_minus, e_plus=gap.e_plus, e_bottom=gap.e_bottom,
         energy=energy, q=q, q_c=qc, C=report.c_value,
-        certificate_passed=report.passed, worst_margin=report.worst_margin,
-        h=grid.h, theta_gap=THETA_GAP,
+        certificate_passed=report.passed,
     )
 
 
@@ -346,7 +346,7 @@ def _run_kp_fig1(cfg: RunConfig) -> ResultTable:
     p = cfg.params
     v0s = np.geomspace(p["v0_min"], p["v0_max"], p["n_points"])
     rows = np.asarray([astuple(r) for r in fig1_sweep(v0s)])
-    return _table(cfg, FIG1_COLUMNS, rows, max_rel_diff=float(np.max(rows[:, 6])))
+    return _table(cfg, FIG1_COLUMNS, rows)
 
 
 def _run_resonance(cfg: RunConfig) -> ResultTable:
@@ -366,7 +366,7 @@ def _run_resonance(cfg: RunConfig) -> ResultTable:
     return _table(
         cfg, ["gamma", "z_res_re", "z_res_im", "resolvent_norm", "bound_estimate"], rows,
         z_probe_re=z_probe.real, z_probe_im=z_probe.imag,
-        rel_bound_a=scan.rel_bound.a, rel_bound_b=scan.rel_bound.b,
+        rel_bound_b=scan.rel_bound.b,
         rel_bound_fitted_a=fitted.a, rel_bound_fitted_b=fitted.b,
     )
 

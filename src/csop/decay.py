@@ -7,10 +7,11 @@ in q^2, evaluated over scalar or array energies), the certificate constant
 
     C_{q,E} = omega_eps^-1 e^{2 q eps} / (min|E+- - E - q^2| (1 - q/F)),
 
-and the band-wide optimum qbar = G / (4 sqrt(E-)) attained at
-Ebar = (E+ + E-)/2 - G^2/(16 E-).  The energy origin matters: the 4 E-
-denominator presumes energies measured from the bottom of the potential,
-so E- = 0 is rejected rather than regularized.
+which bound_constant returns as one float, finite and positive or else
+PreconditionError, and the band-wide optimum qbar = G / (4 sqrt(E-))
+attained at Ebar = (E+ + E-)/2 - G^2/(16 E-).  The energy origin matters:
+the 4 E- denominator presumes energies measured from the bottom of the
+potential, so E- = 0 is rejected rather than regularized.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGapError, QBeyondCriticalError, ShiftLeavesGapError
+from .errors import InvalidGapError, PreconditionError, QBeyondCriticalError, ShiftLeavesGapError
 
 __all__ = [
     "GapSpectrum",
     "BoundInputs",
-    "BoundResult",
     "CertificateReport",
     "unit_ball_volume",
     "omega_eps",
@@ -111,13 +111,6 @@ class BoundInputs:
             raise InvalidGapError("dimension must be >= 1")
 
 
-@dataclass
-class BoundResult:
-    f_value: float
-    c_value: float
-    q_critical: float
-
-
 def decay_envelope(gap: GapSpectrum, energy: float, q: float) -> float:
     """F(q, E) = sqrt((E+ - E - q^2)(E - E- + q^2) / (4 E-))."""
     _validate_gap(gap, energy)
@@ -157,12 +150,13 @@ def _critical_q(gap: GapSpectrum, energy):
     return float(q) if q.ndim == 0 else q
 
 
-def bound_constant(inputs: BoundInputs) -> BoundResult:
+def bound_constant(inputs: BoundInputs) -> float:
     """Exact evaluation of the certificate constant C_{q,E}.
 
     Raises QBeyondCriticalError for q >= q_c(E) and ShiftLeavesGapError when
     E + q^2 leaves the gap through the upper edge.  The gap and energy are
-    validated once, by BoundInputs.
+    validated once, by BoundInputs.  Raises PreconditionError when C is not
+    a finite positive double (a factor overflows, or eps or q is inf or NaN).
     """
     gap, energy, q = inputs.gap, inputs.energy, inputs.q
     qc = _critical_q(gap, energy)
@@ -174,10 +168,16 @@ def bound_constant(inputs: BoundInputs) -> BoundResult:
 
     f = _envelope(gap, energy, q)
     margin = min(gap.e_plus - shift, shift - gap.e_minus)
-    c = math.exp(2.0 * q * inputs.eps) / (
-        omega_eps(inputs.eps, inputs.dim) * margin * (1.0 - q / f)
-    )
-    return BoundResult(f_value=f, c_value=c, q_critical=qc)
+    try:
+        c = math.exp(2.0 * q * inputs.eps) / (
+            omega_eps(inputs.eps, inputs.dim) * margin * (1.0 - q / f)
+        )
+    except (OverflowError, ZeroDivisionError):  # exp, gamma or eps**dim out of range
+        c = math.nan
+    if not 0.0 < c < math.inf:
+        raise PreconditionError(f"C_(q,E) is not a finite positive double at q = {q:.6g}, "
+                                f"eps = {inputs.eps:.6g}, dim = {inputs.dim}")
+    return c
 
 
 def qbar_and_ebar(gap: GapSpectrum) -> tuple[float, float, bool]:
@@ -199,7 +199,6 @@ class CertificateReport:
 
     passed: bool
     margins: np.ndarray          # log(C e^{-q s}) - log|Gbar| per sample
-    worst_margin: float
     c_value: float
 
 
@@ -210,16 +209,15 @@ def certify_bound(kernel_samples, inputs: BoundInputs) -> CertificateReport:
     sample list passes vacuously; zero kernel values pass with infinite
     margin.
     """
-    result = bound_constant(inputs)
+    c = bound_constant(inputs)
     samples = np.asarray(list(kernel_samples), dtype=float).reshape(-1, 2)
     seps = samples[:, 0]
     vals = samples[:, 1]
-    log_bound = math.log(result.c_value) - inputs.q * seps
+    log_bound = math.log(c) - inputs.q * seps
     with np.errstate(divide="ignore"):
         margins = log_bound - np.log(vals)
     return CertificateReport(
         passed=bool(np.all(margins >= 0.0)),
         margins=margins,
-        worst_margin=float(np.min(margins, initial=math.inf)),
-        c_value=result.c_value,
+        c_value=c,
     )

@@ -34,7 +34,7 @@ import numpy as np
 import scipy.linalg
 
 from ._blas import one_blas_thread
-from .antilinear import SOLVE_MAX, _lanczos, _singular
+from .antilinear import _check_solve, _lanczos, _singular
 from .decay import GapSpectrum
 from .errors import (
     BallOutsideDomainError,
@@ -168,10 +168,8 @@ def _band_lu(a: Tridiagonal, shift: complex):
     """Factor a - shift once (?gttrf) and return its solve, solve(b, trans=0) -> x.
 
     trans = 1 solves with the plain transpose; b is a vector or a block of
-    columns.  Raises PreconditionError for a shift that is not finite,
-    SingularShiftError at a zero pivot, and when a solve's largest entry is
-    not below antilinear.SOLVE_MAX = 1 / sqrt(tiny) (inf and NaN included),
-    as antilinear._dense_lu does.
+    columns.  Raises PreconditionError for a shift that is not finite, and
+    SingularShiftError at a zero pivot and from antilinear._check_solve.
     """
     if not np.isfinite(shift):
         raise PreconditionError(f"shift {shift} must be finite")
@@ -185,14 +183,12 @@ def _band_lu(a: Tridiagonal, shift: complex):
     *lu, info = gttrf(*diagonals)
     if info > 0:
         raise SingularShiftError(f"shift {shift:.6g} makes A - shift singular: zero pivot {info}")
+    singular = f"shift {shift:.6g} makes A - shift singular to working precision"
 
     def solve(b, trans=0):
         if pad:
             b = np.concatenate([b, np.zeros((pad,) + np.shape(b)[1:])])
-        x = gttrs(*lu, b, trans="NT"[trans])[0][:n]
-        if not np.abs(x).max() < SOLVE_MAX:
-            raise SingularShiftError(f"shift {shift:.6g} makes A - shift singular to working precision")
-        return x
+        return _check_solve(gttrs(*lu, b, trans="NT"[trans])[0][:n], singular)
 
     return solve
 

@@ -16,6 +16,9 @@ with its 5-percent tolerance unchanged, over the range where it holds,
 G/W < CLAUSE_6B_GW_MAX = 3.7, and the located crossing is asserted not to
 fall below that constant.  Which model or G/W normalisation the source's
 "G/W < 5" referred to cannot be settled from the paper's abstract.
+
+Criterion 12 runs the norm formula on a compact operator, the Volterra
+operator, and is split into a fixed-n part and a property over n.
 """
 
 import math
@@ -23,10 +26,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from csop.antilinear import (
+    LANCZOS_TOL,
     ComplexSymmetricMatrix,
+    Conjugation,
     antilinear_spectrum,
     block_embed,
     minmax_norm,
@@ -156,7 +163,7 @@ def test_criterion_05_decay_certificate(kp_grid_2000):
     for frac in (0.5, 0.75, 0.9):
         inputs = BoundInputs(gap=gap, energy=ebar, q=frac * qc, eps=eps, dim=1)
         rep = certify_bound(samples, inputs)
-        margins[frac] = rep.worst_margin
+        margins[frac] = rep.margins.min()
         all_pass = all_pass and rep.passed
     elapsed = time.perf_counter() - t0
     ok = all_pass and elapsed < 300.0
@@ -414,3 +421,94 @@ def test_criterion_11_infinite_volume_not_reproducible(located_resonance):
         f"substitute grid-stability report: counts below floor {counts}",
     )
     assert stable
+
+
+# --------------------------------------------------------------------------
+EPS = np.finfo(float).eps
+# observed worst cases are over n = 1..160, 200, 333 and 400
+VOLTERRA_LAMBDA_TOL = 16 * EPS      # |lambda_k - sigma_k(h)| / ||V_h||; observed <= 6.3 eps
+VOLTERRA_RESIDUAL_TOL = 32 * EPS    # ||V_h u - lambda P conj(u)|| / ||V_h||; observed <= 7.9 eps
+VOLTERRA_MINMAX_TOL = 16 * EPS      # |minmax_norm(P V_h) - sigma_1(h)| / sigma_1(h); observed <= 3.9 eps
+VOLTERRA_ORDER_TOL = 0.01           # |observed order - 2|; the h^4 term moves it by <= 9e-4 for k <= 4
+VOLTERRA_RICHARDSON_TOL = 5e-11     # |Richardson(sigma_1) - 2/pi|; the h^4 term leaves 1.35e-11
+
+
+def _volterra(n):
+    """V_h, (V_h)_ij = h for j < i and h/2 for j = i, h = 1/n, and the row-reversal conjugation P."""
+    h = 1.0 / n
+    return h * (np.tri(n, k=-1) + 0.5 * np.eye(n)), Conjugation(np.eye(n)[::-1])
+
+
+def _volterra_sigma(n):
+    """sigma_k(V_h) = (h/2) cot((2k - 1) pi / (4n)), k = 1..n, descending."""
+    k = np.arange(1, n + 1)
+    return (0.5 / n) / np.tan((2 * k - 1) * np.pi / (4 * n))
+
+
+def _check_volterra(n):
+    """Lambdas against the closed form, eigenvector residuals and minmax_norm at one n; lambdas descending."""
+    v, conj = _volterra(n)
+    spec = antilinear_spectrum(v, conj)
+    sigma = _volterra_sigma(n)
+    lam = spec.lambdas[::-1]
+    assert np.max(np.abs(lam - sigma)) <= VOLTERRA_LAMBDA_TOL * sigma[0]
+    u = spec.vectors
+    residual = np.linalg.norm(v @ u - spec.lambdas * conj.apply(u), axis=0)
+    assert np.max(residual) <= VOLTERRA_RESIDUAL_TOL * sigma[0]
+    assert abs(minmax_norm(v[::-1]) - sigma[0]) <= VOLTERRA_MINMAX_TOL * sigma[0]
+    return lam
+
+
+def test_criterion_12_volterra_norm_formula():
+    """The norm formula on a compact operator: (Vf)(x) = int_0^x f on L^2[0, 1]
+    is C-symmetric for C f(x) = conj f(1 - x) (Garcia & Putinar, Trans. AMS
+    358 (2006) 1285), with singular values 2/((2k - 1) pi), so ||V|| = 2/pi.
+    Its discretization V_h, (V_h)_ij = h for j < i and h/2 for j = i, has
+    P V_h exactly symmetric for P the row reversal, and
+
+        sigma_k(V_h) = (h/2) cot((2k - 1) pi / (4n)) = 2/((2k - 1) pi) - (2k - 1) pi h^2 / 24 + O(h^4).
+
+    At n = 50, 100, 200: the antilinear lambdas under P equal the closed form
+    within VOLTERRA_LAMBDA_TOL ||V_h||, each eigenvector solves V_h u = lambda
+    P conj(u) within VOLTERRA_RESIDUAL_TOL ||V_h||, and minmax_norm(P V_h) is
+    sigma_1 within VOLTERRA_MINMAX_TOL.  sigma_k, k <= 4, converges to
+    2/((2k - 1) pi) at observed order 2 within VOLTERRA_ORDER_TOL on both
+    level pairs, and Richardson on the two finest levels gives 2/pi within
+    VOLTERRA_RICHARDSON_TOL.  At n = 400, resolvent_norm(V_h, P, z) equals
+    1/sigma_min(V_h - z) from a dense SVD at z = 0.3, 0.1 + 0.2i and -0.05i,
+    within LANCZOS_TOL (Lanczos's relative stopping residual) plus
+    4 eps cond(V_h - z) (the dense SVD's error in sigma_min).  These norms
+    are pseudospectral: V_h's spectrum is {h/2}."""
+    levels = (50, 100, 200)
+    lam = {n: _check_volterra(n)[:4] for n in levels}
+    limit = 2.0 / ((2 * np.arange(1, 5) - 1) * np.pi)
+    err = {n: np.abs(lam[n] - limit) for n in levels}
+    orders = np.array([np.log2(err[coarse] / err[fine]) for coarse, fine in zip(levels, levels[1:])])
+    orders_ok = bool(np.all(np.abs(orders - 2.0) <= VOLTERRA_ORDER_TOL))
+    richardson = (4.0 * lam[200][0] - lam[100][0]) / 3.0
+    richardson_ok = abs(richardson - 2.0 / math.pi) <= VOLTERRA_RICHARDSON_TOL
+
+    v, conj = _volterra(400)
+    excess = []  # relative error over its tolerance, per z
+    for z in (0.3, 0.1 + 0.2j, -0.05j):
+        sv = np.linalg.svd(v - z * np.eye(400), compute_uv=False)
+        rel_err = abs(resolvent_norm(v, conj, z) * sv[-1] - 1.0)
+        excess.append(rel_err / (LANCZOS_TOL + 4 * EPS * sv[0] / sv[-1]))
+    resolvent_ok = max(excess) <= 1.0
+    report(
+        12, orders_ok and richardson_ok and resolvent_ok,
+        f"||V_h|| = {lam[200][0]:.15f} at n = 200, 2/pi = {2 / math.pi:.15f}, "
+        f"Richardson {richardson:.15f}, observed orders (k = 1..4) {np.round(orders[-1], 5).tolist()}, "
+        f"resolvent error / tolerance <= {max(excess):.1e}",
+    )
+    assert orders_ok
+    assert richardson_ok
+    assert resolvent_ok
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(1, 160))
+def test_criterion_12_closed_form_any_n(n):
+    """The Volterra checks of criterion 12 at any n: lambdas, eigenvector
+    residuals and minmax_norm against sigma_k(V_h) = (h/2) cot((2k - 1) pi / (4n))."""
+    _check_volterra(n)

@@ -269,6 +269,38 @@ class TestMain:
         assert main(["decay-bound", "--config", str(cfg)]) == 2
         assert "e_bottom <= e_minus < e_plus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand, text, key", [
+        # exited 0 with C = nan on every row
+        ("decay-bound", "e_minus = 1\ne_plus = 2\neps = inf\nq_frac = 0.5\n", "eps"),
+        # OverflowError tracebacks from math.exp and math.gamma (exit 1)
+        ("decay-bound", "e_minus = 1\ne_plus = 2\neps = 1e6\nq_frac = 0.5\n", "eps"),
+        ("decay-bound", "e_minus = 1\ne_plus = 2\ndim = 400\nq_frac = 0.5\n", "dim"),
+        # ValueError tracebacks from geomspace, Grid1D and the comb (exit 1)
+        ("kp-fig1", "v0_max = inf\n", "v0_max"),
+        ("kernel-scan", "length = inf\n", "length"),
+        ("kernel-scan", "v0 = inf\n", "v0"),
+        # LinAlgError traceback from ?stebz (exit 1)
+        ("kernel-scan", "energy_ceiling = nan\n", "energy_ceiling"),
+        # exit 2, but blamed on a singular shift
+        ("resonance", "alpha = nan\n", "alpha"),
+        ("resonance", "gamma_values = 0, nan\n", "gamma_values"),
+        ("resolvent-map", "alpha = nan\n", "alpha"),
+    ], ids=["decay_eps_inf", "decay_eps_1e6", "decay_dim_400", "fig1_v0_max_inf", "scan_length_inf",
+            "scan_v0_inf", "scan_ceiling_nan", "resonance_alpha_nan", "resonance_gamma_nan", "map_alpha_nan"])
+    def test_nonfinite_or_overflowing_config_exit_2(self, tmp_path, capsys, subcommand, text, key):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        assert main([subcommand, "--config", str(cfg), "--output", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("precondition error:") and f"{key} " in err.replace("'", " ")
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_kernel_scan_infinite_ceiling_exit_0(self, tmp_path):
+        # inf is the documented whole-spectrum ceiling, not a bad value
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("n = 300\nenergy_ceiling = inf\n")
+        assert main(["kernel-scan", "--config", str(cfg), "--output", str(tmp_path / "k.csv")]) == 0
+
     def test_decay_bound_q_and_q_frac_exit_1(self, tmp_path, capsys):
         # the rows would use q while the metadata recorded q_frac as applied
         cfg = tmp_path / "c.cfg"

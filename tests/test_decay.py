@@ -17,7 +17,7 @@ from csop.decay import (
     qbar_and_ebar,
     unit_ball_volume,
 )
-from csop.errors import InvalidGapError, QBeyondCriticalError, ShiftLeavesGapError
+from csop.errors import InvalidGapError, PreconditionError, QBeyondCriticalError, ShiftLeavesGapError
 from csop.schrodinger import GapSpectrum
 
 GAP12 = GapSpectrum(e_minus=1.0, e_plus=2.0)
@@ -189,13 +189,12 @@ class TestCriticalQ:
 class TestBoundConstant:
     def test_q_zero(self):
         inputs = BoundInputs(gap=GAP12, energy=1.25, q=0.0, eps=0.5, dim=1)
-        res = bound_constant(inputs)
-        assert res.c_value == pytest.approx(1.0 / (1.0 * 0.25))
+        assert bound_constant(inputs) == pytest.approx(1.0 / (1.0 * 0.25))
 
     def test_divergence_at_critical(self):
         qc = critical_q(GAP12, 1.4375)
         values = [
-            bound_constant(BoundInputs(gap=GAP12, energy=1.4375, q=f * qc, eps=0.5)).c_value
+            bound_constant(BoundInputs(gap=GAP12, energy=1.4375, q=f * qc, eps=0.5))
             for f in (0.9, 0.99, 0.999)
         ]
         assert values[0] < values[1] < values[2]
@@ -205,9 +204,9 @@ class TestBoundConstant:
 
     def test_frozen_hand_value(self):
         # E-=1, E+=2, E=1.4375, q=0.2, eps=0.5, d=1, evaluated by hand twice
-        res = bound_constant(BoundInputs(gap=GAP12, energy=1.4375, q=0.2, eps=0.5, dim=1))
-        assert res.c_value == pytest.approx(12.841645462882283, rel=1e-12)
-        assert res.f_value == pytest.approx(0.24974674672555797, rel=1e-12)
+        c = bound_constant(BoundInputs(gap=GAP12, energy=1.4375, q=0.2, eps=0.5, dim=1))
+        assert c == pytest.approx(12.841645462882283, rel=1e-12)
+        assert decay_envelope(GAP12, 1.4375, 0.2) == pytest.approx(0.24974674672555797, rel=1e-12)
 
     def test_shift_leaves_gap(self):
         gap = GapSpectrum(e_minus=1.0, e_plus=1.3)
@@ -219,20 +218,44 @@ class TestBoundConstant:
             qc = critical_q(GAP12, energy)
             qs = np.linspace(0.0, 0.98 * qc, 30)
             cs = [
-                bound_constant(BoundInputs(gap=GAP12, energy=energy, q=q, eps=0.5)).c_value
+                bound_constant(BoundInputs(gap=GAP12, energy=energy, q=q, eps=0.5))
                 for q in qs
             ]
             assert np.all(np.diff(cs) > 0)
 
-    def test_validates_once_and_matches_public_functions(self, monkeypatch):
+    def test_validates_once(self, monkeypatch):
         calls = []
         validate = decay._validate_gap
         monkeypatch.setattr(decay, "_validate_gap", lambda *a: calls.append(a) or validate(*a))
         inputs = BoundInputs(gap=GAP12, energy=1.4375, q=0.2, eps=0.5)
-        res = bound_constant(inputs)
+        bound_constant(inputs)
         assert len(calls) == 1
-        assert res.q_critical == critical_q(GAP12, 1.4375)
-        assert res.f_value == decay_envelope(GAP12, 1.4375, 0.2)
+
+    @pytest.mark.parametrize("eps, dim, key", [
+        (1e6, 1, "eps"),        # e^{2 q eps} overflows math.exp
+        (0.5, 400, "dim"),      # Gamma(dim / 2 + 1) overflows math.gamma
+        (1e-200, 2, "eps"),     # eps**dim underflows to 0: the ball volume is 0
+        (1e200, 2, "eps"),      # eps**dim overflows
+        (math.inf, 1, "eps"),   # inf / inf: C would be NaN
+        (math.nan, 1, "eps"),   # passes BoundInputs' eps > 0 test
+    ], ids=["exp_overflow", "gamma_overflow", "ball_underflow", "ball_overflow", "inf_eps", "nan_eps"])
+    def test_c_outside_the_double_range_raises(self, eps, dim, key):
+        # C is positive by construction; a C that over- or underflows, or is
+        # NaN, is refused rather than returned or raised as OverflowError
+        inputs = BoundInputs(gap=GAP12, energy=1.4375, q=0.5 * critical_q(GAP12, 1.4375), eps=eps, dim=dim)
+        with pytest.raises(PreconditionError, match=f"not a finite positive double .* {key} = "):
+            bound_constant(inputs)
+
+    @settings(max_examples=50, deadline=None)
+    @given(eps=st.floats(1e-300, 1e300), dim=st.integers(1, 1000), frac=st.floats(0.0, 0.99))
+    def test_finite_or_raises(self, eps, dim, frac):
+        # whatever the inputs, C is a finite positive double or PreconditionError
+        inputs = BoundInputs(gap=GAP12, energy=1.4375, q=frac * critical_q(GAP12, 1.4375), eps=eps, dim=dim)
+        try:
+            c = bound_constant(inputs)
+        except PreconditionError:
+            return
+        assert 0.0 < c < math.inf
 
     def test_not_invariant_under_energy_shift(self):
         # only (E+ - E) and (E - E-) are shift invariant; the 4 E- denominator
@@ -275,16 +298,16 @@ class TestCertify:
 
     def test_synthetic_margin(self):
         inputs = self._inputs()
-        c = bound_constant(inputs).c_value
+        c = bound_constant(inputs)
         seps = np.array([2.0, 5.0, 9.0])
         vals = c * np.exp(-inputs.q * seps) * math.exp(-0.1)
         report = certify_bound(np.column_stack([seps, vals]), inputs)
         assert report.passed
-        assert report.worst_margin == pytest.approx(0.1, abs=1e-12)
+        assert report.margins.min() == pytest.approx(0.1, abs=1e-12)
 
     def test_violation_detected(self):
         inputs = self._inputs()
-        c = bound_constant(inputs).c_value
+        c = bound_constant(inputs)
         report = certify_bound([(3.0, 2.0 * c * math.exp(-inputs.q * 3.0))], inputs)
         assert not report.passed
-        assert report.worst_margin < 0
+        assert report.margins.min() < 0
