@@ -13,8 +13,12 @@ phase-correct antilinear eigenvectors u = x + i y, orthonormal as they come
 except in the kernel, where one SVD orthonormalises.  Full spectra (and the
 Takagi factorization) come from divide-and-conquer eigh on S in place, whose
 top eigenvalue ||A - z|| (||A|| at z = 0) scales the cluster tolerance, so no
-SVD of A runs; the exact ||A||, np.linalg.norm(A, 2), is computed only for
-the asymmetry and singular-shift thresholds.  The resolvent norm comes from
+SVD of A runs.  The one exception is a reduced A' = [[0, X^T], [X, 0]] with
+both diagonal blocks exactly zero, which block_embed gives at every z: its
+spectrum is exactly the SVD of the n x n block X (Jordan-Wielandt), each
+singular value twice, so one SVD of X replaces eigh on the 4n doubling
+(_antilinear_bipartite).  The exact ||A||, np.linalg.norm(A, 2), is computed
+only for the asymmetry and singular-shift thresholds.  The resolvent norm comes from
 _lanczos, the thick-restart shift-invert Lanczos of schrodinger's banded
 norms too (at most NCV basis vectors, a convergence test after every step),
 on a dense LU of A - z (_dense_lu).  A permutation P is applied as a row gather.
@@ -235,6 +239,26 @@ def _antilinear_plain(s: np.ndarray):
     return np.maximum(lam, 0.0), _fix_sign(vectors), degenerate
 
 
+def _antilinear_bipartite(x: np.ndarray):
+    """(lambdas ascending, vectors, True) of A' w = lam conj(w) for A' = [[0, X^T], [X, 0]], from one SVD of X.
+
+    X v_k = sigma_k u_k gives X^T conj(u_k) = sigma_k conj(v_k), so the orthonormal (v_k, conj u_k) / sqrt2
+    and i (v_k, -conj u_k) / sqrt2 both solve it with lam = sigma_k: every value is doubled, hence degenerate.
+    """
+    n = x.shape[0]
+    # SciPy's LAPACK, as eigh's: NumPy's has its own BLAS threads, which spin on after the call
+    u, sigma, vh = scipy.linalg.svd(x, check_finite=False)
+    vectors = np.empty((2 * n, 2 * n), dtype=complex)
+    v, cu = vectors[:n, 0::2], vectors[n:, 0::2]
+    np.conj(vh[::-1].T, out=v)  # columns in ascending sigma
+    np.conj(u[:, ::-1], out=cu)
+    np.multiply(v, 1j, out=vectors[:n, 1::2])
+    np.multiply(cu, -1j, out=vectors[n:, 1::2])
+    vectors *= 0.5 ** 0.5
+    del u, vh  # before _fix_sign allocates its temporaries
+    return np.repeat(sigma[::-1], 2), _fix_sign(vectors), True
+
+
 def _reduced(a, conj: Conjugation | None, z: complex) -> tuple[np.ndarray, np.ndarray]:
     """(A, A' = conj(P) @ (A - z I) made exactly symmetric), the plain problem behind (A, P, z).
 
@@ -284,9 +308,15 @@ def antilinear_spectrum(a, conj: Conjugation | None = None, z: complex = 0.0) ->
     Raises NotCSymmetricError when A' deviates from symmetry by more than
     SYMMETRY_RTOL * ||A||, signalling an inconsistent (matrix, conjugation) pair.
     """
-    # A' is freed before eigh, whose peak is the doubling plus its workspace
-    s = real_doubling(_reduced(a, conj, z)[1])
-    lambdas, vectors, degenerate = _antilinear_plain(s)
+    reduced = _reduced(a, conj, z)[1]
+    n = reduced.shape[0] // 2
+    if 2 * n == reduced.shape[0] and not (reduced[:n, :n].any() or reduced[n:, n:].any()):
+        lambdas, vectors, degenerate = _antilinear_bipartite(reduced[n:, :n])
+    else:
+        # A' is freed before eigh, whose peak is the doubling plus its workspace
+        s = real_doubling(reduced)
+        del reduced
+        lambdas, vectors, degenerate = _antilinear_plain(s)
     return AntilinearSpectrum(lambdas=lambdas, vectors=vectors, degenerate=degenerate)
 
 

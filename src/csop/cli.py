@@ -44,6 +44,10 @@ def _nonnegative(name):
     return lambda v: None if 0 <= v < np.inf else f"{name} must be >= 0 and finite"
 
 
+def _finite(name):
+    return lambda v: None if np.isfinite(v) else f"{name} must be finite"
+
+
 _COMMON = {
     "format": Param(str, "csv", check=lambda v: None if v in ("csv", "json") else "format must be csv or json"),
 }
@@ -56,8 +60,8 @@ SCHEMAS: dict[str, dict[str, Param]] = {
     "antilinear": {
         **_COMMON,
         "matrix": Param(str, required=True),
-        "z_re": Param(float, 0.0),
-        "z_im": Param(float, 0.0),
+        "z_re": Param(float, 0.0, check=_finite("z_re")),
+        "z_im": Param(float, 0.0, check=_finite("z_im")),
     },
     "decay-bound": {
         **_COMMON,
@@ -76,7 +80,7 @@ SCHEMAS: dict[str, dict[str, Param]] = {
         "length": Param(float, 40.0, check=_positive("length")),
         "n": Param(int, 2000, check=lambda v: None if v >= 3 else "n must be >= 3"),
         "potential": Param(str, None),
-        "energy": Param(float, None),
+        "energy": Param(float, None, check=_finite("energy")),
         "eps": Param(float, 0.5, check=_positive("eps")),
         "q_frac": Param(float, 0.9, check=_positive("q_frac")),
         "sep_min": Param(float, 8.0, check=_positive("sep_min")),
@@ -92,27 +96,27 @@ SCHEMAS: dict[str, dict[str, Param]] = {
     },
     "resonance": {
         **_COMMON,
-        "alpha": Param(float, 7.5),
+        "alpha": Param(float, 7.5, check=_finite("alpha")),
         "length": Param(float, 40.0, check=_positive("length")),
         "n": Param(int, 800, check=lambda v: None if v >= 3 else "n must be >= 3"),
         "theta_im": Param(float, 0.3, check=_positive("theta_im")),
         "dtheta_im": Param(float, 0.02, check=_positive("dtheta_im")),
         "gamma_values": Param(list, (0.0,), check=lambda v: None if v else "gamma_values must not be empty"),
-        "probe_offset_re": Param(float, 0.05),
-        "probe_offset_im": Param(float, 0.05),
-        "window_re_max": Param(float, 6.0),
-        "window_im_min": Param(float, -0.5),
+        "probe_offset_re": Param(float, 0.05, check=_finite("probe_offset_re")),
+        "probe_offset_im": Param(float, 0.05, check=_finite("probe_offset_im")),
+        "window_re_max": Param(float, 6.0, check=_finite("window_re_max")),
+        "window_im_min": Param(float, -0.5, check=_finite("window_im_min")),
     },
     "resolvent-map": {
         **_COMMON,
-        "alpha": Param(float, 7.5),
+        "alpha": Param(float, 7.5, check=_finite("alpha")),
         "length": Param(float, 40.0, check=_positive("length")),
         "n": Param(int, 800, check=lambda v: None if v >= 3 else "n must be >= 3"),
         "theta_im": Param(float, 0.3, check=_positive("theta_im")),
-        "re_min": Param(float, 3.5),
-        "re_max": Param(float, 4.6),
-        "im_min": Param(float, -0.5),
-        "im_max": Param(float, -0.01),
+        "re_min": Param(float, 3.5, check=_finite("re_min")),
+        "re_max": Param(float, 4.6, check=_finite("re_max")),
+        "im_min": Param(float, -0.5, check=_finite("im_min")),
+        "im_max": Param(float, -0.01, check=_finite("im_max")),
         "n_re": Param(int, 12, check=_positive("n_re")),
         "n_im": Param(int, 12, check=_positive("n_im")),
     },
@@ -320,6 +324,10 @@ def _run_kernel_scan(cfg: RunConfig) -> ResultTable:
     p = cfg.params
     if p["sep_min"] > p["sep_max"]:
         raise PreconditionError(f"sep_min = {p['sep_min']:g} exceeds sep_max = {p['sep_max']:g}")
+    if p["sep_max"] >= p["length"]:
+        raise PreconditionError(f"sep_max = {p['sep_max']:g} must be below length = {p['length']:g}")
+    if (p["sep_max"] - p["sep_min"]) / p["sep_step"] + 0.5 > p["n"]:  # np.arange's count below
+        raise PreconditionError(f"sep_step = {p['sep_step']:g} gives more than n = {p['n']} separations")
     ham = _kp_hamiltonian(p)
     gap = find_gap(ham, energy_ceiling=p["energy_ceiling"])
     qbar, ebar, _ = qbar_and_ebar(gap)

@@ -107,10 +107,17 @@ def test_criterion_02_resolvent_norm_identity():
     assert worst < 1e-8
 
 
+EMBED_RESIDUAL_RTOL = 1e-12  # max_k ||A' u_k - lam_k conj(u_k)|| / ||M|| of the embedding
+EMBED_UNITARY_TOL = 1e-12    # max |U^H U - I| of its antilinear eigenvectors
+
+
 def test_criterion_03_block_embedding_norm_equality():
     """min antilinear lambda of diag(M, M^T) equals sigma_min(M) within
-    1e-10 * ||M|| for 50 random non-normal M."""
-    worst = 0.0
+    1e-10 * ||M|| for 50 random non-normal M.  The lambdas come from an SVD
+    of M itself, so the eigenvectors are checked on their own: the residual
+    of (diag(M, M^T)) u = lam P conj(u) within EMBED_RESIDUAL_RTOL * ||M||
+    per column, and U unitary within EMBED_UNITARY_TOL."""
+    worst = worst_resid = worst_gram = 0.0
     for k in range(50):
         rng = np.random.default_rng(200 + k)
         n = int(rng.integers(5, 25))
@@ -118,12 +125,19 @@ def test_criterion_03_block_embedding_norm_equality():
         comm = m @ m.conj().T - m.conj().T @ m
         assert np.linalg.norm(comm) > 1e-6  # non-normal
         emb, conj = block_embed(m)
-        lam_min = antilinear_spectrum(emb, conj).lambdas[0]
+        spec = antilinear_spectrum(emb, conj)
         sv = np.linalg.svd(m, compute_uv=False)
-        worst = max(worst, abs(lam_min - sv.min()) / sv.max())
-    ok = worst < 1e-10
-    report(3, ok, f"50 embeddings, worst |min lam - sigma_min|/||M|| = {worst:.3e}")
+        worst = max(worst, abs(spec.lambdas[0] - sv.min()) / sv.max())
+        u = spec.vectors
+        resid = emb @ u - spec.lambdas * conj.apply(u)
+        worst_resid = max(worst_resid, np.linalg.norm(resid, axis=0).max() / sv.max())
+        worst_gram = max(worst_gram, np.abs(u.conj().T @ u - np.eye(2 * n)).max())
+    ok = worst < 1e-10 and worst_resid <= EMBED_RESIDUAL_RTOL and worst_gram <= EMBED_UNITARY_TOL
+    report(3, ok, f"50 embeddings, worst |min lam - sigma_min|/||M|| = {worst:.3e}, "
+                  f"residual/||M|| = {worst_resid:.3e}, |U^H U - I| = {worst_gram:.3e}")
     assert worst < 1e-10
+    assert worst_resid <= EMBED_RESIDUAL_RTOL
+    assert worst_gram <= EMBED_UNITARY_TOL
 
 
 def test_criterion_04_minmax_n0():

@@ -295,6 +295,56 @@ class TestMain:
         assert err.startswith("precondition error:") and f"{key} " in err.replace("'", " ")
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("subcommand, key, value", [
+        # exit 2, blamed on a singular or non-finite shift that names no key
+        ("resonance", "alpha", "inf"),
+        ("resonance", "probe_offset_re", "inf"),
+        ("resonance", "probe_offset_im", "-inf"),
+        ("resonance", "window_re_max", "inf"),
+        ("resonance", "window_im_min", "-inf"),
+        ("resolvent-map", "alpha", "-inf"),
+        ("resolvent-map", "re_min", "-inf"),
+        ("resolvent-map", "re_max", "inf"),
+        ("resolvent-map", "im_min", "-inf"),
+        ("resolvent-map", "im_max", "inf"),
+        ("kernel-scan", "energy", "inf"),
+        ("antilinear", "z_im", "-inf"),
+    ])
+    def test_infinite_float_key_exit_2(self, tmp_path, capsys, subcommand, key, value):
+        # refused where it is parsed, naming its line and key, before any solve
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"n = 200\n{key} = {value}\n" if subcommand != "antilinear" else f"{key} = {value}\n")
+        assert main([subcommand, "--config", str(cfg), "--output", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        line = 1 if subcommand == "antilinear" else 2
+        assert err == f"precondition error: line {line}: {key} must be finite\n"
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("text, key", [
+        # ValueError: Maximum allowed size exceeded, from np.arange (exit 1)
+        ("sep_max = 1e300\n", "sep_max"),
+        ("sep_step = 1e-300\n", "sep_step"),
+        # refused later, at the ball gate
+        ("sep_max = 100\n", "sep_max"),
+        # 301 separations on a grid of 300 points
+        ("sep_min = 1\nsep_max = 31\nsep_step = 0.1\n", "sep_step"),
+    ], ids=["sep_max_1e300", "sep_step_1e-300", "sep_max_100", "sep_count_301"])
+    def test_kernel_scan_separation_count_exit_2(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("n = 300\n" + text)
+        assert main(["kernel-scan", "--config", str(cfg), "--output", str(tmp_path / "k.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"precondition error: {key} = ")
+        assert not (tmp_path / "k.csv").exists()
+
+    def test_kernel_scan_n_separations_exit_0(self, tmp_path):
+        # exactly n = 300 separations is allowed
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("n = 300\nsep_min = 1\nsep_max = 30.9\nsep_step = 0.1\n")
+        assert main(["kernel-scan", "--config", str(cfg), "--output", str(tmp_path / "k.csv")]) == 0
+        rows = [line for line in (tmp_path / "k.csv").read_text().splitlines() if not line.startswith("#")]
+        assert len(rows) == 1 + 300
+
     def test_kernel_scan_infinite_ceiling_exit_0(self, tmp_path):
         # inf is the documented whole-spectrum ceiling, not a bad value
         cfg = tmp_path / "c.cfg"
