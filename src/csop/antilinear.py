@@ -119,10 +119,6 @@ class Conjugation:
             raise ValueError("conjugation matrix P must be unitary (within 1e-12)")
 
     @classmethod
-    def identity(cls, n: int) -> "Conjugation":
-        return cls(np.eye(n))
-
-    @classmethod
     def swap(cls, n: int) -> "Conjugation":
         """Block swap [[0, I], [I, 0]] on C^(2n), used by the block embedding."""
         p = np.zeros((2 * n, 2 * n))

@@ -30,7 +30,6 @@ __all__ = [
     "KPModel",
     "Fig1Row",
     "dispersion",
-    "dispersion_derivative",
     "band_edges",
     "exact_decay",
     "fig1_sweep",
@@ -92,14 +91,6 @@ def _bisect(f, a: float, b: float) -> float:
         else:
             b, fb = m, fm
     return a if abs(fa) <= abs(fb) else b
-
-
-def dispersion_derivative(model: KPModel, energy: float) -> float:
-    """dh/dE = (dh/ds) / (2 s) with s = sqrt(E), for E > 0."""
-    if energy <= 0:
-        raise ValueError("dispersion derivative implemented for E > 0")
-    s = math.sqrt(energy)
-    return _dh_ds(model.v0, s) / (2.0 * s)
 
 
 def band_edges(model: KPModel) -> GapSpectrum:

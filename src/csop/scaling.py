@@ -22,7 +22,8 @@ RES_IM_TOL and BOUND_RE_MAX, and its eigenvalue search starts from
 ARNOLDI_K0 eigenvalues; resolvent_norm_at accepts an eigenvector whose
 residual is within RESIDUAL_RTOL; essential_floor_check counts within
 FLOOR_RTOL of the floor; fit_relative_bound draws FIT_SAMPLES states from
-FIT_SEED.
+FIT_SEED.  No CLI path calls fit_relative_bound: its tests and the
+benchmark's span tracer are its readers.
 """
 
 from __future__ import annotations
@@ -519,8 +520,7 @@ def fit_relative_bound(pot: DilationPotential, grid: Grid1D, theta: complex) -> 
     smoothed random vectors plus localized bumps (which probe the sup of
     |w_theta|) by closed-form NNLS (_nnls2), then inflates the pair so every
     sampled constraint holds.  Sampled
-    constants are diagnostics recorded in scan metadata; they certify
-    nothing beyond the sample family, so scans use
+    constants certify nothing beyond the sample family, so scans use
     :func:`exact_relative_bound` instead.
     """
     w_diag = _w_diagonal(pot, grid, theta)
@@ -579,7 +579,9 @@ def perturbation_scan(
     that.  bound_estimate = sup|w_theta| * ||(H_theta - z)^-1|| bounds
     ||w_theta (H_theta - z)^-1|| through the exact multiplication-operator
     pair (a, b) = (0, sup|w_theta|); it uses the unperturbed resolvent, so the
-    column is constant, and a gamma of 0 reuses that norm.
+    column is constant, and a gamma of 0 reuses that norm.  Norms come from
+    schrodinger.min_lambda, so a z_probe that is numerically an eigenvalue
+    raises SingularShiftError.
     """
     if pot.w is None:
         raise ValueError("perturbation scan requires a potential with w")
@@ -587,7 +589,7 @@ def perturbation_scan(
 
     gammas = np.asarray(list(gamma_values), dtype=float)
     h0 = build_scaled(pot, grid, theta, 0.0)
-    base_norm = 1.0 / sigma_min(h0, z_probe)
+    base_norm = 1.0 / min_lambda(h0.bands, z_probe)[0]
     bound = rel_bound.b * base_norm
 
     z_res = np.empty(gammas.size, dtype=complex)
@@ -597,7 +599,7 @@ def perturbation_scan(
         h = build_scaled(pot, grid, theta, g)
         z, _ = polish_eigenvalue(h, z)
         z_res[i] = z
-        norms[i] = base_norm if g == 0.0 else 1.0 / sigma_min(h, z_probe)
+        norms[i] = base_norm if g == 0.0 else 1.0 / min_lambda(h.bands, z_probe)[0]
     return PerturbationScan(
         gammas=gammas,
         z_res=z_res,

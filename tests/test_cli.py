@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from csop.cli import (
     load_matrix_csv,
     main,
     parse_config,
-    parse_result_table,
     run,
     save_matrix_csv,
 )
@@ -74,7 +75,11 @@ class TestEmit:
             rows=np.array([[1.0, 2.5], [3.0, -0.125]]),
             metadata={"seed": 0, "name": "t"},
         )
-        assert parse_result_table(emit(table, "json")) == table
+        payload = json.loads(emit(table, "json"))
+        assert payload["columns"] == table.columns
+        assert payload["metadata"] == table.metadata
+        rows = np.asarray(payload["rows"])
+        assert rows.shape == table.rows.shape and np.array_equal(rows, table.rows)
 
     def test_float_formatting_17g(self):
         table = ResultTable(columns=["x"], rows=np.array([[1.0 / 3.0]]), metadata={})
@@ -309,6 +314,7 @@ class TestMain:
         ("resolvent-map", "im_max", "inf"),
         ("kernel-scan", "energy", "inf"),
         ("antilinear", "z_im", "-inf"),
+        ("resonance", "gamma_values", "inf"),
     ])
     def test_infinite_float_key_exit_2(self, tmp_path, capsys, subcommand, key, value):
         # refused where it is parsed, naming its line and key, before any solve
@@ -393,7 +399,7 @@ class TestMain:
         cfg.write_text("re_min = 0.5\nre_max = 6.0\nim_min = -1.0\nim_max = -0.01\n")
         out = tmp_path / "map.json"
         assert main(["resolvent-map", "--config", str(cfg), "--format", "json", "--output", str(out)]) == 0
-        rows = parse_result_table(out.read_bytes()).rows
+        rows = np.asarray(json.loads(out.read_bytes())["rows"])
         assert rows.shape == (144, 3)
         ham = scaling.build_scaled(
             scaling.DilationPotential.alpha_r2_exp(7.5), schrodinger.Grid1D(length=40.0, n=800), 0.3j
@@ -424,5 +430,5 @@ class TestMain:
         cfg.write_text("e_minus = 1\ne_plus = 2\nn_energies = 3\n")
         out = tmp_path / "o.json"
         assert main(["decay-bound", "--config", str(cfg), "--format", "json", "--output", str(out)]) == 0
-        table = parse_result_table(out.read_bytes())
-        assert table.columns == ["E", "q_c"]
+        payload = json.loads(out.read_bytes())
+        assert payload["columns"] == ["E", "q_c"]

@@ -12,7 +12,6 @@ from csop.kronig_penney import (
     _dh_ds,
     band_edges,
     dispersion,
-    dispersion_derivative,
     exact_decay,
     fig1_sweep,
 )
@@ -67,7 +66,8 @@ class TestDispersion:
         m = KPModel(3.0)
         for e in (5.0, 12.0, 14.0):
             fd = (dispersion(m, e + 1e-6) - dispersion(m, e - 1e-6)) / 2e-6
-            assert dispersion_derivative(m, e) == pytest.approx(fd, rel=1e-6)
+            # dh/dE = (dh/ds) / (2 s) with s = sqrt(E)
+            assert _dh_ds(3.0, math.sqrt(e)) / (2.0 * math.sqrt(e)) == pytest.approx(fd, rel=1e-6)
 
 
 class TestBandEdges:
@@ -175,8 +175,9 @@ class TestExactDecay:
             assert edges.e_minus < e_star < edges.e_plus
             assert abs(dispersion(m, e_star)) > 1.0
             assert q == pytest.approx(math.acosh(abs(dispersion(m, e_star))), rel=1e-12)
-            # stationary point of h
-            assert abs(dispersion_derivative(m, e_star)) < 1e-9
+            # stationary point of h: dh/dE = (dh/ds) / (2 s) vanishes
+            s_star = math.sqrt(e_star)
+            assert abs(_dh_ds(v0, s_star) / (2.0 * s_star)) < 1e-9
 
     @pytest.mark.parametrize("v0", [1e-6, 1e-4, 1e-2, 1.0, 40.0])
     def test_matches_50_digit_reference(self, v0):

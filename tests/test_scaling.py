@@ -478,17 +478,25 @@ class TestPerturbation:
         grid, res = resonance_500
         pot = DilationPotential.alpha_r2_exp(7.5, perturbation_alpha=7.5)
         z_probe = res.z + 0.05 + 0.05j
+        gamma_of = {build_scaled(pot, grid, 0.3j, g).bands.main.tobytes(): g for g in (0.0, 0.01)}
         calls = []
 
-        def counted(h, z):
-            calls.append(h.gamma)
-            return smin(h, z)
+        def counted(a, z):
+            calls.append(gamma_of[a.main.tobytes()])
+            return min_lam(a, z)
 
-        smin = scaling.sigma_min
-        monkeypatch.setattr(scaling, "sigma_min", counted)
+        min_lam = scaling.min_lambda
+        monkeypatch.setattr(scaling, "min_lambda", counted)
         scan = perturbation_scan(pot, grid, 0.3j, [0.0, 0.01], z_probe, res.z)
         assert calls == [0.0, 0.01]
-        assert scan.norms[0] == 1.0 / smin(build_scaled(pot, grid, 0.3j), z_probe)
+        assert scan.norms[0] == 1.0 / min_lam(build_scaled(pot, grid, 0.3j).bands, z_probe)[0]
+
+    def test_probe_at_resonance_raises(self, resonance_500):
+        # at the resonance min lambda is at rounding level: no norm to report
+        grid, res = resonance_500
+        pot = DilationPotential.alpha_r2_exp(7.5, perturbation_alpha=7.5)
+        with pytest.raises(SingularShiftError):
+            perturbation_scan(pot, grid, 0.3j, [0.0], res.z, res.z)
 
     def test_first_order_slope(self, resonance_500):
         grid, res = resonance_500
