@@ -1,4 +1,8 @@
-"""One OpenBLAS thread for schrodinger's and scaling's O(n) BLAS and LAPACK calls, ARPACK's included.
+"""One OpenBLAS thread for csop's BLAS, LAPACK and ARPACK calls, dense and banded.
+
+Banded work is O(n) per call, where a second thread only burns a core; the idle
+threads of NumPy's and SciPy's separate OpenBLAS builds spin on after a dense call
+and slow the other's next one, and one thread makes results core-count independent.
 
 `one_blas_thread`, a re-entrant context manager and decorator, sets the OpenBLAS
 bundled with NumPy and the one bundled with SciPy to one thread; the outermost

@@ -17,8 +17,8 @@ SVD of A runs.  The one exception is a reduced A' = [[0, X^T], [X, 0]] with
 both diagonal blocks exactly zero, which block_embed gives at every z: its
 spectrum is exactly the SVD of the n x n block X (Jordan-Wielandt), each
 singular value twice, so one SVD of X replaces eigh on the 4n doubling
-(_antilinear_bipartite).  The exact ||A||, np.linalg.norm(A, 2), is computed
-only for the asymmetry and singular-shift thresholds.  The resolvent norm comes from
+(_antilinear_bipartite).  The exact ||A||, the top of scipy.linalg.svdvals(A), is
+computed only for the asymmetry and singular-shift thresholds.  The resolvent norm comes from
 _lanczos, the thick-restart shift-invert Lanczos of schrodinger's banded
 norms too (at most NCV basis vectors, a convergence test after every step),
 on a dense LU of A - z (_dense_lu).  A permutation P is applied as a row gather.
@@ -27,6 +27,8 @@ array, passes one gate, _as_matrix: n x n, n >= 1, finite, else ValueError;
 a shift z that is not finite raises PreconditionError (_reduced).  Every
 solve, dense here and banded in schrodinger._band_lu, passes one bound,
 _check_solve: an entry not below SOLVE_MAX means the shift is singular.
+Every dense LAPACK call is SciPy's, and the public solvers run on one OpenBLAS
+thread (_blas.one_blas_thread); a user-set OPENBLAS_NUM_THREADS wins.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from ._blas import one_blas_thread
 from .errors import (
     ConvergenceError,
     DegenerateClusterWarning,
@@ -82,9 +85,10 @@ class ComplexSymmetricMatrix:
         self.n = a.shape[0]
 
     @property
+    @one_blas_thread
     def norm(self) -> float:
         """Spectral norm (largest singular value)."""
-        return float(np.linalg.norm(self.matrix, 2))
+        return float(scipy.linalg.svdvals(self.matrix)[0])
 
     def __repr__(self):
         return f"ComplexSymmetricMatrix(n={self.n})"
@@ -226,7 +230,7 @@ def _antilinear_plain(s: np.ndarray):
         # twice its complex dimension; one SVD picks m orthonormal directions
         m = split[0] + 1 if split.size else n
         kern = evecs[:, np.abs(evals) <= max(ctol, lam[m - 1] + ctol)]
-        basis, sv, _ = np.linalg.svd(kern[:n] + 1j * kern[n:], full_matrices=False)
+        basis, sv, _ = scipy.linalg.svd(kern[:n] + 1j * kern[n:], full_matrices=False, check_finite=False)
         if np.count_nonzero(sv > RANK_TOL) < m:
             raise np.linalg.LinAlgError(
                 "rank-deficient degenerate cluster: could not extract an orthonormal basis"
@@ -242,7 +246,6 @@ def _antilinear_bipartite(x: np.ndarray):
     and i (v_k, -conj u_k) / sqrt2 both solve it with lam = sigma_k: every value is doubled, hence degenerate.
     """
     n = x.shape[0]
-    # SciPy's LAPACK, as eigh's: NumPy's has its own BLAS threads, which spin on after the call
     u, sigma, vh = scipy.linalg.svd(x, check_finite=False)
     vectors = np.empty((2 * n, 2 * n), dtype=complex)
     v, cu = vectors[:n, 0::2], vectors[n:, 0::2]
@@ -284,7 +287,7 @@ def _reduced(a, conj: Conjugation | None, z: complex) -> tuple[np.ndarray, np.nd
     if not np.array_equal(reduced, reduced.T):
         asym = float(np.max(np.abs(reduced - reduced.T)))
         if asym > ABS_FLOOR:
-            scale = float(np.linalg.norm(mat, 2))
+            scale = float(scipy.linalg.svdvals(mat)[0])
             if asym > SYMMETRY_RTOL * scale:
                 raise NotCSymmetricError(
                     f"conj(P) @ (A - z I) deviates from symmetry by {asym:.3e} "
@@ -294,6 +297,7 @@ def _reduced(a, conj: Conjugation | None, z: complex) -> tuple[np.ndarray, np.nd
     return mat, reduced
 
 
+@one_blas_thread
 def antilinear_spectrum(a, conj: Conjugation | None = None, z: complex = 0.0) -> AntilinearSpectrum:
     """All solutions of (A - z) u = lam * P conj(u), lambdas ascending.
 
@@ -422,6 +426,7 @@ def _dense_lu(a: np.ndarray):
     return lambda b: _check_solve(getrs(lu, piv, b)[0], "A - z is singular to working precision")
 
 
+@one_blas_thread
 def resolvent_norm(a, conj: Conjugation | None = None, z: complex = 0.0) -> float:
     """Operator norm of (A - z I)^-1 as 1 / min lambda of the antilinear problem.
 
@@ -436,7 +441,7 @@ def resolvent_norm(a, conj: Conjugation | None = None, z: complex = 0.0) -> floa
     lam_min, _ = _lanczos(lambda v: lu_solve(np.conj(v.view(complex))).view(float),
                           2 * mat.shape[0], f"sigma_min at z={z}")
     fro = float(np.linalg.norm(mat))
-    _singular(lam_min, fro / mat.shape[0] ** 0.5, fro, lambda: float(np.linalg.norm(mat, 2)), z)
+    _singular(lam_min, fro / mat.shape[0] ** 0.5, fro, lambda: float(scipy.linalg.svdvals(mat)[0]), z)
     return 1.0 / lam_min
 
 
@@ -457,6 +462,7 @@ def block_embed(m) -> tuple[np.ndarray, Conjugation]:
     return h, Conjugation.swap(n)
 
 
+@one_blas_thread
 def minmax_norm(a) -> float:
     """max over unit u of Re(u^T A u); equals ||A|| for complex symmetric A.
 
@@ -482,6 +488,7 @@ def _real_subspace_basis(q: np.ndarray) -> np.ndarray:
     return np.block([[re, -im], [im, re]])
 
 
+@one_blas_thread
 def minmax_even_lower_check(a, n_codim: int, trials: int, seed: int = 0) -> bool:
     """One-sided sampling check of the even-index min-max principle.
 

@@ -122,6 +122,7 @@ class ScaledHamiltonian:
     def matrix(self) -> np.ndarray:
         return self.bands.dense()
 
+    @one_blas_thread
     def eigenvalues(self) -> np.ndarray:
         """Every eigenvalue, from dense eigvals; the window search reads it only for 2k >= n."""
         return np.linalg.eigvals(self.matrix)

@@ -11,7 +11,15 @@ import scipy.sparse.linalg
 import csop
 from csop import _blas
 from csop._blas import one_blas_thread
-from csop.antilinear import antilinear_spectrum, minmax_norm, resolvent_norm, takagi
+from csop.antilinear import (
+    antilinear_spectrum,
+    block_embed,
+    minmax_even_lower_check,
+    minmax_norm,
+    resolvent_norm,
+    takagi,
+)
+from csop.cli import main, save_matrix_csv
 from csop.scaling import (
     DilationPotential,
     build_scaled,
@@ -118,7 +126,8 @@ def lapack_spy(monkeypatch):
     monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs",
                         lambda *args, **kwargs: [spied(f) for f in real_get(*args, **kwargs)])
     for module, name in ((scipy.linalg, "eigh"), (scipy.linalg, "eigh_tridiagonal"),
-                         (scipy.linalg, "eig_banded"), (scipy.sparse.linalg, "eigs")):
+                         (scipy.linalg, "eig_banded"), (scipy.linalg, "svd"), (scipy.linalg, "svdvals"),
+                         (scipy.sparse.linalg, "eigs"), (np.linalg, "eigvals")):
         monkeypatch.setattr(module, name, spied(getattr(module, name)))
     return seen
 
@@ -155,6 +164,9 @@ DENSE = {
     "takagi": lambda: takagi(A),
     "resolvent_norm": lambda: resolvent_norm(A, z=0.3 - 0.7j),
     "minmax_norm": lambda: minmax_norm(A),
+    "block_embed": lambda: antilinear_spectrum(*block_embed(A)),
+    "minmax_even_lower_check": lambda: minmax_even_lower_check(A, 3, trials=2),
+    "ScaledHamiltonian.eigenvalues": lambda: build_scaled(ALPHA75, Grid1D(40.0, 60), 0.3j).eigenvalues(),
 }
 
 
@@ -168,9 +180,10 @@ def test_tridiagonal_paths_run_lapack_on_one_thread(name, operators, two_threads
 
 @needs_switch
 @pytest.mark.parametrize("name", DENSE)
-def test_dense_paths_keep_the_thread_count(name, two_threads, lapack_spy):
+def test_dense_paths_run_lapack_on_one_thread(name, two_threads, lapack_spy):
     DENSE[name]()
-    assert lapack_spy and all(seen == two_threads for seen in lapack_spy)
+    assert lapack_spy and all(seen == [1] * len(LIBS) for seen in lapack_spy)
+    assert counts() == two_threads
 
 
 @needs_switch
@@ -194,3 +207,20 @@ def test_concurrent_entries_restore_the_counts(two_threads):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert one_blas_thread._depth == 0 and counts() == two_threads
+
+
+@needs_switch
+@pytest.mark.parametrize("subcommand, shift", [("takagi", ""), ("antilinear", "z_re = 0.3\nz_im = -0.7\n")],
+                         ids=["takagi", "antilinear"])
+def test_dense_cli_bytes_do_not_depend_on_the_thread_count(subcommand, shift, tmp_path, two_threads):
+    save_matrix_csv(str(tmp_path / "m.csv"), random_complex_symmetric(120, np.random.default_rng(60)))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"matrix = {tmp_path / 'm.csv'}\n{shift}")
+    written = []
+    for threads in (1, 2):
+        for _, set_ in LIBS:
+            set_(threads)
+        out = tmp_path / f"{threads}.csv"
+        assert main([subcommand, "--config", str(cfg), "--output", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
