@@ -19,9 +19,9 @@ spectrum is exactly the SVD of the n x n block X (Jordan-Wielandt), each
 singular value twice, so one SVD of X replaces eigh on the 4n doubling
 (_antilinear_bipartite).  The exact ||A||, the top of scipy.linalg.svdvals(A), is
 computed only for the asymmetry and singular-shift thresholds.  The resolvent norm comes from
-_lanczos, the thick-restart shift-invert Lanczos of schrodinger's banded
-norms too (at most NCV basis vectors, a convergence test after every step),
-on a dense LU of A - z (_dense_lu).  A permutation P is applied as a row gather.
+_lanczos, the thick-restart shift-invert Lanczos of schrodinger's banded norms too (at most NCV
+basis vectors, a convergence test after every step), on a dense LU of A - z (_dense_lu).  A
+permutation P is applied as a row gather (the block swap stores its rows alone, not P).
 Every dense input, a ComplexSymmetricMatrix (always symmetric) or a plain
 array, passes one gate, _as_matrix: n x n, n >= 1, finite, else ValueError;
 a shift z that is not finite raises PreconditionError (_reduced).  Every
@@ -33,6 +33,7 @@ thread (_blas.one_blas_thread); a user-set OPENBLAS_NUM_THREADS wins.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -124,10 +125,14 @@ class Conjugation:
 
     @classmethod
     def swap(cls, n: int) -> "Conjugation":
-        """Block swap [[0, I], [I, 0]] on C^(2n), used by the block embedding."""
-        p = np.zeros((2 * n, 2 * n))
-        p[np.arange(2 * n), np.roll(np.arange(2 * n), n)] = 1.0
-        return cls(p)
+        """Block swap [[0, I], [I, 0]] on C^(2n), used by the block embedding; O(n) until .p is read."""
+        conj = cls.__new__(cls)
+        conj.n, conj.rows = 2 * n, np.roll(np.arange(2 * n), n)
+        return conj
+
+    @functools.cached_property
+    def p(self) -> np.ndarray:
+        return np.eye(self.n, dtype=complex)[self.rows]
 
     def apply(self, x) -> np.ndarray:
         x = np.conj(np.asarray(x, dtype=complex))
@@ -196,7 +201,9 @@ def _fix_sign(u: np.ndarray) -> np.ndarray:
     nonnegative real part (nonnegative imaginary part breaking ties when the
     real part vanishes).
     """
-    z = np.take_along_axis(u, np.argmax(np.abs(u), axis=0)[None], axis=0)[0]
+    # |u| of about sqrt(k) of the k columns at a time, never of all of them
+    blocks = np.array_split(u.reshape(u.shape[0], -1), math.isqrt(u.size // u.shape[0]), axis=1)
+    z = np.concatenate([b[np.argmax(np.abs(b), axis=0), np.arange(b.shape[1])] for b in blocks])
     m = np.abs(z)
     flip = (z.real < -1e-12 * m) | ((np.abs(z.real) <= 1e-12 * m) & (z.imag < 0.0))
     return np.negative(u, out=u, where=flip)

@@ -10,7 +10,8 @@ every resolvent norm, dense ones too, comes from one engine,
 antilinear._lanczos; min_lambda runs it on the banded real doubling (for
 real H_q - E the block embedding).  Every banded shifted solve, in scaling
 too, goes through one tridiagonal LU, _band_lu.  find_gap, projector_decay
-and bq_norm compute only the eigenpairs of H up to the gap, never all n.
+and bq_norm compute only the eigenpairs of H up to the gap, never all n;
+every eigen-decomposition holds its result plus O(n) workspace (MRRR for all).
 All three kernels average over eps-balls with one sampler, _ball_average,
 which refuses eps <= 0 and a ball without a grid point (PreconditionError).
 BLAS and LAPACK run here on one OpenBLAS thread, process-wide while they
@@ -38,6 +39,7 @@ from .antilinear import _check_solve, _lanczos, _singular
 from .decay import GapSpectrum
 from .errors import (
     BallOutsideDomainError,
+    ConvergenceError,
     NegativePotentialError,
     NoGapFoundError,
     PreconditionError,
@@ -274,11 +276,26 @@ class DiscreteHamiltonian:
     def eigensystem(self, ceiling: float = math.inf):
         """(eigenvalues, eigenvectors) at or below `ceiling` (all n pairs by default), ascending.
 
-        A finite ceiling computes only that window (?stebz + ?stein, not ?stemr,
-        whose SciPy wrapper allocates n x n); the widest window is cached and sliced."""
+        Result plus O(n) workspace: all pairs by MRRR (?stemr), a finite ceiling by ?stebz + ?stein
+        (SciPy's ?stemr allocates n x n for any window), caching the widest window to slice it for
+        narrower ones.  A LAPACK failure raises ConvergenceError."""
         if self._eigh is None or self._eigh[0] < ceiling:
-            window = {} if ceiling == math.inf else {"select": "v", "select_range": (-math.inf, ceiling)}
-            self._eigh = (ceiling, *scipy.linalg.eigh_tridiagonal(self.bands.main, self.bands.sup, **window))
+            d, e = np.asarray_chkfinite(self.bands.main), np.asarray_chkfinite(self.bands.sup)
+            if ceiling == math.inf:
+                try:
+                    pairs = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stemr")
+                except np.linalg.LinAlgError as exc:
+                    raise ConvergenceError(f"?stemr failed on all pairs at n = {d.size}: {exc}") from exc
+            else:
+                stebz, stein = scipy.linalg.lapack.get_lapack_funcs(("stebz", "stein"), (d, e))
+                # the values in (-inf, ceiling] (range 1), LAPACK's default tolerance, block order for ?stein
+                m, w, block, split, info = stebz(d, e, 1, -math.inf, ceiling, 1, 1, 0.0, "B")
+                v, fail = stein(d, e, w[:m], block, split)
+                if info or fail:
+                    raise ConvergenceError(f"?stebz/?stein failed at n = {d.size}: info {info}, {fail}")
+                # the block order is ascending unless H splits (a zero off-diagonal): then sort, in a copy
+                pairs = (w[:m], v) if np.all(np.diff(w[:m]) >= 0) else (np.sort(w[:m]), v[:, np.argsort(w[:m])])
+            self._eigh = (ceiling, *pairs)
         _, evals, evecs = self._eigh
         k = int(np.searchsorted(evals, ceiling, side="right"))
         return evals[:k], evecs[:, :k]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from csop.schrodinger import Grid1D, PotentialSpec, build_hamiltonian, find_gap
 
@@ -7,6 +8,21 @@ from csop.schrodinger import Grid1D, PotentialSpec, build_hamiltonian, find_gap
 def random_complex_symmetric(n, rng, scale=1.0):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return scale * 0.5 * (a + a.T)
+
+
+def patch_lapack(monkeypatch, wrap):
+    """Hand out every LAPACK routine that SciPy gives csop or eigh_tridiagonal from here on as wrap(name, routine).
+
+    The wrapping sits outside SciPy's memo of looked-up routines, so nothing
+    of it outlives the test."""
+    real = scipy.linalg.lapack.get_lapack_funcs
+
+    def get(names, *args, **kwargs):
+        funcs = real(names, *args, **kwargs)
+        return wrap(names, funcs) if isinstance(names, str) else [wrap(*pair) for pair in zip(names, funcs)]
+
+    for module in (scipy.linalg.lapack, scipy.linalg._decomp):
+        monkeypatch.setattr(module, "get_lapack_funcs", get)
 
 
 @pytest.fixture(scope="session")

@@ -19,6 +19,7 @@ from csop.errors import (
     TypeMismatchError,
     UnknownKeyError,
 )
+from conftest import patch_lapack
 
 
 class TestParseConfig:
@@ -391,6 +392,14 @@ class TestMain:
         np.savetxt(zeros, np.column_stack([xs, np.zeros_like(xs)]), delimiter=",")
         cfg.write_text(f"n = 300\npotential = {zeros}\n")
         assert main(["kernel-scan", "--config", str(cfg)]) == 3
+
+    def test_all_pairs_lapack_failure_exit_3(self, tmp_path, monkeypatch, capsys):
+        # energy_ceiling = inf takes every eigenpair from ?stemr; info > 0 from it is a convergence failure
+        patch_lapack(monkeypatch, lambda name, f: f if name != "stemr" else lambda *a, **k: (*f(*a, **k)[:-1], 1))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("n = 300\nenergy_ceiling = inf\n")
+        assert main(["kernel-scan", "--config", str(cfg)]) == 3
+        assert "?stemr" in capsys.readouterr().err
 
     def test_resolvent_map_wide_window_exit_0(self, tmp_path):
         # power iteration stopped at its step cap on 14 of these 144 points

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 import scipy.linalg
 
+from csop._blas import one_blas_thread
 from csop.antilinear import antilinear_spectrum, block_embed, real_doubling
 from csop.decay import critical_q, qbar_and_ebar
 from csop.errors import (
     BallOutsideDomainError,
+    ConvergenceError,
     InvalidGapError,
     NegativePotentialError,
     NoGapFoundError,
@@ -38,6 +40,7 @@ from csop.schrodinger import (
     projector_decay,
     resolvent_kernel_scan,
 )
+from conftest import patch_lapack
 
 
 def kp_comb(n, v0=3.0, length=40.0):
@@ -490,13 +493,24 @@ class TestBqNorm:
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """The keyword arguments of every scipy.linalg.eigh_tridiagonal call from here on."""
+    """(routine, arguments) of every LAPACK tridiagonal eigensolver call from here on."""
     calls = []
-    eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
-    monkeypatch.setattr(
-        scipy.linalg, "eigh_tridiagonal", lambda *a, **k: calls.append(k) or eigh_tridiagonal(*a, **k)
-    )
+
+    def spy(name, routine):
+        if name not in ("stev", "stevd", "stemr", "stebz", "stein"):
+            return routine
+        return lambda *a, **k: calls.append((name, a)) or routine(*a, **k)
+
+    patch_lapack(monkeypatch, spy)
     return calls
+
+
+def surface_pair(n):
+    """A 400 barrier with zero potential on the 10 sites next to each wall (fewer for n < 30),
+    which binds one state at each wall; the two are degenerate to working precision."""
+    values = np.full(n, 400.0)
+    values[:min(10, n // 3)] = values[n - min(10, n // 3):] = 0.0
+    return build_hamiltonian(Grid1D(length=40.0, n=n), PotentialSpec.sampled(values))
 
 
 class TestEigensystemWindow:
@@ -508,7 +522,8 @@ class TestEigensystemWindow:
             k = int(np.sum(evals <= ceiling))
             assert np.array_equal(window_evals, evals[:k])
             assert np.array_equal(window_evecs, evecs[:, :k])
-        assert eigh_calls == [{}]  # the full eigensystem, and no window after it
+        # the full eigensystem by MRRR, and no window after it
+        assert [name for name, _ in eigh_calls] == ["stemr"]
 
     def test_wider_window_recomputes_once(self, eigh_calls):
         ham = kp_comb(600)
@@ -516,7 +531,9 @@ class TestEigensystemWindow:
         narrow, _ = ham.eigensystem(20.0)
         wide, _ = ham.eigensystem(35.0)
         again, _ = ham.eigensystem(20.0)
-        assert [k["select_range"] for k in eigh_calls] == [(-math.inf, c) for c in (0.5, 20.0, 35.0)]
+        # ?stebz's arguments are (d, e, range, vl, vu, ...), range 1 selecting (vl, vu]
+        assert [name for name, _ in eigh_calls] == ["stebz", "stein"] * 3
+        assert [a[2:5] for name, a in eigh_calls if name == "stebz"] == [(1, -math.inf, c) for c in (0.5, 20.0, 35.0)]
         assert empty.size == 0 and no_vectors.shape == (600, 0)
         assert wide.size > narrow.size == again.size and np.max(wide) <= 35.0
         assert np.allclose(again, narrow, rtol=1e-12, atol=0.0)
@@ -528,34 +545,45 @@ class TestEigensystemWindow:
         for edge in ("e_minus", "e_plus", "e_bottom"):
             assert getattr(gap, edge) == pytest.approx(getattr(full_gap, edge), rel=1e-12)
 
-    @pytest.mark.parametrize("surface_pair", [False, True])
-    def test_windowed_vectors_orthonormal(self, surface_pair):
-        grid = Grid1D(length=40.0, n=2000)
-        if surface_pair:
-            # zero potential on the 10 sites next to each wall under a 400
-            # barrier binds one state at each wall; the two are degenerate
-            # to working precision and fall below the ceiling together
-            values = np.full(grid.n, 400.0)
-            values[:10] = values[-10:] = 0.0
-            ham, ceiling = build_hamiltonian(grid, PotentialSpec.sampled(values)), 420.0
-        else:
-            ham, ceiling = kp_comb(grid.n), 35.0
+    @pytest.mark.parametrize("surface", [False, True])
+    def test_windowed_vectors_orthonormal(self, surface):
+        # the two wall states fall below the ceiling together
+        ham, ceiling = (surface_pair(2000), 420.0) if surface else (kp_comb(2000), 35.0)
         evals, evecs = ham.eigensystem(ceiling)
-        if surface_pair:
-            surface = evals[~_bulk_mask(evecs)]
-            assert surface.size == 2 and surface[1] - surface[0] < 1e-9
+        if surface:
+            levels = evals[~_bulk_mask(evecs)]
+            assert levels.size == 2 and levels[1] - levels[0] < 1e-9
         assert np.max(np.abs(evecs.T @ evecs - np.eye(evals.size))) <= 1e-12
         residual = ham.bands.matvec(evecs) - evecs * evals
         assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(ham.bands.main))
 
+    @pytest.mark.parametrize("n, ceiling, case", [
+        (300, 35.0, "comb"), (1500, 35.0, "comb"), (2000, 420.0, "surface"), (600, 0.5, "comb"), (6, 10.0, "split"),
+    ])
+    def test_window_is_scipys_bitwise(self, n, ceiling, case):
+        # ?stebz + ?stein called directly keep one copy of the vectors and
+        # reorder only a split H (a zero off-diagonal), whose blocks come one
+        # after another: the last case has two blocks in descending order
+        if case == "split":
+            off = np.array([-1.0, -1.0, 0.0, -0.3, -0.1])
+            ham = DiscreteHamiltonian(Tridiagonal(off, np.array([5.0, 4.0, 3.0, 0.5, 0.2, 0.1]), off), Grid1D(1.0, n))
+        else:
+            ham = surface_pair(n) if case == "surface" else kp_comb(n)
+        evals, evecs = ham.eigensystem(ceiling)
+        with one_blas_thread:
+            expected = scipy.linalg.eigh_tridiagonal(ham.bands.main, ham.bands.sup, select="v",
+                                                     select_range=(-math.inf, ceiling))
+        assert np.array_equal(evals, expected[0]) and np.array_equal(evecs, expected[1])
+
     def test_filled_band_paths_allocate_o_nk(self):
-        # 64 MiB: the 72 pairs below the ceiling are 11 MiB, eigh_tridiagonal
-        # reorders them into a second copy, and bq_norm holds a few n x k
-        # blocks besides; the full eigensystem alone would be 3.2 GB
+        # the 72 pairs below the ceiling are 11 MiB, held once (find_gap
+        # measured 12.1 MiB), and bq_norm holds a few n x k blocks besides
+        # (measured 30.5 MiB in all); the full eigensystem alone is 3.2 GB
         tracemalloc.start()
         try:
             ham = kp_comb(20000)
             gap = find_gap(ham, energy_ceiling=35.0)
+            _, gap_peak = tracemalloc.get_traced_memory()
             qbar, ebar, _ = qbar_and_ebar(gap)
             q = 0.5 * critical_q(gap, ebar)
             fit = projector_decay(ham, gap, 0.5, np.arange(8.0, 25.0, 2.0))
@@ -564,8 +592,56 @@ class TestEigensystemWindow:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert gap_peak < 13 * 2**20 and peak < 34 * 2**20
         assert fit.q_fit >= qbar - 0.02 and 0.0 < bq < 0.5 and np.isfinite(gam)
+
+
+class TestAllPairs:
+    def test_eigensystem_holds_one_n_by_n_array(self):
+        # ?stemr: the n x n vectors (1 unit of n^2 doubles) and O(n)
+        # workspace; ?stevd's workspace of 1 + 4n + n^2 doubles made it 2.0
+        ham = kp_comb(1500)
+        tracemalloc.start()
+        try:
+            ham.eigensystem()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (1500 * 1500 * 8) <= 1.1
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(3, 600), kind=st.sampled_from(["comb", "sampled", "surface"]),
+           strength=st.floats(0.5, 13.0), decades=st.floats(-1.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    @example(n=600, kind="surface", strength=1.0, decades=0.0, seed=0)
+    def test_matches_dense_eigh(self, n, kind, strength, decades, seed):
+        # MRRR against divide and conquer on the dense matrix: eigenvalues
+        # within 64 eps ||T|| (the largest seen was 20), orthonormal vectors
+        # and residuals within 1e-11 (7.4e-13 and 6.9e-15 seen); the surface
+        # pair is the degenerate one of test_windowed_vectors_orthonormal
+        if kind == "comb":
+            ham = kp_comb(n, strength)
+        elif kind == "sampled":
+            values = np.random.default_rng(seed).uniform(0.0, 10.0 ** decades, n)
+            ham = build_hamiltonian(Grid1D(length=40.0, n=n), PotentialSpec.sampled(values))
+        else:
+            ham = surface_pair(n)
+        evals, evecs = ham.eigensystem()
+        norm = np.max(np.abs(ham.bands.main)) + 2.0 * np.max(np.abs(ham.bands.sup))
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(evals - scipy.linalg.eigvalsh(ham.bands.dense()))) <= 64 * eps * norm
+        assert np.max(np.abs(evecs.T @ evecs - np.eye(n))) <= 1e-11
+        assert np.max(np.abs(ham.bands.matvec(evecs) - evecs * evals)) <= 1e-11 * norm
+
+    @pytest.mark.parametrize("routine, ceiling, message", [
+        ("stemr", math.inf, r"\?stemr failed on all pairs at n = 600"),
+        ("stebz", 35.0, r"\?stebz/\?stein failed at n = 600: info 1, 0"),
+        ("stein", 35.0, r"\?stebz/\?stein failed at n = 600: info 0, 1"),
+    ])
+    def test_lapack_failure_raises(self, monkeypatch, routine, ceiling, message):
+        # LAPACK's info > 0 (the routine did not converge) is its last output
+        patch_lapack(monkeypatch, lambda name, f: f if name != routine else lambda *a, **k: (*f(*a, **k)[:-1], 1))
+        with pytest.raises(ConvergenceError, match=message):
+            kp_comb(600).eigensystem(ceiling)
 
 
 class TestKernel:
