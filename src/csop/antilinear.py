@@ -13,15 +13,15 @@ phase-correct antilinear eigenvectors u = x + i y, orthonormal as they come
 except in the kernel, where one SVD orthonormalises.  Full spectra (and the
 Takagi factorization) come from divide-and-conquer eigh on S in place, whose
 top eigenvalue ||A - z|| (||A|| at z = 0) scales the cluster tolerance, so no
-SVD of A runs.  The one exception is a reduced A' = [[0, X^T], [X, 0]] with
-both diagonal blocks exactly zero, which block_embed gives at every z: its
-spectrum is exactly the SVD of the n x n block X (Jordan-Wielandt), each
-singular value twice, so one SVD of X replaces eigh on the 4n doubling
-(_antilinear_bipartite).  The exact ||A||, the top of scipy.linalg.svdvals(A), is
-computed only for the asymmetry and singular-shift thresholds.  The resolvent norm comes from
-_lanczos, the thick-restart shift-invert Lanczos of schrodinger's banded norms too (at most NCV
-basis vectors, a convergence test after every step), on a dense LU of A - z (_dense_lu).  A
-permutation P is applied as a row gather (the block swap stores its rows alone, not P).
+SVD of A runs.  The one exception is a reduced A' = [[0, X^T], [X, 0]] with both diagonal
+blocks exactly zero, which block_embed gives at every z: _reduced hands on the n x n X alone,
+gathered blockwise through a permutation P's rows without forming A', and its one SVD, in place,
+replaces eigh on the 4n doubling (Jordan-Wielandt: each singular value twice; _antilinear_bipartite).
+The exact ||A||, the top of scipy.linalg.svdvals(A), is computed only for the asymmetry and
+singular-shift thresholds.  The resolvent norm comes from _lanczos, the thick-restart shift-invert
+Lanczos of schrodinger's banded norms too (at most NCV basis vectors, a convergence test after every
+step), on one dense LU (_dense_lu) of A' or, when A' is bipartite, of X alone, solved with and without
+transpose.  A permutation P is applied as a row gather (the block swap stores its rows alone, not P).
 Every dense input, a ComplexSymmetricMatrix (always symmetric) or a plain
 array, passes one gate, _as_matrix: n x n, n >= 1, finite, else ValueError;
 a shift z that is not finite raises PreconditionError (_reduced).  Every
@@ -246,14 +246,13 @@ def _antilinear_plain(s: np.ndarray):
     return np.maximum(lam, 0.0), _fix_sign(vectors), degenerate
 
 
-def _antilinear_bipartite(x: np.ndarray):
-    """(lambdas ascending, vectors, True) of A' w = lam conj(w) for A' = [[0, X^T], [X, 0]], from one SVD of X.
+def _antilinear_bipartite(u: np.ndarray, sigma: np.ndarray, vh: np.ndarray):
+    """(lambdas ascending, vectors, True) of A' w = lam conj(w) for A' = [[0, X^T], [X, 0]], from X's SVD.
 
     X v_k = sigma_k u_k gives X^T conj(u_k) = sigma_k conj(v_k), so the orthonormal (v_k, conj u_k) / sqrt2
     and i (v_k, -conj u_k) / sqrt2 both solve it with lam = sigma_k: every value is doubled, hence degenerate.
     """
-    n = x.shape[0]
-    u, sigma, vh = scipy.linalg.svd(x, check_finite=False)
+    n = u.shape[0]
     vectors = np.empty((2 * n, 2 * n), dtype=complex)
     v, cu = vectors[:n, 0::2], vectors[n:, 0::2]
     np.conj(vh[::-1].T, out=v)  # columns in ascending sigma
@@ -261,8 +260,21 @@ def _antilinear_bipartite(x: np.ndarray):
     np.multiply(v, 1j, out=vectors[:n, 1::2])
     np.multiply(cu, -1j, out=vectors[n:, 1::2])
     vectors *= 0.5 ** 0.5
-    del u, vh  # before _fix_sign allocates its temporaries
     return np.repeat(sigma[::-1], 2), _fix_sign(vectors), True
+
+
+def _symmetrized(lower: np.ndarray, upper_t: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """lower if it equals upper_t (A' below and above the diagonal) exactly, else 0.5 * (lower + upper_t).
+
+    NotCSymmetricError, an inconsistent (matrix, conjugation) pair, past max(SYMMETRY_RTOL * ||A||, ABS_FLOOR).
+    """
+    if np.array_equal(lower, upper_t):
+        return lower
+    asym = float(np.max(np.abs(lower - upper_t)))
+    if asym > ABS_FLOOR and asym > SYMMETRY_RTOL * (scale := float(scipy.linalg.svdvals(mat)[0])):
+        raise NotCSymmetricError(f"conj(P) @ (A - z I) deviates from symmetry by {asym:.3e} "
+                                 f"(> {SYMMETRY_RTOL:g} * ||A|| = {SYMMETRY_RTOL * scale:.3e})")
+    return 0.5 * (lower + upper_t)
 
 
 def _reduced(a, conj: Conjugation | None, z: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -270,11 +282,10 @@ def _reduced(a, conj: Conjugation | None, z: complex) -> tuple[np.ndarray, np.nd
 
     P symmetric unitary implies P^-1 = conj(P), so (A - z) u = lam P conj(u)
     is A' u = lam conj(u); for a permutation P (or none) A' = (A - z I)[rows].
-    An exactly symmetric A' is returned as it is; otherwise raises
-    NotCSymmetricError when A' deviates from symmetry by more than
-    SYMMETRY_RTOL * ||A||, signalling an inconsistent (matrix, conjugation)
-    pair; ||A|| is computed only for an asymmetry above ABS_FLOOR.  Raises
-    PreconditionError for a shift z that is not finite.
+    A bipartite A' = [[0, X^T], [X, 0]] (both diagonal blocks exactly zero, as block_embed gives at
+    every z) is returned as X alone; for a permutation P its blocks are gathered one at a time into a
+    Fortran-ordered X, never A' whole.  Raises NotCSymmetricError (_symmetrized), and PreconditionError
+    for a shift z that is not finite.
     """
     mat = _as_matrix(a)
     if not np.isfinite(z):
@@ -283,25 +294,25 @@ def _reduced(a, conj: Conjugation | None, z: complex) -> tuple[np.ndarray, np.nd
     if conj is not None and conj.n != n:
         raise ValueError(f"conjugation size {conj.n} does not match matrix size {n}")
     rows = np.arange(n) if conj is None else conj.rows
+    h = n // 2
     if rows is not None:
+        def block(r, c):  # block (r, c) of A' = (A - z I)[rows], h x h
+            sub = rows[r * h:(r + 1) * h]
+            b = mat[sub, c * h:(c + 1) * h]
+            b[sub // h == c, sub[sub // h == c] - c * h] -= z
+            return b
+
+        if n % 2 == 0 and not (block(0, 0).any() or block(1, 1).any()):
+            return mat, _symmetrized(block(0, 1).T, block(1, 0), mat)
         reduced = mat[rows]
         reduced[np.arange(n), rows] -= z
     else:
         shifted = mat.copy()
         shifted.flat[::n + 1] -= z
         reduced = np.conj(conj.p) @ shifted
-
-    if not np.array_equal(reduced, reduced.T):
-        asym = float(np.max(np.abs(reduced - reduced.T)))
-        if asym > ABS_FLOOR:
-            scale = float(scipy.linalg.svdvals(mat)[0])
-            if asym > SYMMETRY_RTOL * scale:
-                raise NotCSymmetricError(
-                    f"conj(P) @ (A - z I) deviates from symmetry by {asym:.3e} "
-                    f"(> {SYMMETRY_RTOL:g} * ||A|| = {SYMMETRY_RTOL * scale:.3e})"
-                )
-        reduced = 0.5 * (reduced + reduced.T)
-    return mat, reduced
+    reduced = _symmetrized(reduced, reduced.T, mat)
+    bipartite = n % 2 == 0 and not (reduced[:h, :h].any() or reduced[h:, h:].any())
+    return mat, reduced[h:, :h] if bipartite else reduced
 
 
 @one_blas_thread
@@ -315,10 +326,11 @@ def antilinear_spectrum(a, conj: Conjugation | None = None, z: complex = 0.0) ->
     Raises NotCSymmetricError when A' deviates from symmetry by more than
     SYMMETRY_RTOL * ||A||, signalling an inconsistent (matrix, conjugation) pair.
     """
-    reduced = _reduced(a, conj, z)[1]
-    n = reduced.shape[0] // 2
-    if 2 * n == reduced.shape[0] and not (reduced[:n, :n].any() or reduced[n:, n:].any()):
-        lambdas, vectors, degenerate = _antilinear_bipartite(reduced[n:, :n])
+    mat, reduced = _reduced(a, conj, z)
+    if reduced.shape != mat.shape:
+        # the SVD overwrites X, which rebinding frees before the 2n x 2n vectors exist
+        reduced = scipy.linalg.svd(reduced, overwrite_a=True, check_finite=False)
+        lambdas, vectors, degenerate = _antilinear_bipartite(*reduced)
     else:
         # A' is freed before eigh, whose peak is the doubling plus its workspace
         s = real_doubling(reduced)
@@ -422,7 +434,7 @@ def _check_solve(x: np.ndarray, singular: str) -> np.ndarray:
 
 
 def _dense_lu(a: np.ndarray):
-    """Factor the square array a once (?getrf, in place) and return its solve, solve(b) -> x.
+    """Factor the square array a once (?getrf, in place); return solve(b) = a^-1 b, solve(b, 1) = a^-T b.
 
     Raises SingularShiftError at a zero pivot and from _check_solve.
     """
@@ -430,7 +442,7 @@ def _dense_lu(a: np.ndarray):
     lu, piv, info = getrf(a, overwrite_a=True)
     if info > 0:
         raise SingularShiftError(f"A - z is singular: zero pivot {info}")
-    return lambda b: _check_solve(getrs(lu, piv, b)[0], "A - z is singular to working precision")
+    return lambda b, trans=0: _check_solve(getrs(lu, piv, b, trans)[0], "A - z is singular to working precision")
 
 
 @one_blas_thread
@@ -438,15 +450,23 @@ def resolvent_norm(a, conj: Conjugation | None = None, z: complex = 0.0) -> floa
     """Operator norm of (A - z I)^-1 as 1 / min lambda of the antilinear problem.
 
     _lanczos takes min lambda from the 2n doubling S of the reduced A', factored
-    once (_dense_lu): S w = v is A' u = conj(v) for w, v viewed as complex.
+    once (_dense_lu): S w = v is A' u = conj(v) for w, v viewed as complex.  A
+    bipartite A' = [[0, X^T], [X, 0]] factors its n x n X alone: A' u = conj(v)
+    is X u1 = conj(v2) and X^T u2 = conj(v1).
     Raises SingularShiftError from _dense_lu and when min lambda < SINGULAR_RTOL
     * ||A|| (_singular, with ||A||_F / sqrt(n) <= ||A|| <= ||A||_F), ConvergenceError from _lanczos.
     """
     mat, reduced = _reduced(a, conj, z)
-    # reduced is symmetric, so reduced.T is a Fortran-ordered view that getrf overwrites
-    lu_solve = _dense_lu(reduced.T)
-    lam_min, _ = _lanczos(lambda v: lu_solve(np.conj(v.view(complex))).view(float),
-                          2 * mat.shape[0], f"sigma_min at z={z}")
+    n = reduced.shape[0]
+    # getrf overwrites X, or A' through its Fortran-ordered view reduced.T (A' is symmetric)
+    lu_solve = _dense_lu(reduced if n < mat.shape[0] else reduced.T)
+
+    def solve(v):
+        c = np.conj(v.view(complex))
+        u = lu_solve(c) if n == mat.shape[0] else np.concatenate((lu_solve(c[n:]), lu_solve(c[:n], 1)))
+        return u.view(float)
+
+    lam_min, _ = _lanczos(solve, 2 * mat.shape[0], f"sigma_min at z={z}")
     fro = float(np.linalg.norm(mat))
     _singular(lam_min, fro / mat.shape[0] ** 0.5, fro, lambda: float(scipy.linalg.svdvals(mat)[0]), z)
     return 1.0 / lam_min
@@ -469,6 +489,12 @@ def block_embed(m) -> tuple[np.ndarray, Conjugation]:
     return h, Conjugation.swap(n)
 
 
+def _whole(a) -> np.ndarray:
+    """A' = A made exactly symmetric (_reduced at P = I, z = 0), a bipartite one rebuilt from its X."""
+    mat, x = _reduced(a, None, 0.0)
+    return x if x.shape == mat.shape else np.block([[np.zeros_like(x), x.T], [x, np.zeros_like(x)]])
+
+
 @one_blas_thread
 def minmax_norm(a) -> float:
     """max over unit u of Re(u^T A u); equals ||A|| for complex symmetric A.
@@ -478,7 +504,7 @@ def minmax_norm(a) -> float:
     NotCSymmetricError, as antilinear_spectrum does, when A deviates from
     symmetry by more than SYMMETRY_RTOL * ||A||.
     """
-    s = real_doubling(_reduced(a, None, 0.0)[1])
+    s = real_doubling(_whole(a))
     m = s.shape[0]
     # s is symmetric, so s.T is a Fortran-ordered view that eigh overwrites
     top = scipy.linalg.eigh(s.T, eigvals_only=True, subset_by_index=[m - 1, m - 1], overwrite_a=True)
@@ -506,7 +532,7 @@ def minmax_even_lower_check(a, n_codim: int, trials: int, seed: int = 0) -> bool
     is the top eigenvalue of the doubled matrix restricted to the matching
     real subspace.
     """
-    reduced = _reduced(a, None, 0.0)[1]
+    reduced = _whole(a)
     dim = reduced.shape[0]
     if 2 * n_codim >= dim:
         raise IndexOutOfRangeError(

@@ -372,6 +372,7 @@ def _run_resonance(cfg: RunConfig) -> ResultTable:
 
 
 def _run_resolvent_map(cfg: RunConfig) -> ResultTable:
+    from ._blas import one_blas_thread
     from .scaling import DilationPotential, build_scaled, sigma_min
     from .schrodinger import Grid1D
 
@@ -382,7 +383,8 @@ def _run_resolvent_map(cfg: RunConfig) -> ResultTable:
     res = np.linspace(p["re_min"], p["re_max"], p["n_re"])
     ims = np.linspace(p["im_min"], p["im_max"], p["n_im"])
     points = [(re, im) for re in res for im in ims]
-    norms = [1.0 / sigma_min(ham, complex(*pt)) for pt in points]
+    with one_blas_thread:  # once for all probes: each outermost exit restores both OpenBLAS pools
+        norms = [1.0 / sigma_min(ham, complex(*pt)) for pt in points]
     rows = np.asarray([(re, im, nv) for (re, im), nv in zip(points, norms)])
     return _table(cfg, ["re_z", "im_z", "norm"], rows)
 

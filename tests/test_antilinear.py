@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from csop import antilinear
 from csop.antilinear import (
     NCV,
+    SYMMETRY_RTOL,
     ComplexSymmetricMatrix,
     Conjugation,
     _dense_lu,
@@ -32,7 +33,7 @@ from csop.errors import (
     PreconditionError,
     SingularShiftError,
 )
-from conftest import random_complex_symmetric
+from conftest import patch_lapack, random_complex_symmetric
 
 
 class TestTypes:
@@ -341,6 +342,28 @@ class TestTakagi:
 
 
 class TestResolventNorm:
+    def test_embedding_factors_the_block_once(self, monkeypatch):
+        # resolvent_norm(*block_embed(M), z) runs one ?getrf, on the n x n
+        # X = M - z, not on the 2n x 2n A'
+        shapes = []
+
+        def wrap(name, routine):
+            if name != "getrf":
+                return routine
+
+            def getrf(a, *args, **kwargs):
+                shapes.append(np.shape(a))
+                return routine(a, *args, **kwargs)
+            return getrf
+
+        rng = np.random.default_rng(21)
+        m = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+        z = 0.3 - 0.2j
+        patch_lapack(monkeypatch, wrap)
+        norm = resolvent_norm(*block_embed(m), z)
+        assert shapes == [(30, 30)]
+        assert norm == pytest.approx(1.0 / np.linalg.svd(m - z * np.eye(30), compute_uv=False)[-1], rel=1e-12)
+
     def test_diagonal_cases(self):
         a = ComplexSymmetricMatrix(np.diag([1.0, 2.0]))
         assert resolvent_norm(a) == pytest.approx(1.0)
@@ -508,13 +531,22 @@ class TestMemory:
         assert _peak_units(lambda: antilinear_spectrum(a), 600) <= 3.25
 
     def test_embedding_spectrum_peak(self):
-        # diag(M, M^T) for n = 150 has the same N = 600 units, but forms no
-        # doubling: A' (0.5), the 2n x 2n vectors (0.5) and the SVD of the
-        # n x n block (0.25); _fix_sign reads |u| a block of columns at a
-        # time, below that; measured 1.300 (1.503 with the whole |u|)
+        # diag(M, M^T) for n = 150 has the same N = 600 units, but forms
+        # neither the doubling nor A': the n x n block X = M - z (0.125),
+        # overwritten by its SVD and freed before the 2n x 2n vectors (0.5)
+        # are filled from u and vh (0.25); _fix_sign reads |u| a block of
+        # columns at a time, below that; measured 0.804 (1.300 with A')
         rng = np.random.default_rng(17)
         emb, conj = block_embed(rng.standard_normal((150, 150)) + 1j * rng.standard_normal((150, 150)))
-        assert _peak_units(lambda: antilinear_spectrum(emb, conj), 600) <= 1.37
+        assert _peak_units(lambda: antilinear_spectrum(emb, conj), 600) <= 0.845
+
+    def test_embedding_resolvent_norm_peak(self):
+        # the two off-diagonal blocks of A', gathered for the symmetry test
+        # (0.25), then X alone, factored in place; measured 0.304 (0.577
+        # with A' and its 2n LU)
+        rng = np.random.default_rng(17)
+        emb, conj = block_embed(rng.standard_normal((150, 150)) + 1j * rng.standard_normal((150, 150)))
+        assert _peak_units(lambda: resolvent_norm(emb, conj, 0.5j), 600) <= 0.32
 
     def test_resolvent_norm_peak(self):
         # A - z, its symmetrised copy (factored in place) and the transients
@@ -531,10 +563,14 @@ class TestMemory:
         assert _peak_units(lambda: Conjugation.swap(300), 1) <= 64 * 600
 
     def test_reduced_permutation_peak(self):
-        # the gathered rows (1) and the bool array of the exact symmetry test
+        # the embedding's A' is bipartite: its two off-diagonal blocks are
+        # gathered through rows (0.5) and the bool array of the exact symmetry
+        # test, never A' whole (1); measured 0.538 (1.084 with A')
         rng = np.random.default_rng(20)
         args = block_embed(rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300)))
-        assert _peak_units(lambda: _reduced(*args, 0.0), 600) / 2 <= 1.2
+        _, x = _reduced(*args, 0.0)
+        assert x.shape == (300, 300) and x.flags.f_contiguous
+        assert _peak_units(lambda: _reduced(*args, 0.0), 600) / 2 <= 0.565
 
 
 class TestBlockEmbed:
@@ -554,7 +590,10 @@ class TestBlockEmbed:
             x = (rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))) @ (
                 rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n)))
         emb, conj = block_embed(x + z * np.eye(n))
-        _, reduced = _reduced(emb, conj, z)
+        _, block = _reduced(emb, conj, z)
+        assert block.shape == (n, n)
+        zero = np.zeros((n, n))
+        reduced = np.block([[zero, block.T], [block, zero]])
         q, _ = np.linalg.qr(rng.standard_normal((2 * n, 2 * n)))
         mixed = q.T @ reduced @ q
         mixed = 0.5 * (mixed + mixed.T)
@@ -563,6 +602,33 @@ class TestBlockEmbed:
         eigh_path = antilinear_spectrum(mixed).lambdas
         tol = 64 * np.finfo(float).eps * np.linalg.norm(x, 2)  # largest ratio seen over 3000 draws: 16.6
         assert np.max(np.abs(svd_path - eigh_path)) <= tol
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 16), z=st.sampled_from([0.0, 0.3 - 0.7j]), frac=st.floats(0.0, 0.9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_asymmetric_swap_input(self, n, z, frac, seed):
+        # the M^T block carries an asymmetry E of frac * SYMMETRY_RTOL * ||A||:
+        # the bipartite path symmetrizes X bitwise as 0.5 * (A' + A'^T) and
+        # matches the eigh path; twice the threshold is refused
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        emb, conj = block_embed(m)
+        e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        e *= SYMMETRY_RTOL * np.linalg.norm(m, 2) / np.max(np.abs(e))
+        within, above = emb.copy(), emb.copy()
+        within[n:, n:] += frac * e
+        above[n:, n:] += 2.0 * e
+        _, x = _reduced(within, conj, z)
+        full = (within - z * np.eye(2 * n))[conj.rows]
+        assert np.array_equal(x, 0.5 * (full + full.T)[n:, :n])
+        q, _ = np.linalg.qr(rng.standard_normal((2 * n, 2 * n)))
+        zero = np.zeros((n, n))
+        mixed = q.T @ np.block([[zero, x.T], [x, zero]]) @ q
+        eigh_path = antilinear_spectrum(0.5 * (mixed + mixed.T)).lambdas
+        svd_path = antilinear_spectrum(within, conj, z).lambdas
+        assert np.max(np.abs(svd_path - eigh_path)) <= 64 * np.finfo(float).eps * np.linalg.norm(x, 2)
+        with pytest.raises(NotCSymmetricError):
+            antilinear_spectrum(above, conj, z)
 
     def test_nilpotent_jordan(self):
         emb, conj = block_embed(np.array([[0.0, 1.0], [0.0, 0.0]]))
