@@ -5,8 +5,8 @@ conjugation C x = P @ conj(x) defines the antilinear problem
 
     (A - z) u = lam * C u,   lam >= 0.
 
-Every solver here reduces it to one real symmetric eigenproblem of twice the
-size: writing u = x + i y and A = B + i C', the problem is equivalent to
+Every spectrum solver here reduces it to one real symmetric eigenproblem of
+twice the size: writing u = x + i y and A = B + i C', the problem is equivalent to
 S w = lam w with w = (x, y) and S = [[B, -C'], [-C', -B]].  The positive
 eigenvalues of S are the singular values of A, and the eigenvectors give
 phase-correct antilinear eigenvectors u = x + i y, orthonormal as they come
@@ -18,10 +18,12 @@ blocks exactly zero, which block_embed gives at every z: _reduced hands on the n
 gathered blockwise through a permutation P's rows without forming A', and its one SVD, in place,
 replaces eigh on the 4n doubling (Jordan-Wielandt: each singular value twice; _antilinear_bipartite).
 The exact ||A||, the top of scipy.linalg.svdvals(A), is computed only for the asymmetry and
-singular-shift thresholds.  The resolvent norm comes from _lanczos, the thick-restart shift-invert
-Lanczos of schrodinger's banded norms too (at most NCV basis vectors, a convergence test after every
-step), on one dense LU (_dense_lu) of A' or, when A' is bipartite, of X alone, solved with and without
-transpose.  A permutation P is applied as a row gather (the block swap stores its rows alone, not P).
+singular-shift thresholds.  The resolvent norm needs no doubling: T^* T = (C T)^2 for a C-symmetric
+T (Garcia & Putinar 2006), so K = A'^-1 o conj squares to the positive (A'^* A')^-1, whose top
+eigenvalue is 1 / sigma_min^2.  _lanczos, the thick-restart Lanczos of schrodinger's banded norms too
+(at most NCV basis vectors, a convergence test after every step), finds it on one dense LU (_dense_lu)
+of A' or, when A' is bipartite, of X alone, solved with and without transpose.  A permutation P is
+applied as a row gather (the block swap stores its rows alone, not P).
 Every dense input, a ComplexSymmetricMatrix (always symmetric) or a plain
 array, passes one gate, _as_matrix: n x n, n >= 1, finite, else ValueError;
 a shift z that is not finite raises PreconditionError (_reduced).  Every
@@ -376,54 +378,58 @@ def _singular(lam: float, lower: float, upper: float, norm, shift: complex) -> N
         )
 
 
-def _lanczos(solve, m: int, what: str) -> tuple[float, np.ndarray]:
-    """(sigma, w): the smallest |eigenvalue| of an m x m real symmetric S (an upper bound) and its eigenvector.
+def _lanczos(solve, solve_t, n: int, what: str) -> tuple[float, np.ndarray]:
+    """(sigma, x): sigma_min of an n x n X (an upper bound) and a unit right singular vector x.
 
-    Thick-restart Lanczos (Wu & Simon 2000) on solve(v) = S^-1 v, from a
-    seeded start, for its largest-magnitude eigenvalue theta = +-1 / sigma.
-    The basis holds at most NCV vectors, each new one orthogonalized against
-    all by two classical Gram-Schmidt passes; the coefficients fill the
-    projection T = V^T S^-1 V.  After every step LAPACK (?stev, ?syev once a
-    restart has put an arrowhead block in T) gives T's Ritz pair (theta, y)
-    of largest |theta|, converged when beta |y_last| <= LANCZOS_TOL |theta|
-    (ARPACK's rule, beta the residual norm) or when the basis spans R^m.  A
-    full basis restarts from its NCV / 2 Ritz vectors of largest |theta| and
-    the residual.  Raises ConvergenceError, naming `what`, when LANCZOS_MAXITER
-    restarts do not converge.
+    Thick-restart Lanczos (Wu & Simon 2000) from a seeded real start for the top eigenvalue
+    theta = sigma^-2 of (X^* X)^-1, applied as solve(conj(solve_t(conj(v)))) with solve = X^-1 and
+    solve_t = X^-T: K^2 for complex symmetric X (solve_t = solve, K = X^-1 o conj), and a real X
+    keeps the basis real.  At most NCV basis vectors, each orthogonalized against all by two
+    classical Gram-Schmidt passes, whose real parts fill T = V^* (X^* X)^-1 V.  After every step
+    LAPACK (?stev, ?syev once a restart has put an arrowhead block in T) gives the top Ritz pair
+    (theta, y), converged when beta |y_last| <= LANCZOS_TOL theta (ARPACK's rule, beta the residual
+    norm) or when the basis spans the space; a full basis restarts from its NCV / 2 top Ritz vectors
+    and the residual.  Raises ConvergenceError, naming `what`, after LANCZOS_MAXITER restarts.
     """
-    size = min(NCV, m)
-    basis, t = np.empty((size, m)), np.zeros((size, size))
+    def apply(v):
+        return solve(np.conj(solve_t(np.conj(v))))
+
+    size = min(NCV, n)
+    t = np.zeros((size, size))
     syev, stev = scipy.linalg.lapack.get_lapack_funcs(("syev", "stev"), (t,))
-    v = np.random.default_rng(0).standard_normal(m)
-    basis[0] = v / np.linalg.norm(v)
+    v = np.random.default_rng(0).standard_normal(n)
+    v /= np.linalg.norm(v)
+    w = apply(v)
+    basis = np.empty((size, n), dtype=w.dtype)
+    basis[0] = v
     j = restarts = 0
     while True:
-        w = solve(basis[j])
-        h = basis[:j + 1] @ w
+        # conj(B conj(w)) = conj(B) w without a conjugated copy of the basis B
+        h = np.conj(basis[:j + 1] @ np.conj(w))
         w -= h @ basis[:j + 1]
-        again = basis[:j + 1] @ w
+        again = np.conj(basis[:j + 1] @ np.conj(w))
         w -= again @ basis[:j + 1]
-        t[j, :j + 1] = t[:j + 1, j] = h + again
-        beta = math.sqrt(w @ w)
+        t[j, :j + 1] = t[:j + 1, j] = (h + again).real
+        beta = math.sqrt(np.vdot(w, w).real)
         if j and not restarts:  # T is tridiagonal, to rounding
             theta, y, _ = stev(t.diagonal()[:j + 1], t.diagonal(1)[:j])
         else:
             theta, y, _ = syev(t[:j + 1, :j + 1])
-        top = 0 if -theta[0] > theta[j] else j  # theta ascends
-        if beta * abs(y[j, top]) <= LANCZOS_TOL * abs(theta[top]) or j + 1 == m:
-            return 1.0 / abs(theta[top]), y[:, top] @ basis[:j + 1]
+        if beta * abs(y[j, j]) <= LANCZOS_TOL * theta[j] or j + 1 == n:  # theta ascends
+            return theta[j] ** -0.5, y[:, j] @ basis[:j + 1]
         if j + 1 == size:
             if restarts == LANCZOS_MAXITER:
                 raise ConvergenceError(f"Lanczos for {what}: not converged after {LANCZOS_MAXITER} restarts")
             restarts += 1
-            keep = np.argsort(-np.abs(theta))[:size // 2]
-            for lo in range(0, m, _RESTART_COLUMNS):  # Ritz vectors in place, a block of columns at a time
-                basis[:keep.size, lo:lo + _RESTART_COLUMNS] = y[:, keep].T @ basis[:, lo:lo + _RESTART_COLUMNS]
+            keep = size // 2
+            for lo in range(0, n, _RESTART_COLUMNS):  # Ritz vectors in place, a block of columns at a time
+                basis[:keep, lo:lo + _RESTART_COLUMNS] = y[:, -keep:].T @ basis[:, lo:lo + _RESTART_COLUMNS]
             t[:] = 0.0
-            t[:keep.size, :keep.size] = np.diag(theta[keep])
-            j = keep.size - 1
+            t[:keep, :keep] = np.diag(theta[-keep:])
+            j = keep - 1
         j += 1
         basis[j] = w / beta
+        w = apply(basis[j])
 
 
 def _check_solve(x: np.ndarray, singular: str) -> np.ndarray:
@@ -449,24 +455,19 @@ def _dense_lu(a: np.ndarray):
 def resolvent_norm(a, conj: Conjugation | None = None, z: complex = 0.0) -> float:
     """Operator norm of (A - z I)^-1 as 1 / min lambda of the antilinear problem.
 
-    _lanczos takes min lambda from the 2n doubling S of the reduced A', factored
-    once (_dense_lu): S w = v is A' u = conj(v) for w, v viewed as complex.  A
-    bipartite A' = [[0, X^T], [X, 0]] factors its n x n X alone: A' u = conj(v)
-    is X u1 = conj(v2) and X^T u2 = conj(v1).
+    min lambda is sigma_min of the reduced A', which _lanczos takes from
+    (A'^* A')^-1 = K^2, K = A'^-1 o conj, on one LU of A' (_dense_lu).  A
+    bipartite A' = [[0, X^T], [X, 0]] has the singular values of its n x n X,
+    each twice: it factors X alone, and _lanczos solves with X and X^T.
     Raises SingularShiftError from _dense_lu and when min lambda < SINGULAR_RTOL
     * ||A|| (_singular, with ||A||_F / sqrt(n) <= ||A|| <= ||A||_F), ConvergenceError from _lanczos.
     """
     mat, reduced = _reduced(a, conj, z)
-    n = reduced.shape[0]
+    bipartite = reduced.shape != mat.shape
     # getrf overwrites X, or A' through its Fortran-ordered view reduced.T (A' is symmetric)
-    lu_solve = _dense_lu(reduced if n < mat.shape[0] else reduced.T)
-
-    def solve(v):
-        c = np.conj(v.view(complex))
-        u = lu_solve(c) if n == mat.shape[0] else np.concatenate((lu_solve(c[n:]), lu_solve(c[:n], 1)))
-        return u.view(float)
-
-    lam_min, _ = _lanczos(solve, 2 * mat.shape[0], f"sigma_min at z={z}")
+    lu_solve = _dense_lu(reduced if bipartite else reduced.T)
+    solve_t = (lambda b: lu_solve(b, 1)) if bipartite else lu_solve
+    lam_min, _ = _lanczos(lu_solve, solve_t, reduced.shape[0], f"sigma_min at z={z}")
     fro = float(np.linalg.norm(mat))
     _singular(lam_min, fro / mat.shape[0] ** 0.5, fro, lambda: float(scipy.linalg.svdvals(mat)[0]), z)
     return 1.0 / lam_min

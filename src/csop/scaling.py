@@ -3,12 +3,12 @@
 H_theta(gamma) = -e^{-2 theta} Lap + v(e^theta x) + gamma w(e^theta x) on a
 Dirichlet grid over [0, L] is complex symmetric by construction, so its
 resolvent norm is available through the antilinear eigenvalue problem with
-plain entrywise conjugation.  The matrix is tridiagonal, and so is that
-problem: its real doubling, interleaved, has bandwidth 3
-(Tridiagonal.doubling), so resolvent norms, their eigenvectors and the
-singular values below the essential floor come from banded solves without
-a dense matrix; norms and eigenvectors from one engine, schrodinger.min_lambda
-(sigma_min is its value without the singularity threshold).  Rotating theta
+plain entrywise conjugation.  The matrix is tridiagonal: resolvent norms and
+their eigenvectors come from one engine, schrodinger.min_lambda, a Lanczos
+on K^2 = |H - z|^-2, K = (H - z)^-1 o conj, with one tridiagonal LU
+(sigma_min is its value without the singularity threshold), and the singular
+values below the essential floor from the banded real doubling
+(Tridiagonal.doubling); no dense matrix is formed.  Rotating theta
 moves the discretized continuum string by -2 Im theta while discrete points
 (bound states and uncovered resonances) stay put; classification compares
 each eigenvalue against both predictions.  Only the eigenvalues near the
@@ -314,20 +314,19 @@ class ResolventNorm:
 def resolvent_norm_at(h: ScaledHamiltonian, z: complex) -> ResolventNorm:
     """||(H_theta(gamma) - z)^-1|| = 1 / min lambda of the antilinear problem.
 
-    The antilinear problem (H - z) psi = lambda conj(psi) is the real
-    symmetric Tridiagonal.doubling.  schrodinger.min_lambda gives lambda and
-    its doubling eigenvector w, so psi = w[0::2] + 1j w[1::2] (times i when w
-    belongs to -lambda), and raises SingularShiftError when z is numerically
-    an eigenvalue.  Raises ConvergenceError when the residual
-    ||(H - z) psi - lambda conj(psi)|| exceeds RESIDUAL_RTOL * ||H - z||
-    (bounded by norm_estimate + |z|).
+    schrodinger.min_lambda gives lambda = sigma_min(X), X = H - z, a unit right
+    singular vector x and K = X^-1 o conj; X^* X x = lambda^2 x makes both
+    x + lambda K x and i (x - lambda K x) solve X psi = lambda conj(psi), and
+    the larger is used (one is 0 when lambda K x = +-x): one solve more than
+    the norm.  Raises SingularShiftError when z is numerically an eigenvalue,
+    and ConvergenceError when the residual ||(H - z) psi - lambda conj(psi)||
+    of the unit psi exceeds RESIDUAL_RTOL * ||H - z|| (<= norm_estimate + |z|).
     """
-    lam, w = min_lambda(h.bands, z)
-    psi = w[0::2] + 1j * w[1::2]
-    r = h.bands.matvec(psi) - z * psi
-    if (psi @ r).real < 0.0:  # psi^T (H - z) psi = -lambda: i psi belongs to +lambda
-        psi, r = 1j * psi, 1j * r
-    residual = float(np.linalg.norm(r - lam * np.conj(psi)))
+    lam, x, k = min_lambda(h.bands, z)
+    kx = lam * k(x)
+    psi = max(x + kx, 1j * (x - kx), key=np.linalg.norm)
+    psi /= np.linalg.norm(psi)
+    residual = float(np.linalg.norm(h.bands.matvec(psi) - z * psi - lam * np.conj(psi)))
     tol = RESIDUAL_RTOL * (h.norm_estimate + abs(z))
     if residual > tol:
         raise ConvergenceError(

@@ -7,8 +7,10 @@ transpose identity H_q^T = H_{-q} hold bitwise, which is what the block
 embedding needs to turn decay estimates into resolvent-norm estimates.
 Operators store their three diagonals (Tridiagonal), not a dense matrix, and
 every resolvent norm, dense ones too, comes from one engine,
-antilinear._lanczos; min_lambda runs it on the banded real doubling (for
-real H_q - E the block embedding).  Every banded shifted solve, in scaling
+antilinear._lanczos, a Lanczos on the positive (X^* X)^-1 of X = T - shift;
+min_lambda runs it on one tridiagonal LU of X (for complex symmetric X this
+is K^2, K = X^-1 o conj; for real H_q - E it solves with X and X^T, the
+block embedding at n x n cost).  Every banded shifted solve, in scaling
 too, goes through one tridiagonal LU, _band_lu.  find_gap, projector_decay
 and bq_norm compute only the eigenpairs of H up to the gap, never all n;
 every eigen-decomposition holds its result plus O(n) workspace (MRRR for all).
@@ -196,48 +198,44 @@ def _band_lu(a: Tridiagonal, shift: complex):
 
 
 @one_blas_thread
-def _lanczos_pair(a: Tridiagonal, shift: complex) -> tuple[float, np.ndarray]:
-    """(sigma_min(a - shift), w) with no singularity threshold.
+def _lanczos_pair(a: Tridiagonal, shift: complex) -> tuple:
+    """(sigma_min(a - shift), x, k) with no singularity threshold.
 
-    antilinear._lanczos on S = a.doubling(shift), with a - shift factored
-    once (_band_lu): S^-1 is one or two tridiagonal solves in the interleaved
-    coordinates.  Raises PreconditionError and SingularShiftError from
-    _band_lu, ConvergenceError past LANCZOS_MAXITER restarts.
+    antilinear._lanczos on (X^* X)^-1 for X = a - shift, factored once
+    (_band_lu): X^-T is X^-1 for complex symmetric a and the transposed solve
+    for real a.  x is a unit right singular vector of X at sigma_min, and
+    k(v) = X^-1 conj(v) applies K = X^-1 o conj with the same LU.  Raises
+    ValueError for a complex a that is not symmetric, PreconditionError and
+    SingularShiftError from _band_lu, ConvergenceError past LANCZOS_MAXITER
+    restarts.
     """
-    complex_doubling = a._complex_doubling(shift)
+    complex_symmetric = a._complex_doubling(shift)
     lu_solve = _band_lu(a, shift)
-
-    def solve(v):
-        if complex_doubling:  # S w = v is (a - shift) u = conj(v) for w, v viewed as complex
-            w = lu_solve(np.conj(v.view(complex))).view(float)
-        else:  # S (x, y) = (M^T y, M x) for M = a - shift
-            w = np.empty_like(v)
-            w[0::2] = lu_solve(v[1::2])
-            w[1::2] = lu_solve(v[0::2], trans=1)
-        return w
-
-    return _lanczos(solve, 2 * a.main.size, f"sigma_min at shift {shift:.6g}")
+    solve_t = lu_solve if complex_symmetric else (lambda b: lu_solve(b, 1))
+    sigma, x = _lanczos(lu_solve, solve_t, a.main.size, f"sigma_min at shift {shift:.6g}")
+    return sigma, x, lambda v: lu_solve(np.conj(v))
 
 
 @one_blas_thread
-def min_lambda(a: Tridiagonal, shift: complex = 0.0) -> tuple[float, np.ndarray]:
-    """(lambda, w): sigma_min(a - shift), the smallest antilinear eigenvalue, and w.
+def min_lambda(a: Tridiagonal, shift: complex = 0.0) -> tuple:
+    """(lambda, x, k): sigma_min(a - shift), the smallest antilinear eigenvalue, x and k.
 
-    w is the Lanczos eigenvector of a.doubling(shift) at +-lambda; for complex
-    symmetric a, psi = w[0::2] + 1j * w[1::2] solves (a - shift) psi =
-    +-lambda conj(psi), and i psi turns -lambda into +lambda.  Raises
-    SingularShiftError when lambda < SINGULAR_RTOL * ||a||: the shift is
-    numerically in the spectrum (antilinear._singular, with the bounds
-    max |entry| <= ||a|| <= max|main| + max|sub| + max|sup|, and the exact
-    ||a|| as the top eigenvalue of a.doubling() only between them).
+    x is a unit right singular vector of X = a - shift at lambda and k(v) =
+    X^-1 conj(v) (_lanczos_pair).  For complex symmetric a, psi = x +
+    lambda k(x) solves X psi = lambda conj(psi), as does i (x - lambda k(x)),
+    one of which is not zero.  Raises SingularShiftError when lambda <
+    SINGULAR_RTOL * ||a||: the shift is numerically in the spectrum
+    (antilinear._singular, with the bounds max |entry| <= ||a|| <= max|main| +
+    max|sub| + max|sup|, and the exact ||a|| as the top eigenvalue of
+    a.doubling() only between them).
     """
-    lam, w = _lanczos_pair(a, shift)
+    lam, x, k = _lanczos_pair(a, shift)
     n = a.main.size
     maxima = [float(np.max(np.abs(d), initial=0.0)) for d in (a.main, a.sub, a.sup)]
     _singular(lam, max(maxima), sum(maxima), lambda: float(scipy.linalg.eig_banded(
         a.doubling(), eigvals_only=True, select="i", select_range=(2 * n - 1, 2 * n - 1)
     )[0]), shift)
-    return lam, w
+    return lam, x, k
 
 
 @dataclass(frozen=True)
@@ -420,11 +418,11 @@ def _check_shift_in_gap(h, gap, shift):
 
 
 def gamma_norm(h: DiscreteHamiltonian, q: float, energy: float, gap: GapSpectrum) -> float:
-    """||(H_q - E)^-1|| = 1 / sigma_min(H_q - E) from the banded doubling.
+    """||(H_q - E)^-1|| = 1 / sigma_min(H_q - E) from one tridiagonal LU.
 
-    H_q - E = M is real, so the doubling is [[0, M^T], [M, 0]] (see
-    Tridiagonal.doubling) and min_lambda takes sigma_min(M) from it; no
-    dense matrix is formed.  Requires E + q^2 inside the spectral gap and E,
+    H_q - E = M is real, and min_lambda takes sigma_min(M) from (M^T M)^-1,
+    one solve with M^T and one with M per Lanczos step, the block embedding
+    diag(M, M^T) at n x n cost; no dense matrix is formed.  Requires E + q^2 inside the spectral gap and E,
     E + q^2 farther than THETA_GAP from every eigenvalue of H.  In one
     dimension the sup over |q| fixed is the max over +-q, and those two
     norms coincide exactly by the transpose identity, so a single solve

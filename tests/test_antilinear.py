@@ -341,6 +341,34 @@ class TestTakagi:
         assert np.max(np.abs(fac.sigma - sv)) < 1e-10 * a.norm
 
 
+@st.composite
+def _dense_cases(draw, embed):
+    """(A, conjugation, M, z) with ||(A - z)^-1|| = ||(M - z)^-1||, n <= 40.
+
+    M has the drawn singular values s, repeats included and up to two of
+    them 0, 1e-13 or 1e-6: complex symmetric U diag(s) U^T (A = M, plain
+    conjugation) or, for embed, a general U diag(s) V^* inside
+    block_embed(M).  z is 0, so a zero in s is a singular shift, or a drawn
+    point.
+    """
+    n = draw(st.integers(1, 40))
+    s = np.array(draw(st.lists(st.sampled_from([0.5, 1.0, 1.0 + 1e-10, 2.0, 50.0]), min_size=n, max_size=n)))
+    s[:draw(st.integers(0, 2))] = draw(st.sampled_from([0.0, 1e-13, 1e-6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def unitary():
+        return np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+
+    z = draw(st.one_of(st.just(0j), st.complex_numbers(max_magnitude=3.0)))
+    u = unitary()
+    if not embed:
+        m = (u * s) @ u.T
+        m = 0.5 * (m + m.T)
+        return m, None, m, z
+    m = (u * s) @ unitary().conj().T
+    return (*block_embed(m), m, z)
+
+
 class TestResolventNorm:
     def test_embedding_factors_the_block_once(self, monkeypatch):
         # resolvent_norm(*block_embed(M), z) runs one ?getrf, on the n x n
@@ -425,6 +453,21 @@ class TestResolventNorm:
         assume(sv[-1] > 1e-3 * sv[0])
         assert resolvent_norm(a, conj, z) == pytest.approx(1.0 / sv[-1], rel=1e-12)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=st.one_of(_dense_cases(False), _dense_cases(True)))
+    def test_lanczos_is_dense_sigma_min(self, case):
+        # the dense kinds beside the banded property of test_schrodinger.py:
+        # clustered, rank-deficient and exactly singular draws are kept, so
+        # the Lanczos value must be the smallest singular value, not a larger one
+        a, conj, m, z = case
+        sv = np.linalg.svd(m - z * np.eye(m.shape[0]), compute_uv=False)
+        scale = max(sv[0], 1.0)
+        if sv[-1] > 1e-12 * scale:
+            assert abs(1.0 / resolvent_norm(a, conj, z) - sv[-1]) <= 1e-12 * scale
+        elif sv[-1] <= 1e-15 * scale:
+            with pytest.raises(SingularShiftError):
+                resolvent_norm(a, conj, z)
+
     def test_exactly_singular_shift_raises_from_factorisation(self):
         a = ComplexSymmetricMatrix(np.diag([1.0, 2.0, 3.0]))
         with pytest.raises(SingularShiftError, match="zero pivot 2"):
@@ -460,7 +503,7 @@ class TestResolventNorm:
 
 
 def _diagonal(d):
-    """(solve, calls) for S = diag(d): solve(v) = S^-1 v, and a one-item list counting the solves."""
+    """(solve, calls) for X = diag(d): solve(v) = X^-1 v (= X^-T v), and a one-item list counting the solves."""
     calls = [0]
 
     def solve(v):
@@ -471,12 +514,13 @@ def _diagonal(d):
 
 
 class TestLanczos:
-    # _lanczos on explicit diagonal S, whose smallest |eigenvalue| is known
+    # _lanczos on explicit diagonal X, whose sigma_min = min |d| is known
 
     def test_smallest_magnitude_and_unit_ritz_vector(self):
         rng = np.random.default_rng(3)
         d = rng.choice([-1.0, 1.0], 200) * rng.uniform(1.0, 10.0, 200)
-        sigma, w = _lanczos(_diagonal(d)[0], d.size, "diag")
+        solve = _diagonal(d)[0]
+        sigma, w = _lanczos(solve, solve, d.size, "diag")
         k = np.argmin(np.abs(d))
         assert sigma == pytest.approx(abs(d[k]), rel=1e-14)
         assert np.linalg.norm(w) == pytest.approx(1.0, rel=1e-14)
@@ -484,29 +528,31 @@ class TestLanczos:
 
     @pytest.mark.parametrize("d", [[2.5], [-3.0, 0.5], [1.0, -2.0, 4.0]])
     def test_exact_below_ncv(self, d):
-        # m < NCV: at the latest the basis spans R^m and the Ritz pair is exact
+        # n < NCV: at the latest the basis spans R^n and the Ritz pair is exact
         d = np.array(d)
-        sigma, w = _lanczos(_diagonal(d)[0], d.size, "diag")
+        solve = _diagonal(d)[0]
+        sigma, w = _lanczos(solve, solve, d.size, "diag")
         k = np.argmin(np.abs(d))
         assert sigma == pytest.approx(abs(d[k]), rel=1e-15)
         assert abs(w[k]) == pytest.approx(1.0, rel=1e-15)
 
     def test_converges_past_restarts(self):
-        # |eigenvalues| evenly spread over [1, 2]: many more steps than NCV;
-        # m > _RESTART_COLUMNS, so each restart forms its Ritz vectors in two blocks
+        # |d| evenly spread over [1, 2]: many more steps than NCV, two solves each;
+        # n > _RESTART_COLUMNS, so each restart forms its Ritz vectors in two blocks
         d = np.concatenate([np.linspace(1.0, 2.0, 300), np.full(4800, 2.0)]) * np.resize([1.0, -1.0], 5100)
         assert d.size > antilinear._RESTART_COLUMNS
         solve, calls = _diagonal(d)
-        sigma, w = _lanczos(solve, d.size, "diag")
-        assert calls[0] > 2 * NCV
+        sigma, w = _lanczos(solve, solve, d.size, "diag")
+        assert calls[0] // 2 > 2 * NCV  # steps
         assert sigma == pytest.approx(1.0, rel=1e-14)
         assert abs(w[0]) == pytest.approx(1.0, rel=1e-14)
 
     def test_step_cap_names_the_problem(self, monkeypatch):
         d = np.linspace(1.0, 2.0, 300) * np.resize([1.0, -1.0], 300)
         monkeypatch.setattr(antilinear, "LANCZOS_MAXITER", 1)
+        solve = _diagonal(d)[0]
         with pytest.raises(ConvergenceError, match="Lanczos for spread diagonal"):
-            _lanczos(_diagonal(d)[0], d.size, "spread diagonal")
+            _lanczos(solve, solve, d.size, "spread diagonal")
 
 
 def _peak_units(f, size):

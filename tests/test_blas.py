@@ -113,12 +113,14 @@ def test_no_library_found_is_a_noop(monkeypatch):
 
 @pytest.fixture
 def lapack_spy(monkeypatch):
-    """Thread counts seen by every LAPACK and ARPACK call that csop makes."""
+    """(routine, thread counts) of every LAPACK and ARPACK call that csop makes."""
     seen = []
 
     def spied(f):
+        routine = f.__name__.split()[-1]  # f2py names its routines "function zgttrs"
+
         def call(*args, **kwargs):
-            seen.append(counts())
+            seen.append((routine, counts()))
             return f(*args, **kwargs)
         return call
 
@@ -163,6 +165,7 @@ DENSE = {
     "antilinear_spectrum": lambda: antilinear_spectrum(A, z=0.3 - 0.7j),
     "takagi": lambda: takagi(A),
     "resolvent_norm": lambda: resolvent_norm(A, z=0.3 - 0.7j),
+    "resolvent_norm_block_embed": lambda: resolvent_norm(*block_embed(A), z=0.3 - 0.7j),
     "minmax_norm": lambda: minmax_norm(A),
     "block_embed": lambda: antilinear_spectrum(*block_embed(A)),
     "minmax_even_lower_check": lambda: minmax_even_lower_check(A, 3, trials=2),
@@ -170,11 +173,22 @@ DENSE = {
 }
 
 
+# the solve behind each Lanczos step of the resolvent-norm engine
+LANCZOS_SOLVES = {"gamma_norm": "dgttrs", "resolvent_norm_at": "zgttrs", "sigma_min": "zgttrs",
+                  "resolvent_norm": "zgetrs", "resolvent_norm_block_embed": "zgetrs"}
+
+
+def _assert_one_thread(spied, name):
+    assert spied and all(seen == [1] * len(LIBS) for _, seen in spied)
+    if name in LANCZOS_SOLVES:
+        assert LANCZOS_SOLVES[name] in {routine for routine, _ in spied}
+
+
 @needs_switch
 @pytest.mark.parametrize("name", TRIDIAGONAL)
 def test_tridiagonal_paths_run_lapack_on_one_thread(name, operators, two_threads, lapack_spy):
     TRIDIAGONAL[name](*operators)
-    assert lapack_spy and all(seen == [1] * len(LIBS) for seen in lapack_spy)
+    _assert_one_thread(lapack_spy, name)
     assert counts() == two_threads
 
 
@@ -182,7 +196,7 @@ def test_tridiagonal_paths_run_lapack_on_one_thread(name, operators, two_threads
 @pytest.mark.parametrize("name", DENSE)
 def test_dense_paths_run_lapack_on_one_thread(name, two_threads, lapack_spy):
     DENSE[name]()
-    assert lapack_spy and all(seen == [1] * len(LIBS) for seen in lapack_spy)
+    _assert_one_thread(lapack_spy, name)
     assert counts() == two_threads
 
 
@@ -216,6 +230,24 @@ def test_dense_cli_bytes_do_not_depend_on_the_thread_count(subcommand, shift, tm
     save_matrix_csv(str(tmp_path / "m.csv"), random_complex_symmetric(120, np.random.default_rng(60)))
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"matrix = {tmp_path / 'm.csv'}\n{shift}")
+    written = []
+    for threads in (1, 2):
+        for _, set_ in LIBS:
+            set_(threads)
+        out = tmp_path / f"{threads}.csv"
+        assert main([subcommand, "--config", str(cfg), "--output", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
+@needs_switch
+@pytest.mark.parametrize("subcommand, config", [("resolvent-map", "n = 4000\n"), ("resonance", "")],
+                         ids=["resolvent-map-4000", "resonance"])
+def test_lanczos_cli_bytes_do_not_depend_on_the_thread_count(subcommand, config, tmp_path, two_threads):
+    # the Lanczos Gram-Schmidt runs complex BLAS-2 (zgemv) on its basis, and
+    # one thread inside the engine keeps the bytes whatever the pools start at
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
     written = []
     for threads in (1, 2):
         for _, set_ in LIBS:

@@ -2,8 +2,10 @@
 
 Every banded solve goes through one tridiagonal LU (schrodinger._band_lu,
 which scaling imports by name); the spy counts the factorizations made and
-the columns their solves take.  A count that does not grow from n = 1000 to
-n = 16000 makes the probe O(n).
+the columns their solves take.  A count that does not grow over the ladder
+n = 1000, 4000, 16000, beyond one Lanczos step (two solves, one with X^-T
+and one with X^-1), makes the probe O(n).  Dense solves are counted as the
+LAPACK calls SciPy hands out (conftest.patch_lapack).
 """
 
 import numpy as np
@@ -11,14 +13,23 @@ import pytest
 import scipy.linalg
 
 from csop import scaling, schrodinger
+from csop.antilinear import block_embed, resolvent_norm
 from csop.cli import main
 from csop.decay import critical_q, qbar_and_ebar
-from csop.scaling import DilationPotential, build_scaled, polish_eigenvalue, sigma_min
+from csop.scaling import DilationPotential, build_scaled, polish_eigenvalue, resolvent_norm_at, sigma_min
 from csop.schrodinger import GapSpectrum, Grid1D, PotentialSpec, build_hamiltonian, gamma_norm
+
+from conftest import patch_lapack
 
 ALPHA75 = DilationPotential.alpha_r2_exp(7.5)
 RESONANCE_GUESS = 4.0723 - 0.19631j
 ARPACK_FLOOR = 21  # solves of one ARPACK cycle at ncv = 20, the least the old engine made
+LADDER = (1000, 4000, 16000)
+STEP = 2  # solves per Lanczos step
+
+
+def _within_one_step(counts):
+    return max(counts) <= min(counts) + STEP
 
 
 @pytest.fixture
@@ -42,26 +53,37 @@ def solves(monkeypatch):
     return count
 
 
-def _sigma_min_solves(solves, n, z):
-    """Solves of one sigma_min of H_theta at alpha = 7.5, n points; z None is the polished resonance."""
+def _sigma_min_solves(solves, n, z, norm=sigma_min):
+    """Solves of one sigma_min (or norm) of H_theta at alpha = 7.5, n points; z None is the polished resonance."""
     ham = build_scaled(ALPHA75, Grid1D(40.0, n), 0.3j)
     if z is None:
         z = polish_eigenvalue(ham, RESONANCE_GUESS)[0]
     solves[:] = [0, 0]
-    sigma_min(ham, z)
+    norm(ham, z)
     return solves[0]
 
 
 @pytest.mark.parametrize("z", [4.1 - 0.15j, None], ids=["probe", "polished_resonance"])
 def test_sigma_min_stops_when_converged(solves, z):
-    counts = [_sigma_min_solves(solves, n, z) for n in (1000, 16000)]
+    counts = [_sigma_min_solves(solves, n, z) for n in LADDER]
     assert max(counts) < ARPACK_FLOOR
-    assert counts[1] <= counts[0] + 1
+    assert _within_one_step(counts)
 
 
 def test_slow_point_needs_no_more_than_arpack(solves):
     # sigma_2 / sigma_1 = 1.02 at z = 2.5 - 0.3i: restarts, which ARPACK took 81 solves through
-    assert all(_sigma_min_solves(solves, n, 2.5 - 0.3j) <= 81 for n in (1000, 16000))
+    counts = [_sigma_min_solves(solves, n, 2.5 - 0.3j) for n in LADDER]
+    assert max(counts) <= 81
+    assert _within_one_step(counts)
+
+
+@pytest.mark.parametrize("z", [4.1 - 0.15j, 2.5 - 0.3j], ids=["probe", "slow_point"])
+def test_resolvent_norm_at_adds_one_solve(solves, z):
+    # the antilinear eigenvector psi = x + sigma K x costs one solve more than sigma_min
+    counts = [_sigma_min_solves(solves, n, z, resolvent_norm_at) for n in LADDER]
+    for n, count in zip(LADDER, counts):
+        assert count <= _sigma_min_solves(solves, n, z) + 1
+    assert _within_one_step(counts)
 
 
 def test_default_resolvent_map(solves, tmp_path):
@@ -79,7 +101,8 @@ def _polish_counts(solves, n):
 
 def test_polish_eigenvalue_counts_do_not_grow(solves):
     # one factorization and one solve per Rayleigh-quotient step: 3 and 3
-    assert _polish_counts(solves, 1000) == _polish_counts(solves, 16000)
+    counts = [_polish_counts(solves, n) for n in LADDER]
+    assert counts[0] == counts[1] == counts[2]
 
 
 def _gamma_norm_counts(solves, n):
@@ -97,5 +120,33 @@ def _gamma_norm_counts(solves, n):
 
 
 def test_gamma_norm_counts_do_not_grow(solves):
-    # one factorization; each Lanczos step solves with M and M^T: 40 columns
-    assert _gamma_norm_counts(solves, 1000) == _gamma_norm_counts(solves, 16000)
+    # one factorization; each Lanczos step on (M^T M)^-1 solves with M^T and M.
+    # The ceiling sits below the 40-42 solves of Lanczos on the 2n doubling
+    counts = [_gamma_norm_counts(solves, n) for n in LADDER]
+    assert all(factorizations == 1 for _, factorizations in counts)
+    solved = [columns for columns, _ in counts]
+    assert max(solved) <= 24
+    assert _within_one_step(solved)
+
+
+def test_block_embedding_resolvent_norm_halves_getrs(monkeypatch):
+    # resolvent_norm(*block_embed(M)) factors the n x n block X once and
+    # solves with X^T and X per step; Lanczos on the 4n doubling took 34 ?getrs here
+    rng = np.random.default_rng(30)
+    m = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+    calls = {"getrf": 0, "getrs": 0}
+
+    def wrap(name, routine):
+        def counted(*args, **kwargs):
+            if name in calls:
+                calls[name] += 1
+            return routine(*args, **kwargs)
+
+        return counted
+
+    patch_lapack(monkeypatch, wrap)
+    norm = resolvent_norm(*block_embed(m), 0.3 - 0.2j)
+    assert norm == pytest.approx(1.0 / np.linalg.svd(m - (0.3 - 0.2j) * np.eye(30), compute_uv=False)[-1],
+                                 rel=1e-12)
+    assert calls["getrf"] == 1
+    assert calls["getrs"] <= 34 // 2 + 1

@@ -13,6 +13,7 @@ from csop import antilinear, scaling
 from csop.errors import ConvergenceError, PairingAmbiguityError, SingularShiftError, StripViolationError
 from csop.scaling import (
     FLOOR_RTOL,
+    RESIDUAL_RTOL,
     DilationPotential,
     build_scaled,
     classify_spectrum,
@@ -318,6 +319,42 @@ class TestResolventNorm:
             sigma_min(ham, 2.5 - 0.3j)
         with pytest.raises(ConvergenceError):
             resolvent_norm_at(ham, 2.5 - 0.3j)
+
+    @pytest.mark.parametrize("z", [4.1 - 0.15j, None, 2.5 - 0.3j], ids=["probe", "polished_resonance", "slow_point"])
+    def test_eigenvector_residual(self, monkeypatch, z):
+        # psi = x + sigma K x solves (H - z) psi = sigma conj(psi) for the unit
+        # right singular vector x.  At the polished resonance sigma is at
+        # rounding level, which the singular-shift threshold refuses, so the
+        # threshold is off there; at 2.5 - 0.3i, sigma_2 / sigma_1 = 1.02
+        grid = Grid1D(length=40.0, n=800)
+        ham = build_scaled(ALPHA75, grid, 0.3j)
+        polished = z is None
+        if polished:
+            z, _ = polish_eigenvalue(ham, 4.0723 - 0.19631j)
+            monkeypatch.setattr(antilinear, "SINGULAR_RTOL", 0.0)
+            monkeypatch.setattr(antilinear, "ABS_FLOOR", 0.0)
+        rn = resolvent_norm_at(ham, z)
+        psi = rn.vector
+        residual = np.linalg.norm(ham.matrix @ psi - z * psi - np.conj(psi) / rn.norm)
+        assert np.linalg.norm(psi) == pytest.approx(1.0, rel=1e-12)
+        assert residual <= RESIDUAL_RTOL * (ham.norm_estimate + abs(z))
+        if polished:
+            assert 1.0 / rn.norm < 1e-10 * abs(z)
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_eigenvector_above_nearest_eigenvalue(self, k):
+        # z just above eigenvalue k of the real free H: H - z has its smallest
+        # singular value at the eigenvalue -sigma, so sigma K x = -x, x + sigma K x
+        # vanishes and psi is i (x - sigma K x)
+        grid = Grid1D(length=10.0, n=80)
+        ham = build_scaled(FREE, grid, 0.0)
+        evals = np.linalg.eigvalsh(ham.matrix.real)
+        z = evals[k] + 0.3 * (evals[k + 1] - evals[k])
+        rn = resolvent_norm_at(ham, z)
+        psi = rn.vector
+        assert rn.norm == pytest.approx(1.0 / (z - evals[k]), rel=1e-12)
+        assert np.linalg.norm(ham.matrix @ psi - z * psi - np.conj(psi) / rn.norm) <= RESIDUAL_RTOL * (
+            ham.norm_estimate + abs(z))
 
     def test_sigma_min_matches_svd(self, resonance_500):
         grid, res = resonance_500

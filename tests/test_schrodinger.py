@@ -161,9 +161,9 @@ class TestDoubling:
         sv = np.sort(np.linalg.svd(t.dense(shift), compute_uv=False))
         scale = max(sv[-1], 1.0)
         if sv[0] > 1e-12 * scale:
-            lam, w = min_lambda(t, shift)
+            lam, x, _ = min_lambda(t, shift)
             assert abs(lam - sv[0]) <= 1e-12 * scale
-            assert np.linalg.norm(w) == pytest.approx(1.0, rel=1e-12)
+            assert np.linalg.norm(x) == pytest.approx(1.0, rel=1e-12)
         elif sv[0] <= 1e-15 * scale:
             with pytest.raises(SingularShiftError):
                 min_lambda(t, shift)
