@@ -22,13 +22,15 @@ singular-shift thresholds.  The resolvent norm needs no doubling: T^* T = (C T)^
 T (Garcia & Putinar 2006), so K = A'^-1 o conj squares to the positive (A'^* A')^-1, whose top
 eigenvalue is 1 / sigma_min^2.  _lanczos, the thick-restart Lanczos of schrodinger's banded norms too
 (at most NCV basis vectors, a convergence test after every step), finds it on one dense LU (_dense_lu)
-of A' or, when A' is bipartite, of X alone, solved with and without transpose.  A permutation P is
-applied as a row gather (the block swap stores its rows alone, not P).
+of A' or, when A' is bipartite, of X alone, solved with and without transpose by two ?trsv each.  A
+step costs its two solves plus four ?gemv (two classical Gram-Schmidt passes) and one small ?stev.
+A permutation P is applied as a row gather (the block swap stores its rows alone, not P).
 Every dense input, a ComplexSymmetricMatrix (always symmetric) or a plain
 array, passes one gate, _as_matrix: n x n, n >= 1, finite, else ValueError;
 a shift z that is not finite raises PreconditionError (_reduced).  Every
 solve, dense here and banded in schrodinger._band_lu, passes one bound,
-_check_solve: an entry not below SOLVE_MAX means the shift is singular.
+_check_solve: an entry not below SOLVE_MAX means the shift is singular (a
+vector with sum |x_i|^2 below SOLVE_MAX^2 / 4 passes on one dot product).
 Every dense LAPACK call is SciPy's, and the public solvers run on one OpenBLAS
 thread (_blas.one_blas_thread); a user-set OPENBLAS_NUM_THREADS wins.
 """
@@ -378,6 +380,15 @@ def _singular(lam: float, lower: float, upper: float, norm, shift: complex) -> N
         )
 
 
+@functools.lru_cache(maxsize=8)
+def _start(n: int) -> np.ndarray:
+    """_lanczos's seeded real unit start vector of length n, drawn once per n (read-only)."""
+    v = np.random.default_rng(0).standard_normal(n)
+    v /= np.linalg.norm(v)
+    v.flags.writeable = False
+    return v
+
+
 def _lanczos(solve, solve_t, n: int, what: str) -> tuple[float, np.ndarray]:
     """(sigma, x): sigma_min of an n x n X (an upper bound) and a unit right singular vector x.
 
@@ -390,6 +401,9 @@ def _lanczos(solve, solve_t, n: int, what: str) -> tuple[float, np.ndarray]:
     (theta, y), converged when beta |y_last| <= LANCZOS_TOL theta (ARPACK's rule, beta the residual
     norm) or when the basis spans the space; a full basis restarts from its NCV / 2 top Ritz vectors
     and the residual.  Raises ConvergenceError, naming `what`, after LANCZOS_MAXITER restarts.
+    A step costs its two solves plus O(NCV n) BLAS-2: each Gram-Schmidt pass is two ?gemv on the
+    basis rows read as Fortran columns (conjugate transpose for the projections, the update in
+    place), and the new basis vector is written in place.
     """
     def apply(v):
         return solve(np.conj(solve_t(np.conj(v))))
@@ -397,18 +411,18 @@ def _lanczos(solve, solve_t, n: int, what: str) -> tuple[float, np.ndarray]:
     size = min(NCV, n)
     t = np.zeros((size, size))
     syev, stev = scipy.linalg.lapack.get_lapack_funcs(("syev", "stev"), (t,))
-    v = np.random.default_rng(0).standard_normal(n)
-    v /= np.linalg.norm(v)
+    v = _start(n)
     w = apply(v)
     basis = np.empty((size, n), dtype=w.dtype)
+    gemv = scipy.linalg.blas.get_blas_funcs("gemv", (basis,))
     basis[0] = v
     j = restarts = 0
     while True:
-        # conj(B conj(w)) = conj(B) w without a conjugated copy of the basis B
-        h = np.conj(basis[:j + 1] @ np.conj(w))
-        w -= h @ basis[:j + 1]
-        again = np.conj(basis[:j + 1] @ np.conj(w))
-        w -= again @ basis[:j + 1]
+        cols = basis[:j + 1].T  # n x (j + 1), Fortran-ordered: no copy for ?gemv
+        h = gemv(1.0, cols, w, trans=2)  # V^* w
+        w = gemv(-1.0, cols, h, 1.0, w, overwrite_y=True)
+        again = gemv(1.0, cols, w, trans=2)
+        w = gemv(-1.0, cols, again, 1.0, w, overwrite_y=True)
         t[j, :j + 1] = t[:j + 1, j] = (h + again).real
         beta = math.sqrt(np.vdot(w, w).real)
         if j and not restarts:  # T is tridiagonal, to rounding
@@ -428,12 +442,20 @@ def _lanczos(solve, solve_t, n: int, what: str) -> tuple[float, np.ndarray]:
             t[:keep, :keep] = np.diag(theta[-keep:])
             j = keep - 1
         j += 1
-        basis[j] = w / beta
+        np.multiply(w, 1.0 / beta, out=basis[j])
         w = apply(basis[j])
 
 
 def _check_solve(x: np.ndarray, singular: str) -> np.ndarray:
-    """x, a shifted solve; SingularShiftError(singular) for an entry not below SOLVE_MAX (inf and NaN included)."""
+    """x, a shifted solve; SingularShiftError(singular) for an entry not below SOLVE_MAX (inf and NaN included).
+
+    A vector with sum |x_i|^2 below SOLVE_MAX^2 / 4, one BLAS dot product, passes without the entrywise
+    scan: a rounded sum of nonnegative terms is not below its largest term less rounding, so every
+    |x_i| is about SOLVE_MAX / 2 or less.  Anything else (inf, NaN, an overflowing or large sum) and
+    every n x k block take the scan, which decides; the raise set is the scan's alone.
+    """
+    if x.ndim == 1 and np.vdot(x, x).real < SOLVE_MAX ** 2 / 4:  # finite: SOLVE_MAX^2 = 1 / tiny
+        return x
     if not np.abs(x).max() < SOLVE_MAX:
         raise SingularShiftError(singular)
     return x
@@ -442,13 +464,28 @@ def _check_solve(x: np.ndarray, singular: str) -> np.ndarray:
 def _dense_lu(a: np.ndarray):
     """Factor the square array a once (?getrf, in place); return solve(b) = a^-1 b, solve(b, 1) = a^-T b.
 
+    b is one vector.  P^T a = L U, so a^-1 b = U^-1 L^-1 (P^T b) and a^-T b = P L^-T U^-T b, each two
+    ?trsv, which one OpenBLAS thread runs about 2-3x faster than ?getrs with one right-hand side.
     Raises SingularShiftError at a zero pivot and from _check_solve.
     """
-    getrf, getrs = scipy.linalg.lapack.get_lapack_funcs(("getrf", "getrs"), (a,))
+    getrf, laswp = scipy.linalg.lapack.get_lapack_funcs(("getrf", "laswp"), (a,))
+    trsv = scipy.linalg.blas.get_blas_funcs("trsv", (a,))
     lu, piv, info = getrf(a, overwrite_a=True)
     if info > 0:
         raise SingularShiftError(f"A - z is singular: zero pivot {info}")
-    return lambda b, trans=0: _check_solve(getrs(lu, piv, b, trans)[0], "A - z is singular to working precision")
+    # (P^T b)_i = b[perm[i]]: ?getrf's row interchanges applied to the row numbers
+    perm = laswp(np.arange(lu.shape[0], dtype=lu.dtype)[:, None], piv)[:, 0].real.astype(np.intp)
+    singular = "A - z is singular to working precision"
+
+    def solve(b, trans=0):
+        if trans:
+            x = np.empty_like(b, dtype=lu.dtype)
+            x[perm] = trsv(lu, trsv(lu, b, trans=1), lower=1, trans=1, diag=1, overwrite_x=True)
+        else:
+            x = trsv(lu, trsv(lu, b[perm], lower=1, diag=1, overwrite_x=True), overwrite_x=True)
+        return _check_solve(x, singular)
+
+    return solve
 
 
 @one_blas_thread

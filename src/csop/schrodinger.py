@@ -178,13 +178,14 @@ def _band_lu(a: Tridiagonal, shift: complex):
     if not np.isfinite(shift):
         raise PreconditionError(f"shift {shift} must be finite")
     n = a.main.size
+    diagonals = [a.sub, a.main - shift, a.sup]
     # SciPy's ?gttrf wrapper refuses n < 3, and min_lambda takes any n: one
     # code path pads the diagonals to 3 with a decoupled unit diagonal
     pad = max(3 - n, 0)
-    diagonals = [np.concatenate([d, np.full(pad, fill)])
-                 for d, fill in ((a.sub, 0.0), (a.main - shift, 1.0), (a.sup, 0.0))]
+    if pad:
+        diagonals = [np.concatenate([d, np.full(pad, fill)]) for d, fill in zip(diagonals, (0.0, 1.0, 0.0))]
     gttrf, gttrs = scipy.linalg.lapack.get_lapack_funcs(("gttrf", "gttrs"), diagonals)
-    *lu, info = gttrf(*diagonals)
+    *lu, info = gttrf(*diagonals, overwrite_d=True)  # the shifted main diagonal is this call's own copy
     if info > 0:
         raise SingularShiftError(f"shift {shift:.6g} makes A - shift singular: zero pivot {info}")
     singular = f"shift {shift:.6g} makes A - shift singular to working precision"

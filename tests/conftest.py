@@ -11,18 +11,20 @@ def random_complex_symmetric(n, rng, scale=1.0):
 
 
 def patch_lapack(monkeypatch, wrap):
-    """Hand out every LAPACK routine that SciPy gives csop or eigh_tridiagonal from here on as wrap(name, routine).
+    """Hand out every LAPACK and BLAS routine that SciPy gives csop or eigh_tridiagonal from here on as wrap(name, routine).
 
     The wrapping sits outside SciPy's memo of looked-up routines, so nothing
     of it outlives the test."""
-    real = scipy.linalg.lapack.get_lapack_funcs
+    def wrapped(real):
+        def get(names, *args, **kwargs):
+            funcs = real(names, *args, **kwargs)
+            return wrap(names, funcs) if isinstance(names, str) else [wrap(*pair) for pair in zip(names, funcs)]
+        return get
 
-    def get(names, *args, **kwargs):
-        funcs = real(names, *args, **kwargs)
-        return wrap(names, funcs) if isinstance(names, str) else [wrap(*pair) for pair in zip(names, funcs)]
-
+    get_lapack = wrapped(scipy.linalg.lapack.get_lapack_funcs)
     for module in (scipy.linalg.lapack, scipy.linalg._decomp):
-        monkeypatch.setattr(module, "get_lapack_funcs", get)
+        monkeypatch.setattr(module, "get_lapack_funcs", get_lapack)
+    monkeypatch.setattr(scipy.linalg.blas, "get_blas_funcs", wrapped(scipy.linalg.blas.get_blas_funcs))
 
 
 @pytest.fixture(scope="session")

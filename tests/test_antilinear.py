@@ -5,15 +5,18 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from csop import antilinear
 from csop.antilinear import (
     NCV,
+    SOLVE_MAX,
     SYMMETRY_RTOL,
     ComplexSymmetricMatrix,
     Conjugation,
+    _check_solve,
     _dense_lu,
     _lanczos,
     _reduced,
@@ -33,6 +36,7 @@ from csop.errors import (
     PreconditionError,
     SingularShiftError,
 )
+from csop.schrodinger import Tridiagonal, _band_lu
 from conftest import patch_lapack, random_complex_symmetric
 
 
@@ -500,6 +504,66 @@ class TestResolventNorm:
         monkeypatch.setattr(antilinear, "LANCZOS_MAXITER", 1)
         with pytest.raises(ConvergenceError):
             resolvent_norm(a)
+
+def _identity_solve(via, n, dtype):
+    """The solve that returns its right-hand side unchanged: _check_solve alone, or an identity's _band_lu or _dense_lu."""
+    if via == "direct":
+        return lambda x: _check_solve(x, "singular to working precision")
+    if via == "band":
+        return _band_lu(Tridiagonal(sub=np.zeros(n - 1), main=np.ones(n, dtype), sup=np.zeros(n - 1)), 0.0)
+    return _dense_lu(np.eye(n, dtype=dtype))
+
+
+# the solves csop makes: vectors everywhere, n x k blocks through _band_lu (bq_norm, the kernel scan)
+_VIAS = [(via, cols) for via in ("direct", "band", "dense") for cols in ((), (3,)) if not (via == "dense" and cols)]
+
+# an entry's magnitude near the bound: even one at rounding distance over it raises
+_NEAR = st.sampled_from([0.0, 1.0, 0.5 * SOLVE_MAX, 0.6 * SOLVE_MAX, 0.9 * SOLVE_MAX, np.nextafter(SOLVE_MAX, 0),
+                         SOLVE_MAX, np.nextafter(SOLVE_MAX, np.inf), 2.0 * SOLVE_MAX, np.inf, np.nan])
+_ENTRIES = st.one_of(_NEAR, _NEAR.map(np.negative), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def _solutions(draw):
+    """A real or complex vector or n x k block of entries near SOLVE_MAX, inf and NaN among them."""
+    shape = draw(st.sampled_from([(1,), (4,), (40,), (4, 1), (6, 3)]))
+    x = draw(arrays(float, shape, elements=_ENTRIES))
+    if draw(st.booleans()):
+        x = x.astype(complex)
+        x.imag = draw(arrays(float, shape, elements=_ENTRIES))  # not x + 1j * y, which makes 1j * inf NaN
+    return x
+
+
+class TestCheckSolve:
+    # SOLVE_MAX = tiny^-1/2 is the largest solve whose square cannot overflow:
+    # an entry of a shifted solve at or above it means a singular shift
+
+    @pytest.mark.parametrize("via, cols", _VIAS)
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("entry, raises", [(np.nextafter(SOLVE_MAX, 0), False), (SOLVE_MAX, True),
+                                               (np.inf, True), (np.nan, True)])
+    def test_bound(self, via, cols, dtype, entry, raises):
+        n = 5
+        x = np.ones((n,) + cols, dtype)
+        x[-1] = entry * (1j if dtype is complex else 1.0)  # |x[-1]| = entry exactly
+        solve = _identity_solve(via, n, dtype)
+        if raises:
+            with pytest.raises(SingularShiftError, match="working precision"):
+                solve(x)
+        else:
+            assert np.array_equal(solve(x), x)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(x=_solutions())
+    @example(x=np.full(10, 0.9 * SOLVE_MAX))  # sum |x_i|^2 overflows, every entry below the bound
+    @example(x=np.full(10, 0.9 * SOLVE_MAX) * (1.0 + 1.0j))  # each part below, every |x_i| above
+    @example(x=np.array([0.6 * SOLVE_MAX, 1.0]))  # sum |x_i|^2 above SOLVE_MAX^2 / 4, every entry below
+    def test_raises_exactly_when_an_entry_is_not_below_the_bound(self, x):
+        if not np.abs(x).max() < SOLVE_MAX:
+            with pytest.raises(SingularShiftError, match="singular"):
+                _check_solve(x, "singular")
+        else:
+            assert _check_solve(x, "singular") is x
 
 
 def _diagonal(d):

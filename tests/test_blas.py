@@ -113,7 +113,7 @@ def test_no_library_found_is_a_noop(monkeypatch):
 
 @pytest.fixture
 def lapack_spy(monkeypatch):
-    """(routine, thread counts) of every LAPACK and ARPACK call that csop makes."""
+    """(routine, thread counts) of every BLAS, LAPACK and ARPACK call that csop makes."""
     seen = []
 
     def spied(f):
@@ -124,9 +124,14 @@ def lapack_spy(monkeypatch):
             return f(*args, **kwargs)
         return call
 
-    real_get = scipy.linalg.lapack.get_lapack_funcs
-    monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs",
-                        lambda *args, **kwargs: [spied(f) for f in real_get(*args, **kwargs)])
+    def spied_get(real_get):  # one name gives one routine, a tuple of names a list
+        def get(names, *args, **kwargs):
+            funcs = real_get(names, *args, **kwargs)
+            return spied(funcs) if isinstance(names, str) else [spied(f) for f in funcs]
+        return get
+
+    for module, name in ((scipy.linalg.lapack, "get_lapack_funcs"), (scipy.linalg.blas, "get_blas_funcs")):
+        monkeypatch.setattr(module, name, spied_get(getattr(module, name)))
     for module, name in ((scipy.linalg, "eigh"), (scipy.linalg, "eigh_tridiagonal"),
                          (scipy.linalg, "eig_banded"), (scipy.linalg, "svd"), (scipy.linalg, "svdvals"),
                          (scipy.sparse.linalg, "eigs"), (np.linalg, "eigvals")):
@@ -173,15 +178,15 @@ DENSE = {
 }
 
 
-# the solve behind each Lanczos step of the resolvent-norm engine
-LANCZOS_SOLVES = {"gamma_norm": "dgttrs", "resolvent_norm_at": "zgttrs", "sigma_min": "zgttrs",
-                  "resolvent_norm": "zgetrs", "resolvent_norm_block_embed": "zgetrs"}
+# the solve and the Gram-Schmidt BLAS behind each Lanczos step of the resolvent-norm engine
+LANCZOS_STEP = {"gamma_norm": {"dgttrs", "dgemv"}, "resolvent_norm_at": {"zgttrs", "zgemv"},
+                "sigma_min": {"zgttrs", "zgemv"}, "resolvent_norm": {"ztrsv", "zgemv"},
+                "resolvent_norm_block_embed": {"ztrsv", "zgemv"}}
 
 
 def _assert_one_thread(spied, name):
     assert spied and all(seen == [1] * len(LIBS) for _, seen in spied)
-    if name in LANCZOS_SOLVES:
-        assert LANCZOS_SOLVES[name] in {routine for routine, _ in spied}
+    assert LANCZOS_STEP.get(name, set()) <= {routine for routine, _ in spied}
 
 
 @needs_switch

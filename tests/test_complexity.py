@@ -5,7 +5,8 @@ which scaling imports by name); the spy counts the factorizations made and
 the columns their solves take.  A count that does not grow over the ladder
 n = 1000, 4000, 16000, beyond one Lanczos step (two solves, one with X^-T
 and one with X^-1), makes the probe O(n).  Dense solves are counted as the
-LAPACK calls SciPy hands out (conftest.patch_lapack).
+LAPACK and BLAS calls SciPy hands out (conftest.patch_lapack): one ?getrf,
+and two ?trsv a solve.
 """
 
 import numpy as np
@@ -17,7 +18,15 @@ from csop.antilinear import block_embed, resolvent_norm
 from csop.cli import main
 from csop.decay import critical_q, qbar_and_ebar
 from csop.scaling import DilationPotential, build_scaled, polish_eigenvalue, resolvent_norm_at, sigma_min
-from csop.schrodinger import GapSpectrum, Grid1D, PotentialSpec, build_hamiltonian, gamma_norm
+from csop.schrodinger import (
+    GapSpectrum,
+    Grid1D,
+    PotentialSpec,
+    bq_norm,
+    build_hamiltonian,
+    gamma_norm,
+    resolvent_kernel_scan,
+)
 
 from conftest import patch_lapack
 
@@ -105,13 +114,18 @@ def test_polish_eigenvalue_counts_do_not_grow(solves):
     assert counts[0] == counts[1] == counts[2]
 
 
-def _gamma_norm_counts(solves, n):
-    """gamma_norm on the v0 = 3 comb in the gap above its first band, at q = 0.9 q_c(Ebar)."""
+def _comb(n):
+    """The v0 = 3 comb on n points and the gap above its first band."""
     ham = build_hamiltonian(Grid1D(40.0, n), PotentialSpec.delta_comb(np.arange(1.0, 40.0), 3.0))
     evals = scipy.linalg.eigh_tridiagonal(
         ham.bands.main, ham.bands.sup, eigvals_only=True, select="i", select_range=(0, 40)
     )
-    gap = GapSpectrum(e_minus=float(evals[39]), e_plus=float(evals[40]), e_bottom=float(evals[0]))
+    return ham, GapSpectrum(e_minus=float(evals[39]), e_plus=float(evals[40]), e_bottom=float(evals[0]))
+
+
+def _gamma_norm_counts(solves, n):
+    """gamma_norm on the v0 = 3 comb in the gap above its first band, at q = 0.9 q_c(Ebar)."""
+    ham, gap = _comb(n)
     _, ebar, _ = qbar_and_ebar(gap)
     q = 0.9 * critical_q(gap, ebar)
     solves[:] = [0, 0]
@@ -129,12 +143,47 @@ def test_gamma_norm_counts_do_not_grow(solves):
     assert _within_one_step(solved)
 
 
+@pytest.fixture
+def right_hand_sides(monkeypatch):
+    """The shapes solved by each schrodinger._band_lu made from here on, one list per factorization."""
+    made = []
+    band_lu = schrodinger._band_lu
+
+    def spied(a, shift):
+        solve, shapes = band_lu(a, shift), []
+        made.append(shapes)
+
+        def recorded(b, trans=0):
+            shapes.append(np.shape(b))
+            return solve(b, trans)
+
+        return recorded
+
+    monkeypatch.setattr(schrodinger, "_band_lu", spied)
+    return made
+
+
+@pytest.mark.parametrize("n", LADDER)
+def test_kernel_scan_and_bq_norm_make_one_block_solve(right_hand_sides, n):
+    # one factorization of H - E and one n x k solve: k separations, or the k states below E + q^2
+    ham, gap = _comb(n)
+    _, ebar, _ = qbar_and_ebar(gap)
+    resolvent_kernel_scan(ham, ebar, [4.0, 8.0, 12.0], 0.5)
+    assert right_hand_sides == [[(n, 3)]]
+    right_hand_sides.clear()
+    q = 0.5 * critical_q(gap, ebar)
+    states = ham.eigensystem(ebar + q * q)[0].size
+    bq_norm(ham, gap, q, ebar)
+    assert states > 1 and right_hand_sides == [[(n, states)]]
+
+
 def test_block_embedding_resolvent_norm_halves_getrs(monkeypatch):
     # resolvent_norm(*block_embed(M)) factors the n x n block X once and
-    # solves with X^T and X per step; Lanczos on the 4n doubling took 34 ?getrs here
+    # solves with X^T and X per step, each solve two ?trsv; Lanczos on the
+    # 4n doubling took 34 solves (then ?getrs) here
     rng = np.random.default_rng(30)
     m = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
-    calls = {"getrf": 0, "getrs": 0}
+    calls = {"getrf": 0, "trsv": 0}
 
     def wrap(name, routine):
         def counted(*args, **kwargs):
@@ -149,4 +198,4 @@ def test_block_embedding_resolvent_norm_halves_getrs(monkeypatch):
     assert norm == pytest.approx(1.0 / np.linalg.svd(m - (0.3 - 0.2j) * np.eye(30), compute_uv=False)[-1],
                                  rel=1e-12)
     assert calls["getrf"] == 1
-    assert calls["getrs"] <= 34 // 2 + 1
+    assert calls["trsv"] % 2 == 0 and calls["trsv"] // 2 <= 34 // 2 + 1
