@@ -258,7 +258,7 @@ def _run_takagi(cfg: RunConfig) -> ResultTable:
     fac = takagi(mat)
     with one_blas_thread:
         recon = (fac.u * fac.sigma) @ fac.u.T
-    residual = float(np.linalg.norm(recon - 0.5 * (mat + mat.T)))
+        residual = float(np.linalg.norm(recon - 0.5 * (mat + mat.T)))
     return _spectrum_table(cfg, "sigma", fac.sigma, fac.u, reconstruction_residual=residual)
 
 

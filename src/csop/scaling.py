@@ -11,9 +11,9 @@ values below the essential floor from the banded real doubling
 (Tridiagonal.doubling); no dense matrix is formed.  Rotating theta
 moves the discretized continuum string by -2 Im theta while discrete points
 (bound states and uncovered resonances) stay put; classification compares
-each eigenvalue against both predictions.  Only the eigenvalues near the
-classification window are computed, by shift-invert Arnoldi on the one
-tridiagonal LU that min_lambda and polish_eigenvalue also use (_band_lu).
+each eigenvalue's first-order shift psi^T dH psi / psi^T psi against both
+predictions.  Only the eigenvalues near the classification window are
+computed, by shift-invert Arnoldi on the one tridiagonal LU (_band_lu).
 BLAS, LAPACK and ARPACK run here on one OpenBLAS thread, process-wide while
 they run (_blas.one_blas_thread); a user-set OPENBLAS_NUM_THREADS wins.
 
@@ -162,12 +162,12 @@ def build_scaled(
 
 @dataclass
 class SpectrumClassification:
-    """Labels of the in-window eigenvalues from the theta -> theta + dtheta comparison."""
+    """Labels of the in-window eigenvalues from their predicted shift under theta -> theta + dtheta."""
 
     eigenvalues: np.ndarray
     labels: list[str]                 # "bound" | "resonance" | "continuum" | "unlabeled"
-    stationarity: np.ndarray          # distance to the nearest unmoved eigenvalue
-    rotation_residual: np.ndarray     # distance to the nearest rotated prediction
+    stationarity: np.ndarray          # |dz|, the predicted shift's size
+    rotation_residual: np.ndarray     # |z + dz - z e^{-2 dtheta}|, the distance from the rotated prediction
 
     def with_label(self, label: str) -> np.ndarray:
         return self.eigenvalues[np.array(self.labels, dtype=str) == label]
@@ -214,27 +214,21 @@ def _eigenvalues_in_disc(h: ScaledHamiltonian, centre: complex, radius: float) -
     return z[np.abs(z - centre) <= radius]
 
 
+@one_blas_thread
 def classify_spectrum(
     h1: ScaledHamiltonian, h2: ScaledHamiltonian, window: tuple[float, float, float, float]
 ) -> SpectrumClassification:
     """Label the eigenvalues of h1 inside `window` as bound / resonance / continuum-string.
 
-    `window` is the open rectangle (re_min, re_max, im_min, im_max).  For
-    each eigenvalue z in it the displacement to the nearest eigenvalue of
-    h2 is compared against two predictions: staying put (discrete
-    spectrum) or rotating to z e^{-2 dtheta} (continuum string).  Discrete
-    points are bound states when essentially real and below BOUND_RE_MAX,
-    resonances when Im z < -RES_IM_TOL.  Points matching neither prediction
-    are reported as unlabeled.
-
-    Only eigenvalues near the window are computed: those of h1 in the disc
-    (centre c, radius R) that circumscribes it, and those of h2 in that disc
-    widened by max((1 + ROT_FACTOR) |e^{-2 dtheta} - 1|, STAT_FACTOR
-    |dtheta|) (|c| + R).  A partner of a window point that passes either
-    test lies in the wider disc, so every label equals the one a
-    classification of the whole spectra gives; the stationarity and
-    rotation residual of a point that passes neither test may read larger
-    (inf when h2 has no eigenvalue in its disc).
+    `window` is the open rectangle (re_min, re_max, im_min, im_max); only h1's eigenvalues
+    in the disc around it are computed.  h2, the same operator at theta + dtheta, supplies
+    the first-order shift dz = psi^T (H2 - H1) psi / psi^T psi of each eigenvalue z, the
+    c-product Hellmann-Feynman identity (Moiseyev, Certain & Weinhold, Mol. Phys. 36 (1978)
+    1613), with psi from one inverse-iteration solve at z (nudged by POLISH_TOL * max(1, |z|)
+    when singular, as in polish_eigenvalue).  dz is compared against staying put (discrete
+    spectrum) and rotating to z e^{-2 dtheta} (continuum string).  Discrete points are bound
+    states when essentially real and below BOUND_RE_MAX, resonances when Im z < -RES_IM_TOL.
+    Points matching neither, or whose unit psi has |psi^T psi| < 1e-13 (dz = inf), are unlabeled.
     """
     if h1.grid != h2.grid or h1.potential != h2.potential or h1.gamma != h2.gamma:
         raise ValueError("classification requires the same grid, potential and gamma")
@@ -246,22 +240,25 @@ def classify_spectrum(
     centre = complex(0.5 * (re_min + re_max), 0.5 * (im_min + im_max))
     radius = 0.5 * math.hypot(re_max - re_min, im_max - im_min)
     rot = np.exp(-2.0 * dtheta)
-    reach = max((1.0 + ROT_FACTOR) * abs(rot - 1.0), STAT_FACTOR * abs(dtheta)) * (abs(centre) + radius)
     z1 = _eigenvalues_in_disc(h1, centre, radius)
     z1 = z1[(z1.real > re_min) & (z1.real < re_max) & (z1.imag > im_min) & (z1.imag < im_max)]
-    z2 = _eigenvalues_in_disc(h2, centre, radius + reach)
+    a, b = h1.bands, h2.bands
+    delta = Tridiagonal(sub=b.sub - a.sub, main=b.main - a.main, sup=b.sup - a.sup)
+    start = np.random.default_rng(1).standard_normal(2 * h1.grid.n).view(complex)
+    dz = np.empty(z1.size, dtype=complex)
+    for i, z in enumerate(z1):
+        try:
+            psi = _band_lu(a, z)(start)
+        except SingularShiftError:  # z is an eigenvalue to working precision
+            psi = _band_lu(a, z + POLISH_TOL * max(1.0, abs(z)))(start)
+        psi /= np.linalg.norm(psi)
+        norm2 = psi @ psi
+        dz[i] = (psi @ delta.matvec(psi)) / norm2 if abs(norm2) >= 1e-13 else math.inf
+    stat = np.abs(dz)
+    rres = np.abs(z1 + dz - z1 * rot)
 
     labels: list[str] = []
-    stat = np.empty(z1.size)
-    rres = np.empty(z1.size)
-    claimed: dict[int, complex] = {}
-    for i, z in enumerate(z1):
-        d_all = np.abs(z2 - z)
-        d_stat = float(np.min(d_all, initial=math.inf))
-        d_rot = float(np.min(np.abs(z2 - z * rot), initial=math.inf))
-        stat[i] = d_stat
-        rres[i] = d_rot
-        move_scale = abs(z) * abs(rot - 1.0)
+    for z, d_stat, d_rot in zip(z1, stat, rres):
         if d_stat < STAT_FACTOR * abs(z) * abs(dtheta):
             if z.imag < -RES_IM_TOL:
                 labels.append("resonance")
@@ -269,15 +266,7 @@ def classify_spectrum(
                 labels.append("bound")
             else:
                 labels.append("unlabeled")
-            if labels[-1] != "unlabeled":
-                j = int(np.argmin(d_all))
-                if j in claimed and abs(claimed[j] - z) > STAT_FACTOR * abs(z) * abs(dtheta):
-                    raise PairingAmbiguityError(
-                        f"eigenvalues {claimed[j]:.6g} and {z:.6g} both pair with "
-                        f"the same partner {z2[j]:.6g}"
-                    )
-                claimed[j] = z
-        elif d_rot < ROT_FACTOR * move_scale:
+        elif d_rot < ROT_FACTOR * abs(z) * abs(rot - 1.0):
             labels.append("continuum")
         else:
             labels.append("unlabeled")
@@ -448,9 +437,9 @@ def locate_resonance(
 ) -> ResonanceResult:
     """Find and polish a resonance of H_theta(gamma).
 
-    Without a `guess`, the eigenvalues at theta and theta + dtheta inside
-    `window` (re_min, re_max, im_min, im_max) are classified and the
-    resonance-labeled one with the best stationarity is taken; with a
+    Without a `guess`, the eigenvalues at theta inside `window` (re_min,
+    re_max, im_min, im_max) are classified by their shift under theta + dtheta
+    and the resonance-labeled one with the best stationarity is taken; with a
     `guess` the classification solves are skipped and the guess is polished
     directly (used for grid-refinement and theta-stability scans).  Raises
     ValueError when neither is given.

@@ -155,7 +155,8 @@ class Tridiagonal:
     def _complex_doubling(self, shift: complex) -> bool:
         """Whether self - shift is complex; that doubling needs self symmetric (ValueError otherwise)."""
         complex_ = np.issubdtype(np.result_type(self.main, self.sub, self.sup, shift), np.complexfloating)
-        if complex_ and not np.array_equal(self.sub, self.sup):
+        # laplacian's bands share one off-diagonal array: symmetric without the O(n) compare
+        if complex_ and self.sub is not self.sup and not np.array_equal(self.sub, self.sup):
             raise ValueError("the doubling of a complex tridiagonal needs it symmetric")
         return complex_
 

@@ -246,6 +246,26 @@ def test_dense_cli_bytes_do_not_depend_on_the_thread_count(subcommand, shift, tm
 
 
 @needs_switch
+def test_takagi_residual_runs_on_one_thread(tmp_path, two_threads, monkeypatch):
+    # the reconstruction residual's norm of an n x n difference is BLAS work too;
+    # on two threads its workers spin on after the run
+    save_matrix_csv(str(tmp_path / "m.csv"), random_complex_symmetric(200, np.random.default_rng(61)))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"matrix = {tmp_path / 'm.csv'}\n")
+    seen = []
+    norm = np.linalg.norm
+
+    def spied(*args, **kwargs):
+        seen.append(counts())
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", spied)
+    assert main(["takagi", "--config", str(cfg), "--output", str(tmp_path / "out.csv")]) == 0
+    assert seen and all(threads == [1] * len(LIBS) for threads in seen)
+    assert counts() == two_threads
+
+
+@needs_switch
 @pytest.mark.parametrize("subcommand, config", [("resolvent-map", "n = 4000\n"), ("resonance", "")],
                          ids=["resolvent-map-4000", "resonance"])
 def test_lanczos_cli_bytes_do_not_depend_on_the_thread_count(subcommand, config, tmp_path, two_threads):

@@ -17,7 +17,14 @@ from csop import scaling, schrodinger
 from csop.antilinear import block_embed, resolvent_norm
 from csop.cli import main
 from csop.decay import critical_q, qbar_and_ebar
-from csop.scaling import DilationPotential, build_scaled, polish_eigenvalue, resolvent_norm_at, sigma_min
+from csop.scaling import (
+    DilationPotential,
+    build_scaled,
+    classify_spectrum,
+    polish_eigenvalue,
+    resolvent_norm_at,
+    sigma_min,
+)
 from csop.schrodinger import (
     GapSpectrum,
     Grid1D,
@@ -112,6 +119,31 @@ def test_polish_eigenvalue_counts_do_not_grow(solves):
     # one factorization and one solve per Rayleigh-quotient step: 3 and 3
     counts = [_polish_counts(solves, n) for n in LADDER]
     assert counts[0] == counts[1] == counts[2]
+
+
+def test_classify_spectrum_counts_do_not_grow(solves, monkeypatch):
+    # one window search (its factorization and ARPACK's solves), then one
+    # inverse-iteration factorization and solve per point; the second search
+    # at theta + dtheta brought the total to 132 solves
+    searches = []
+    search = scaling._eigenvalues_in_disc
+
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(scaling, "_eigenvalues_in_disc", counted)
+    solved = []
+    for n in LADDER:
+        grid = Grid1D(40.0, n)
+        h1, h2 = build_scaled(ALPHA75, grid, 0.3j), build_scaled(ALPHA75, grid, 0.32j)
+        solves[:] = [0, 0]
+        searches.clear()
+        cls = classify_spectrum(h1, h2, (0.0, 6.0, -0.5, 0.0))
+        assert len(searches) == 1
+        assert solves[1] == 1 + len(cls.labels)
+        solved.append(solves[0])
+    assert solved[0] == solved[1] == solved[2] < 132
 
 
 def _comb(n):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import nnls
 
 from csop import antilinear, scaling
-from csop.errors import ConvergenceError, PairingAmbiguityError, SingularShiftError, StripViolationError
+from csop.errors import ConvergenceError, SingularShiftError, StripViolationError
 from csop.scaling import (
     FLOOR_RTOL,
     RESIDUAL_RTOL,
@@ -132,21 +132,27 @@ class TestClassify:
         assert np.all(bound.real < 0)
         assert np.max(np.abs(bound.imag)) < 1e-3
 
-    def test_two_points_sharing_one_partner_raise(self, monkeypatch):
-        # both resonance points lie within the stationarity radius of the one
-        # eigenvalue of h2, but farther than that radius from each other
-        grid = Grid1D(length=40.0, n=60)
+    def test_singular_shift_nudged_and_self_orthogonal_point_unlabeled(self, monkeypatch):
+        # an exact eigenvalue makes the inverse-iteration LU singular: the solve
+        # moves off it as polish_eigenvalue does; psi^T psi = 0 has no quotient
+        grid = Grid1D(length=40.0, n=200)
         h1 = build_scaled(ALPHA75, grid, 0.3j)
         h2 = build_scaled(ALPHA75, grid, 0.32j)
-        partner = 4.0 - 0.2j
-        reach = scaling.STAT_FACTOR * abs(partner) * 0.02
-        pair = partner + np.array([-0.75, 0.75]) * reach
-        monkeypatch.setattr(
-            scaling, "_eigenvalues_in_disc",
-            lambda h, centre, radius: pair if h is h1 else np.array([partner]),
-        )
-        with pytest.raises(PairingAmbiguityError):
-            classify_spectrum(h1, h2, WINDOW)
+        z = 4.0 - 0.2j
+        shifts = []
+
+        def band_lu(a, shift):
+            shifts.append(shift)
+            if shift == z:
+                raise SingularShiftError("exact eigenvalue")
+            return lambda b: np.r_[1.0, 1j, np.zeros(grid.n - 2)]
+
+        monkeypatch.setattr(scaling, "_eigenvalues_in_disc", lambda h, centre, radius: np.array([z]))
+        monkeypatch.setattr(scaling, "_band_lu", band_lu)
+        cls = classify_spectrum(h1, h2, WINDOW)
+        assert shifts == [z, z + scaling.POLISH_TOL * abs(z)]
+        assert cls.labels == ["unlabeled"]
+        assert cls.stationarity[0] == cls.rotation_residual[0] == math.inf
 
     def test_alpha75_exactly_one_resonance_in_window(self):
         grid = Grid1D(length=40.0, n=1000)
@@ -173,8 +179,7 @@ class TestClassify:
         z = oracle.eigenvalues
         near = z[(z.real > re[0]) & (z.real < 8.0) & (z.imag > -1.0) & (z.imag < im[1])]
         if snap and near.size:
-            # lower right corner just past an eigenvalue: its rotated partner
-            # leaves the disc around the window, so only the widened h2 disc holds it
+            # lower right corner just past an eigenvalue, which the window search must keep
             corner = near[np.argmin(np.abs(near - complex(re[1], im[0])))]
             re[1], im[0] = corner.real + 1e-9, corner.imag - 1e-9
         window = (re[0], re[1], im[0], im[1])
@@ -185,6 +190,41 @@ class TestClassify:
             i = int(np.argmin(np.abs(z - zw)))
             assert abs(z[i] - zw) <= 1e-9 * abs(zw)
             assert label == oracle.labels[i]
+
+    @settings(max_examples=10, deadline=None)
+    @given(theta_im=st.floats(0.2, 0.45), n=st.integers(100, 400), dtheta_im=st.sampled_from([0.02, 0.05]))
+    def test_labels_match_the_two_theta_rule(self, theta_im, n, dtheta_im):
+        # the oracle pairs each eigenvalue at theta with its nearest eigenvalue
+        # at theta + dtheta, unmoved or rotated, on both dense spectra.  Grids
+        # coarser than n = 100 at L = 40 do not resolve the resonance: up to
+        # n = 62 its finite-difference and first-order shifts straddle STAT_FACTOR
+        grid = Grid1D(length=40.0, n=n)
+        dtheta = dtheta_im * 1j
+        h1 = build_scaled(ALPHA75, grid, theta_im * 1j)
+        h2 = build_scaled(ALPHA75, grid, theta_im * 1j + dtheta)
+        z1, z2 = np.linalg.eigvals(h1.matrix), np.linalg.eigvals(h2.matrix)
+        rot = np.exp(-2.0 * dtheta)
+        oracle = []
+        for z in z1:
+            if np.min(np.abs(z2 - z)) < scaling.STAT_FACTOR * abs(z) * abs(dtheta):
+                if z.imag < -scaling.RES_IM_TOL:
+                    oracle.append("resonance")
+                elif z.real < scaling.BOUND_RE_MAX:
+                    oracle.append("bound")
+                else:
+                    oracle.append("unlabeled")
+            elif np.min(np.abs(z2 - z * rot)) < scaling.ROT_FACTOR * abs(z) * abs(rot - 1.0):
+                oracle.append("continuum")
+            else:
+                oracle.append("unlabeled")
+        cls = classify_spectrum(h1, h2, WINDOW)
+        re_min, re_max, im_min, im_max = WINDOW
+        inside = (z1.real > re_min) & (z1.real < re_max) & (z1.imag > im_min) & (z1.imag < im_max)
+        assert cls.eigenvalues.size == int(np.sum(inside))
+        for zw, label in zip(cls.eigenvalues, cls.labels):
+            i = int(np.argmin(np.abs(z1 - zw)))
+            assert abs(z1[i] - zw) <= 1e-9 * abs(zw)
+            assert label == oracle[i]
 
     def test_window_search_reads_no_dense_spectrum(self, monkeypatch):
         def refuse(self):
