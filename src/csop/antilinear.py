@@ -21,9 +21,11 @@ The exact ||A||, the top of scipy.linalg.svdvals(A), is computed only for the as
 singular-shift thresholds.  The resolvent norm needs no doubling: T^* T = (C T)^2 for a C-symmetric
 T (Garcia & Putinar 2006), so K = A'^-1 o conj squares to the positive (A'^* A')^-1, whose top
 eigenvalue is 1 / sigma_min^2.  _lanczos, the thick-restart Lanczos of schrodinger's banded norms too
-(at most NCV basis vectors, a convergence test after every step), finds it on one dense LU (_dense_lu)
-of A' or, when A' is bipartite, of X alone, solved with and without transpose by two ?trsv each.  A
-step costs its two solves plus four ?gemv (two classical Gram-Schmidt passes) and one small ?stev.
+(at most NCV basis vectors; after every step ARPACK's vector test, and for callers that need only
+sigma a value test that stops sooner and is as accurate outside a cluster), finds it on one dense
+LU (_dense_lu) of A' or, when A' is bipartite, of X alone, solved with and without transpose by two
+?trsv each.  A step costs its two solves plus four ?gemv (two classical Gram-Schmidt passes) and
+one small ?stev.
 A permutation P is applied as a row gather (the block swap stores its rows alone, not P).
 Every dense input, a ComplexSymmetricMatrix (always symmetric) or a plain
 array, passes one gate, _as_matrix: n x n, n >= 1, finite, else ValueError;
@@ -75,6 +77,7 @@ CLUSTER_RTOL = 1e-10     # singular values closer than this (rel.) form a cluste
 RANK_TOL = 1e-4          # kernel singular values above this count toward the zero cluster's rank
 SINGULAR_RTOL = 1e-13    # smallest lambda below this (rel.) means z is in the spectrum
 LANCZOS_TOL = 1e-14      # relative Ritz residual at which shift-invert Lanczos stops
+LANCZOS_VALUE_TOL = float(np.finfo(float).eps)  # Kato-Temple relative error of the value test
 LANCZOS_MAXITER = 100    # restarts before shift-invert Lanczos gives up
 NCV = 20                 # Lanczos basis vectors held at once (ARPACK's ncv for one eigenpair)
 _RESTART_COLUMNS = 4096  # columns of the basis turned into Ritz vectors at once
@@ -389,7 +392,7 @@ def _start(n: int) -> np.ndarray:
     return v
 
 
-def _lanczos(solve, solve_t, n: int, what: str) -> tuple[float, np.ndarray]:
+def _lanczos(solve, solve_t, n: int, what: str, value_only: bool = False) -> tuple[float, np.ndarray]:
     """(sigma, x): sigma_min of an n x n X (an upper bound) and a unit right singular vector x.
 
     Thick-restart Lanczos (Wu & Simon 2000) from a seeded real start for the top eigenvalue
@@ -398,12 +401,20 @@ def _lanczos(solve, solve_t, n: int, what: str) -> tuple[float, np.ndarray]:
     keeps the basis real.  At most NCV basis vectors, each orthogonalized against all by two
     classical Gram-Schmidt passes, whose real parts fill T = V^* (X^* X)^-1 V.  After every step
     LAPACK (?stev, ?syev once a restart has put an arrowhead block in T) gives the top Ritz pair
-    (theta, y), converged when beta |y_last| <= LANCZOS_TOL theta (ARPACK's rule, beta the residual
-    norm) or when the basis spans the space; a full basis restarts from its NCV / 2 top Ritz vectors
-    and the residual.  Raises ConvergenceError, naming `what`, after LANCZOS_MAXITER restarts.
-    A step costs its two solves plus O(NCV n) BLAS-2: each Gram-Schmidt pass is two ?gemv on the
-    basis rows read as Fortran columns (conjugate transpose for the projections, the update in
-    place), and the new basis vector is written in place.
+    (theta, y) and the next Ritz value theta_2.  With r = beta |y_last| (beta the residual norm) the
+    run stops when the basis spans the space, when r <= LANCZOS_TOL theta (ARPACK's rule, which x
+    needs) or, for value_only, on the value test: r^2 <= LANCZOS_VALUE_TOL theta (theta - theta_2)
+    and r^2 <= LANCZOS_TOL CLUSTER_RTOL theta^2.  Kato-Temple (Parlett 1998, sec. 10) bounds
+    lambda - theta by r^2 / (theta - lambda_2), but theta_2 <= lambda_2 (interlacing), so the Ritz
+    gap of the first test is a heuristic that overstates the true gap, blind to a partner the basis
+    has not yet resolved.  The second test bounds what such a partner can do: one with theta -
+    lambda_2 >= CLUSTER_RTOL theta moves theta by at most LANCZOS_TOL theta, the vector rule's own
+    bound, and a closer one is in sigma_min's cluster, so the value stays inside the cluster.  A
+    full basis restarts from its NCV / 2 top Ritz vectors and the residual.  Raises
+    ConvergenceError, naming `what`, after LANCZOS_MAXITER restarts.  A step costs its two solves
+    plus O(NCV n) BLAS-2: each Gram-Schmidt pass is two ?gemv on the basis rows read as Fortran
+    columns (conjugate transpose for the projections, the update in place), and the new basis vector
+    is written in place.
     """
     def apply(v):
         return solve(np.conj(solve_t(np.conj(v))))
@@ -429,7 +440,9 @@ def _lanczos(solve, solve_t, n: int, what: str) -> tuple[float, np.ndarray]:
             theta, y, _ = stev(t.diagonal()[:j + 1], t.diagonal(1)[:j])
         else:
             theta, y, _ = syev(t[:j + 1, :j + 1])
-        if beta * abs(y[j, j]) <= LANCZOS_TOL * theta[j] or j + 1 == n:  # theta ascends
+        r = beta * abs(y[j, j])  # theta ascends
+        if r <= LANCZOS_TOL * theta[j] or j + 1 == n or value_only and j and r * r <= theta[j] * min(
+                LANCZOS_VALUE_TOL * (theta[j] - theta[j - 1]), LANCZOS_TOL * CLUSTER_RTOL * theta[j]):
             return theta[j] ** -0.5, y[:, j] @ basis[:j + 1]
         if j + 1 == size:
             if restarts == LANCZOS_MAXITER:
@@ -498,13 +511,14 @@ def resolvent_norm(a, conj: Conjugation | None = None, z: complex = 0.0) -> floa
     each twice: it factors X alone, and _lanczos solves with X and X^T.
     Raises SingularShiftError from _dense_lu and when min lambda < SINGULAR_RTOL
     * ||A|| (_singular, with ||A||_F / sqrt(n) <= ||A|| <= ||A||_F), ConvergenceError from _lanczos.
+    Only sigma is needed, so Lanczos takes its value test.
     """
     mat, reduced = _reduced(a, conj, z)
     bipartite = reduced.shape != mat.shape
     # getrf overwrites X, or A' through its Fortran-ordered view reduced.T (A' is symmetric)
     lu_solve = _dense_lu(reduced if bipartite else reduced.T)
     solve_t = (lambda b: lu_solve(b, 1)) if bipartite else lu_solve
-    lam_min, _ = _lanczos(lu_solve, solve_t, reduced.shape[0], f"sigma_min at z={z}")
+    lam_min, _ = _lanczos(lu_solve, solve_t, reduced.shape[0], f"sigma_min at z={z}", value_only=True)
     fro = float(np.linalg.norm(mat))
     _singular(lam_min, fro / mat.shape[0] ** 0.5, fro, lambda: float(scipy.linalg.svdvals(mat)[0]), z)
     return 1.0 / lam_min

@@ -310,6 +310,9 @@ def resolvent_norm_at(h: ScaledHamiltonian, z: complex) -> ResolventNorm:
     the norm.  Raises SingularShiftError when z is numerically an eigenvalue,
     and ConvergenceError when the residual ||(H - z) psi - lambda conj(psi)||
     of the unit psi exceeds RESIDUAL_RTOL * ||H - z|| (<= norm_estimate + |z|).
+    A measured limit (free operator, L = 40): psi inherits the solves' rounding, and from
+    cond(H - z) = ||H - z|| / lambda of about 3e8 (n >= 32769; at z = 4.1 - 0.15i from n = 5.12e5)
+    this can raise while sigma_min(h, z) is within a few eps ||H - z|| of the exact value.
     """
     lam, x, k = min_lambda(h.bands, z)
     kx = lam * k(x)
@@ -365,11 +368,11 @@ def essential_floor_check(h: ScaledHamiltonian, z: complex) -> FloorReport:
 def sigma_min(h: ScaledHamiltonian, z: complex) -> float:
     """Smallest singular value of H - z, which is 1/||(H - z)^-1||.
 
-    The engine of resolvent_norm_at without its singularity threshold, so at
-    a polished eigenvalue it reads a rounding-level value instead of raising.
-    Raises ConvergenceError when the Lanczos iteration does not converge.
+    The engine of resolvent_norm_at without its singularity threshold, so at a polished eigenvalue it
+    reads a rounding-level value instead of raising, and without its eigenvector, so Lanczos stops on
+    the value test.  Raises ConvergenceError when the Lanczos iteration does not converge.
     """
-    return _lanczos_pair(h.bands, z)[0]
+    return _lanczos_pair(h.bands, z, value_only=True)[0]
 
 
 @one_blas_thread
@@ -578,7 +581,7 @@ def perturbation_scan(
 
     gammas = np.asarray(list(gamma_values), dtype=float)
     h0 = build_scaled(pot, grid, theta, 0.0)
-    base_norm = 1.0 / min_lambda(h0.bands, z_probe)[0]
+    base_norm = 1.0 / min_lambda(h0.bands, z_probe, value_only=True)[0]
     bound = rel_bound.b * base_norm
 
     z_res = np.empty(gammas.size, dtype=complex)
@@ -588,7 +591,7 @@ def perturbation_scan(
         h = build_scaled(pot, grid, theta, g)
         z, _ = polish_eigenvalue(h, z)
         z_res[i] = z
-        norms[i] = base_norm if g == 0.0 else 1.0 / min_lambda(h.bands, z_probe)[0]
+        norms[i] = base_norm if g == 0.0 else 1.0 / min_lambda(h.bands, z_probe, value_only=True)[0]
     return PerturbationScan(
         gammas=gammas,
         z_res=z_res,

@@ -23,9 +23,9 @@ _check_clear_of_spectrum).
 
 Fixed tolerances: THETA_GAP is the closest a shift may come to an eigenvalue
 of H; find_gap's spacing test uses GAP_MIN and GAP_WINDOW, and it drops
-surface states by EDGE_MARGIN and EDGE_WEIGHT; shift-invert Lanczos holds
-NCV basis vectors, stops at LANCZOS_TOL and gives up after LANCZOS_MAXITER
-restarts (all three in antilinear).
+surface states by EDGE_MARGIN and EDGE_WEIGHT; shift-invert Lanczos holds NCV basis vectors,
+stops at LANCZOS_TOL (on a value test with LANCZOS_VALUE_TOL and CLUSTER_RTOL first where only
+sigma is needed) and gives up after LANCZOS_MAXITER restarts (all in antilinear).
 """
 
 from __future__ import annotations
@@ -200,13 +200,14 @@ def _band_lu(a: Tridiagonal, shift: complex):
 
 
 @one_blas_thread
-def _lanczos_pair(a: Tridiagonal, shift: complex) -> tuple:
+def _lanczos_pair(a: Tridiagonal, shift: complex, value_only: bool = False) -> tuple:
     """(sigma_min(a - shift), x, k) with no singularity threshold.
 
     antilinear._lanczos on (X^* X)^-1 for X = a - shift, factored once
     (_band_lu): X^-T is X^-1 for complex symmetric a and the transposed solve
     for real a.  x is a unit right singular vector of X at sigma_min, and
-    k(v) = X^-1 conj(v) applies K = X^-1 o conj with the same LU.  Raises
+    k(v) = X^-1 conj(v) applies K = X^-1 o conj with the same LU; value_only
+    takes _lanczos's value test, and x is then less accurate.  Raises
     ValueError for a complex a that is not symmetric, PreconditionError and
     SingularShiftError from _band_lu, ConvergenceError past LANCZOS_MAXITER
     restarts.
@@ -214,24 +215,25 @@ def _lanczos_pair(a: Tridiagonal, shift: complex) -> tuple:
     complex_symmetric = a._complex_doubling(shift)
     lu_solve = _band_lu(a, shift)
     solve_t = lu_solve if complex_symmetric else (lambda b: lu_solve(b, 1))
-    sigma, x = _lanczos(lu_solve, solve_t, a.main.size, f"sigma_min at shift {shift:.6g}")
+    sigma, x = _lanczos(lu_solve, solve_t, a.main.size, f"sigma_min at shift {shift:.6g}", value_only)
     return sigma, x, lambda v: lu_solve(np.conj(v))
 
 
 @one_blas_thread
-def min_lambda(a: Tridiagonal, shift: complex = 0.0) -> tuple:
+def min_lambda(a: Tridiagonal, shift: complex = 0.0, value_only: bool = False) -> tuple:
     """(lambda, x, k): sigma_min(a - shift), the smallest antilinear eigenvalue, x and k.
 
     x is a unit right singular vector of X = a - shift at lambda and k(v) =
     X^-1 conj(v) (_lanczos_pair).  For complex symmetric a, psi = x +
     lambda k(x) solves X psi = lambda conj(psi), as does i (x - lambda k(x)),
-    one of which is not zero.  Raises SingularShiftError when lambda <
-    SINGULAR_RTOL * ||a||: the shift is numerically in the spectrum
+    one of which is not zero; the x of value_only is too rough for psi.
+    Raises SingularShiftError when lambda < SINGULAR_RTOL * ||a||: the shift
+    is numerically in the spectrum
     (antilinear._singular, with the bounds max |entry| <= ||a|| <= max|main| +
     max|sub| + max|sup|, and the exact ||a|| as the top eigenvalue of
     a.doubling() only between them).
     """
-    lam, x, k = _lanczos_pair(a, shift)
+    lam, x, k = _lanczos_pair(a, shift, value_only)
     n = a.main.size
     maxima = [float(np.max(np.abs(d), initial=0.0)) for d in (a.main, a.sub, a.sup)]
     _singular(lam, max(maxima), sum(maxima), lambda: float(scipy.linalg.eig_banded(
@@ -422,7 +424,7 @@ def _check_shift_in_gap(h, gap, shift):
 def gamma_norm(h: DiscreteHamiltonian, q: float, energy: float, gap: GapSpectrum) -> float:
     """||(H_q - E)^-1|| = 1 / sigma_min(H_q - E) from one tridiagonal LU.
 
-    H_q - E = M is real, and min_lambda takes sigma_min(M) from (M^T M)^-1,
+    H_q - E = M is real, and min_lambda (value_only) takes sigma_min(M) from (M^T M)^-1,
     one solve with M^T and one with M per Lanczos step, the block embedding
     diag(M, M^T) at n x n cost; no dense matrix is formed.  Requires E + q^2 inside the spectral gap and E,
     E + q^2 farther than THETA_GAP from every eigenvalue of H.  In one
@@ -433,7 +435,7 @@ def gamma_norm(h: DiscreteHamiltonian, q: float, energy: float, gap: GapSpectrum
     """
     _check_shift_in_gap(h, gap, energy + q * q)
     _check_clear_of_spectrum(h, energy, "E")
-    return 1.0 / min_lambda(boost(h, q), energy)[0]
+    return 1.0 / min_lambda(boost(h, q), energy, value_only=True)[0]
 
 
 @one_blas_thread

@@ -10,6 +10,12 @@ def random_complex_symmetric(n, rng, scale=1.0):
     return scale * 0.5 * (a + a.T)
 
 
+def free_eigenvalues(length, n):
+    """The eigenvalues (4 / h^2) sin^2(k pi / (2 (n + 1))), k = 1..n, of -Lap_h on [0, length], h = length / (n + 1), ascending."""
+    h = length / (n + 1)
+    return (4.0 / (h * h)) * np.sin(np.arange(1, n + 1) * (np.pi / (2 * (n + 1)))) ** 2
+
+
 def patch_lapack(monkeypatch, wrap):
     """Hand out every LAPACK and BLAS routine that SciPy gives csop or eigh_tridiagonal from here on as wrap(name, routine).
 

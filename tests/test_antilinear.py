@@ -619,6 +619,72 @@ class TestLanczos:
             _lanczos(solve, solve, d.size, "spread diagonal")
 
 
+@st.composite
+def _bottom_takagi(draw, kinds, spacings):
+    """(A, s, m): a dense complex symmetric U diag(s) U^T, n in [2, 200], its Takagi values s and a bottom size m.
+
+    The bulk of s lies in [1, 10]. Its m smallest values are, by a kind drawn from kinds, evenly spread (all
+    of s over [1, 2]), exactly degenerate (0.5 each) or clustered, 0.5 (1 + k w) for k < m with w drawn
+    from spacings.
+    """
+    n = draw(st.integers(2, 200))
+    m = min(n, draw(st.integers(2, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = rng.uniform(1.0, 10.0, n)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "spread":
+        s = np.linspace(1.0, 2.0, n)
+    elif kind == "degenerate":
+        s[:m] = 0.5
+    else:
+        s[:m] = 0.5 * (1.0 + draw(st.sampled_from(spacings)) * np.arange(m))
+    u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    a = (u * s) @ u.T
+    return 0.5 * (a + a.T), s, m
+
+
+def _both_rules(a):
+    """[(sigma, solves) of the vector rule, (sigma, solves) with the value test] on one LU of a."""
+    lu_solve = _dense_lu(a.T.copy())
+    runs = []
+    for value_only in (False, True):
+        calls = [0]
+
+        def solve(v):
+            calls[0] += 1
+            return lu_solve(v)
+
+        sigma, _ = _lanczos(solve, solve, a.shape[0], "A", value_only)
+        runs.append((sigma, calls[0]))
+    return runs
+
+
+class TestValueRule:
+    # the value test (r^2 <= LANCZOS_VALUE_TOL theta_1 (theta_1 - theta_2) and r^2 <= LANCZOS_TOL
+    # CLUSTER_RTOL theta_1^2) against ARPACK's vector rule r <= LANCZOS_TOL theta_1
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=_bottom_takagi(["spread", "degenerate", "clustered"], [1e-10, 1e-8, 1e-6, 1e-4, 1e-2]))
+    def test_agrees_with_the_vector_rule(self, case):
+        a, s, _ = case
+        (vector, vector_solves), (value, value_solves) = _both_rules(a)
+        assert abs(value / vector - 1.0) <= 1e-13
+        assert value_solves <= vector_solves
+        assert abs(value - s.min()) <= 1e-12 * s.max()
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(case=_bottom_takagi(["clustered"], [1e-14, 1e-12]))
+    def test_inside_a_cluster(self, case):
+        # the limit of the value test: a partner of sigma_min closer than CLUSTER_RTOL that the basis
+        # has not yet resolved is invisible to theta_2, and the run can stop on the cluster's
+        # weighted mean.  The value is still an upper bound on sigma_min no larger than the
+        # cluster's top; the vector rule resolves the cluster
+        a, s, m = case
+        (vector, _), (value, _) = _both_rules(a)
+        assert abs(vector - s[0]) <= 1e-12 * s[0]
+        assert vector * (1.0 - 1e-13) <= value <= s[m - 1] * (1.0 + 1e-13)
+
+
 def _peak_units(f, size):
     """tracemalloc peak of f() above the memory in use before it, in units of size^2 * 8 bytes."""
     tracemalloc.start()

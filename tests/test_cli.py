@@ -419,7 +419,8 @@ class TestMain:
             assert rows[i, 2] == pytest.approx(1.0 / smin, rel=1e-9)
 
     def test_lanczos_step_cap_exit_3(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(antilinear, "LANCZOS_MAXITER", 1)
+        # z = 2.5 - 0.3i needs one restart under the value-only stop: cap 0 raises
+        monkeypatch.setattr(antilinear, "LANCZOS_MAXITER", 0)
         cfg = tmp_path / "c.cfg"
         cfg.write_text("re_min = 2.5\nre_max = 2.5\nim_min = -0.3\nim_max = -0.3\nn_re = 1\nn_im = 1\n")
         assert main(["resolvent-map", "--config", str(cfg)]) == 3

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
@@ -35,6 +35,8 @@ from csop.schrodinger import (
     build_hamiltonian,
     gamma_norm,
 )
+
+from conftest import free_eigenvalues
 
 FREE = DilationPotential(lambda x: np.zeros_like(x), 1.0)
 ALPHA75 = DilationPotential.alpha_r2_exp(7.5)
@@ -352,13 +354,15 @@ class TestResolventNorm:
         assert abs(sigma_min(ham, z) - direct) <= 1e-12 * direct
 
     def test_lanczos_step_cap_raises(self, monkeypatch):
-        # this point needs restarts, so one Lanczos restart is not enough
+        # this point needs restarts: the vector rule of resolvent_norm_at more
+        # than one, the value test of sigma_min exactly one
         ham = build_scaled(ALPHA75, Grid1D(length=40.0, n=800), 0.3j)
         monkeypatch.setattr(antilinear, "LANCZOS_MAXITER", 1)
         with pytest.raises(ConvergenceError):
-            sigma_min(ham, 2.5 - 0.3j)
-        with pytest.raises(ConvergenceError):
             resolvent_norm_at(ham, 2.5 - 0.3j)
+        monkeypatch.setattr(antilinear, "LANCZOS_MAXITER", 0)
+        with pytest.raises(ConvergenceError):
+            sigma_min(ham, 2.5 - 0.3j)
 
     @pytest.mark.parametrize("z", [4.1 - 0.15j, None, 2.5 - 0.3j], ids=["probe", "polished_resonance", "slow_point"])
     def test_eigenvector_residual(self, monkeypatch, z):
@@ -402,6 +406,55 @@ class TestResolventNorm:
         z = res.z + 0.05 + 0.02j
         direct = np.linalg.svd(ham.matrix - z * np.eye(grid.n), compute_uv=False).min()
         assert sigma_min(ham, z) == pytest.approx(direct, rel=1e-9)
+
+
+FREE_LENGTH = 40.0
+FREE_TOL = 8.0  # both sides of the closed form lose a few eps ||H - z||
+PSI_GATE_COND = 1e8  # below this cond(H - z), resolvent_norm_at's psi residual gate passed in every measured case
+
+
+@st.composite
+def _free_cases(draw):
+    """(n, theta, z): n <= 2^16 spread over its octaves, theta in [0.1, 0.5]i, and z the midpoint of two
+    neighbouring rotated eigenvalues (an exactly degenerate sigma_min) or a point near the rotated string."""
+    octave = draw(st.integers(2, 16))
+    n = draw(st.integers(max(3, 2 ** (octave - 1) + 1), 2 ** octave))
+    theta = 1j * draw(st.floats(0.1, 0.5))
+    rot = np.exp(-2.0 * theta)
+    if draw(st.booleans()):
+        return n, theta, _free_midpoint(n, theta, draw(st.integers(0, min(n - 2, 30))))
+    return n, theta, complex(rot * complex(draw(st.floats(0.0, 20.0)), draw(st.floats(-0.3, 0.3))))
+
+
+def _free_midpoint(n, theta, k):
+    """The midpoint of the rotated eigenvalues k and k + 1 (from 0), equidistant from both."""
+    lam = free_eigenvalues(FREE_LENGTH, n)
+    return complex(np.exp(-2.0 * theta) * 0.5 * (lam[k] + lam[k + 1]))
+
+
+class TestFreeClosedForm:
+    # H_theta = e^{-2 theta} (-Lap_h) is a scalar times a real symmetric matrix, hence normal:
+    # ||(H_theta - z)^-1|| = 1 / min_k |e^{-2 theta} lambda_k - z| at any n, which the engine does not know
+
+    @settings(max_examples=16, deadline=None, derandomize=True)
+    @given(case=_free_cases())
+    @example(case=(2 ** 16, 0.3j, _free_midpoint(2 ** 16, 0.3j, 5)))
+    @example(case=(2 ** 16, 0.45j, complex(np.exp(-0.9j) * (7.3 + 0.2j))))
+    def test_sigma_min_and_resolvent_norm_at(self, case):
+        n, theta, z = case
+        ham = build_scaled(FREE, Grid1D(FREE_LENGTH, n), theta)
+        exact = float(np.min(np.abs(np.exp(-2.0 * theta) * free_eigenvalues(FREE_LENGTH, n) - z)))
+        scale = ham.norm_estimate + abs(z)  # >= ||H - z||
+        assume(exact > 1e-9 * scale)
+        tol = FREE_TOL * np.finfo(float).eps * scale
+        assert abs(sigma_min(ham, z) - exact) <= tol
+        try:
+            norm = resolvent_norm_at(ham, z).norm
+        except ConvergenceError:
+            # the documented limit of resolvent_norm_at: its psi gate trips from cond(H - z) of about 3e8
+            assert scale / exact > PSI_GATE_COND
+            return
+        assert abs(1.0 / norm - exact) <= tol
 
 
 class TestBanded:
@@ -558,15 +611,15 @@ class TestPerturbation:
         gamma_of = {build_scaled(pot, grid, 0.3j, g).bands.main.tobytes(): g for g in (0.0, 0.01)}
         calls = []
 
-        def counted(a, z):
+        def counted(a, z, value_only=False):
             calls.append(gamma_of[a.main.tobytes()])
-            return min_lam(a, z)
+            return min_lam(a, z, value_only)
 
         min_lam = scaling.min_lambda
         monkeypatch.setattr(scaling, "min_lambda", counted)
         scan = perturbation_scan(pot, grid, 0.3j, [0.0, 0.01], z_probe, res.z)
         assert calls == [0.0, 0.01]
-        assert scan.norms[0] == 1.0 / min_lam(build_scaled(pot, grid, 0.3j).bands, z_probe)[0]
+        assert scan.norms[0] == 1.0 / min_lam(build_scaled(pot, grid, 0.3j).bands, z_probe, True)[0]
 
     def test_probe_at_resonance_raises(self, resonance_500):
         # at the resonance min lambda is at rounding level: no norm to report

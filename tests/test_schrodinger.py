@@ -168,11 +168,15 @@ class TestDoubling:
             with pytest.raises(SingularShiftError):
                 min_lambda(t, shift)
 
-    @pytest.mark.parametrize("complex_symmetric", [False, True])
-    def test_lanczos_near_double_sigma_min(self, complex_symmetric):
+    @pytest.mark.parametrize(
+        "complex_symmetric, value_only",
+        [(False, False), (True, False), (False, True), (True, True)],
+        ids=["False", "True", "False-value_only", "True-value_only"],
+    )
+    def test_lanczos_near_double_sigma_min(self, complex_symmetric, value_only):
         # two decoupled entries put the two smallest singular values 1e-10
         # apart (relative), ten times the tolerance: a Ritz value left on the
-        # larger one fails
+        # larger one, or on a mixture of the two, fails
         n = 400
         main = np.linspace(0.5, 1.0, n)
         main[[n // 3, 2 * n // 3]] = (0.1, 0.1 * (1.0 + 1e-10))
@@ -184,7 +188,7 @@ class TestDoubling:
         sv = np.sort(np.linalg.svd(t.dense(), compute_uv=False))
         atol = 1e-12 * max(sv[-1], 1.0)
         assert sv[1] - sv[0] > 5.0 * atol
-        assert abs(min_lambda(t)[0] - sv[0]) <= atol
+        assert abs(min_lambda(t, value_only=value_only)[0] - sv[0]) <= atol
 
     def test_min_lambda_real_main_complex_couplings(self):
         # a real diagonal with complex couplings takes the complex doubling
