@@ -80,6 +80,7 @@ LANCZOS_TOL = 1e-14      # relative Ritz residual at which shift-invert Lanczos 
 LANCZOS_VALUE_TOL = float(np.finfo(float).eps)  # Kato-Temple relative error of the value test
 LANCZOS_MAXITER = 100    # restarts before shift-invert Lanczos gives up
 NCV = 20                 # Lanczos basis vectors held at once (ARPACK's ncv for one eigenpair)
+WARM_BLEND = 1e-2        # weight of the seeded start added to a warm start, so that it reaches every direction
 _RESTART_COLUMNS = 4096  # columns of the basis turned into Ritz vectors at once
 SOLVE_MAX = np.finfo(float).tiny ** -0.5  # larger solves: sigma_min^2 overflows, shift singular
 
@@ -392,13 +393,20 @@ def _start(n: int) -> np.ndarray:
     return v
 
 
-def _lanczos(solve, solve_t, n: int, what: str, value_only: bool = False) -> tuple[float, np.ndarray]:
+def _lanczos(solve, solve_t, n: int, what: str, value_only: bool = False,
+             start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """(sigma, x): sigma_min of an n x n X (an upper bound) and a unit right singular vector x.
 
     Thick-restart Lanczos (Wu & Simon 2000) from a seeded real start for the top eigenvalue
     theta = sigma^-2 of (X^* X)^-1, applied as solve(conj(solve_t(conj(v)))) with solve = X^-1 and
     solve_t = X^-T: K^2 for complex symmetric X (solve_t = solve, K = X^-1 o conj), and a real X
-    keeps the basis real.  At most NCV basis vectors, each orthogonalized against all by two
+    keeps the basis real.  A warm `start`, such as a nearby shift's x, replaces the seeded start by
+    start / |start| + WARM_BLEND * (seeded start), normalized.  The seeded part keeps the run from
+    ending at the wrong value: a start that is X's right singular vector at sigma_2, the next value
+    above sigma_min (nearly what a neighbour's x can be when sigma_2 / sigma_min is near 1), spans an
+    invariant subspace, so its residual is at rounding level and both stopping tests accept sigma_2;
+    the blend puts a residual of about WARM_BLEND theta into the first step, and Lanczos goes on
+    until it has found sigma_min.  At most NCV basis vectors, each orthogonalized against all by two
     classical Gram-Schmidt passes, whose real parts fill T = V^* (X^* X)^-1 V.  After every step
     LAPACK (?stev, ?syev once a restart has put an arrowhead block in T) gives the top Ritz pair
     (theta, y) and the next Ritz value theta_2.  With r = beta |y_last| (beta the residual norm) the
@@ -423,6 +431,9 @@ def _lanczos(solve, solve_t, n: int, what: str, value_only: bool = False) -> tup
     t = np.zeros((size, size))
     syev, stev = scipy.linalg.lapack.get_lapack_funcs(("syev", "stev"), (t,))
     v = _start(n)
+    if start is not None:
+        v = start / np.linalg.norm(start) + WARM_BLEND * v
+        v /= np.linalg.norm(v)
     w = apply(v)
     basis = np.empty((size, n), dtype=w.dtype)
     gemv = scipy.linalg.blas.get_blas_funcs("gemv", (basis,))

@@ -4,16 +4,18 @@ Configs are plain ``key = value`` text with ``#`` comments.  Every
 subcommand produces a ResultTable that serializes deterministically to CSV
 (17 significant digits, metadata as leading ``#`` lines) or JSON; identical
 configs yield byte-identical output.  Nothing here reads a result back: the
-JSON is plain ``{"columns", "metadata", "rows"}`` for ``json.loads``, and a
-ResultTable compares by identity.  Exit codes: 1 config error, 2
-numerical precondition, 3 convergence failure.  Each runner imports its
-modules when it runs, so decay-bound and kp-fig1 load NumPy and no SciPy.
+JSON is plain ``{"columns", "metadata", "rows"}`` for ``json.loads``, with
+null for a non-finite number, and a ResultTable compares by identity.  Exit
+codes: 1 config error, 2 numerical precondition, 3 convergence failure.
+Each runner imports its modules when it runs, so decay-bound and kp-fig1
+load NumPy and no SciPy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from dataclasses import astuple, dataclass, field
@@ -372,8 +374,7 @@ def _run_resonance(cfg: RunConfig) -> ResultTable:
 
 
 def _run_resolvent_map(cfg: RunConfig) -> ResultTable:
-    from ._blas import one_blas_thread
-    from .scaling import DilationPotential, build_scaled, sigma_min
+    from .scaling import DilationPotential, build_scaled, resolvent_map
     from .schrodinger import Grid1D
 
     p = cfg.params
@@ -382,10 +383,8 @@ def _run_resolvent_map(cfg: RunConfig) -> ResultTable:
     ham = build_scaled(pot, grid, 1j * p["theta_im"])
     res = np.linspace(p["re_min"], p["re_max"], p["n_re"])
     ims = np.linspace(p["im_min"], p["im_max"], p["n_im"])
-    points = [(re, im) for re in res for im in ims]
-    with one_blas_thread:  # once for all probes: each outermost exit restores both OpenBLAS pools
-        norms = [1.0 / sigma_min(ham, complex(*pt)) for pt in points]
-    rows = np.asarray([(re, im, nv) for (re, im), nv in zip(points, norms)])
+    norms = resolvent_map(ham, res, ims)
+    rows = np.column_stack([np.repeat(res, ims.size), np.tile(ims, res.size), norms.ravel()])
     return _table(cfg, ["re_z", "im_z", "norm"], rows)
 
 
@@ -407,8 +406,21 @@ def run(subcommand: str, cfg: RunConfig) -> ResultTable:
     return _RUNNERS[subcommand](cfg)
 
 
+def _json_value(value):
+    """value, with a non-finite float, alone or in a list, as None: JSON has no NaN or Infinity."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, list):
+        return [_json_value(v) for v in value]
+    return value
+
+
 def emit(table: ResultTable, fmt: str = "csv") -> bytes:
-    """Serialize a ResultTable; identical tables give identical bytes."""
+    """Serialize a ResultTable; identical tables give identical bytes.
+
+    CSV writes a non-finite cell as nan, inf or -inf; JSON, which has no such
+    numbers, writes null for a non-finite cell or metadata value.
+    """
     rows = np.atleast_2d(table.rows) if table.rows.size else np.empty((0, len(table.columns)))
     if fmt == "csv":
         lines = [f"# {key} = {table.metadata[key]}" for key in sorted(table.metadata)]
@@ -420,11 +432,12 @@ def emit(table: ResultTable, fmt: str = "csv") -> bytes:
         return ("\n".join(lines) + "\n").encode()
     if fmt == "json":
         payload = {
-            "metadata": table.metadata,
+            "metadata": {key: _json_value(val) for key, val in table.metadata.items()},
             "columns": table.columns,
-            "rows": [[float(x) for x in row] for row in rows],
+            "rows": [[_json_value(float(x)) for x in row] for row in rows],
         }
-        return (json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n").encode()
+        text = json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1, allow_nan=False)
+        return (text + "\n").encode()
     raise TypeMismatchError(f"unknown output format {fmt!r}")
 
 

@@ -6,8 +6,9 @@ resolvent norm is available through the antilinear eigenvalue problem with
 plain entrywise conjugation.  The matrix is tridiagonal: resolvent norms and
 their eigenvectors come from one engine, schrodinger.min_lambda, a Lanczos
 on K^2 = |H - z|^-2, K = (H - z)^-1 o conj, with one tridiagonal LU
-(sigma_min is its value without the singularity threshold), and the singular
-values below the essential floor from the banded real doubling
+(sigma_min is its value without the singularity threshold; resolvent_map
+runs it over a grid, each probe warm-started from a neighbour's vector),
+and the singular values below the essential floor from the banded real doubling
 (Tridiagonal.doubling); no dense matrix is formed.  Rotating theta
 moves the discretized continuum string by -2 Im theta while discrete points
 (bound states and uncovered resonances) stay put; classification compares
@@ -57,6 +58,7 @@ __all__ = [
     "locate_resonance",
     "polish_eigenvalue",
     "sigma_min",
+    "resolvent_map",
     "exact_relative_bound",
     "fit_relative_bound",
     "perturbation_scan",
@@ -373,6 +375,31 @@ def sigma_min(h: ScaledHamiltonian, z: complex) -> float:
     the value test.  Raises ConvergenceError when the Lanczos iteration does not converge.
     """
     return _lanczos_pair(h.bands, z, value_only=True)[0]
+
+
+@one_blas_thread
+def resolvent_map(h: ScaledHamiltonian, re_values, im_values) -> np.ndarray:
+    """||(H - z)^-1|| = 1 / sigma_min(H - z) at z = re + i im: row i is re_values[i], column j im_values[j].
+
+    The probes run line by line, re fixed and im in the order of im_values, each value-only Lanczos
+    warm-started (continuation; Braconnier & Higham, BIT 36 (1996) 422) from the right singular vector
+    of the nearest probe already computed: the previous point of its line, or the first point of the
+    previous line when a line starts; the very first probe starts cold, as sigma_min does.  _lanczos
+    adds WARM_BLEND of its seeded start to a warm one, so a start on the partner of sigma_min, the
+    neighbour's vector where sigma_2 / sigma_min is near 1, still finds sigma_min, not sigma_2.  A
+    value differs from sigma_min(h, z)'s by rounding alone, a few eps ||H - z||.  Raises
+    ConvergenceError, and SingularShiftError at a zero pivot or an overflowing solve (_band_lu).
+    """
+    norms = np.empty((len(re_values), len(im_values)))
+    line_start = None
+    for i, re in enumerate(re_values):
+        x = line_start
+        for j, im in enumerate(im_values):
+            sigma, x, _ = _lanczos_pair(h.bands, complex(re, im), value_only=True, start=x)
+            norms[i, j] = 1.0 / sigma
+            if j == 0:
+                line_start = x
+    return norms
 
 
 @one_blas_thread

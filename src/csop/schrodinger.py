@@ -200,14 +200,15 @@ def _band_lu(a: Tridiagonal, shift: complex):
 
 
 @one_blas_thread
-def _lanczos_pair(a: Tridiagonal, shift: complex, value_only: bool = False) -> tuple:
+def _lanczos_pair(a: Tridiagonal, shift: complex, value_only: bool = False, start=None) -> tuple:
     """(sigma_min(a - shift), x, k) with no singularity threshold.
 
     antilinear._lanczos on (X^* X)^-1 for X = a - shift, factored once
     (_band_lu): X^-T is X^-1 for complex symmetric a and the transposed solve
     for real a.  x is a unit right singular vector of X at sigma_min, and
     k(v) = X^-1 conj(v) applies K = X^-1 o conj with the same LU; value_only
-    takes _lanczos's value test, and x is then less accurate.  Raises
+    takes _lanczos's value test, and x is then less accurate.  start, a
+    vector or None, is _lanczos's warm start (None: its seeded one).  Raises
     ValueError for a complex a that is not symmetric, PreconditionError and
     SingularShiftError from _band_lu, ConvergenceError past LANCZOS_MAXITER
     restarts.
@@ -215,7 +216,7 @@ def _lanczos_pair(a: Tridiagonal, shift: complex, value_only: bool = False) -> t
     complex_symmetric = a._complex_doubling(shift)
     lu_solve = _band_lu(a, shift)
     solve_t = lu_solve if complex_symmetric else (lambda b: lu_solve(b, 1))
-    sigma, x = _lanczos(lu_solve, solve_t, a.main.size, f"sigma_min at shift {shift:.6g}", value_only)
+    sigma, x = _lanczos(lu_solve, solve_t, a.main.size, f"sigma_min at shift {shift:.6g}", value_only, start)
     return sigma, x, lambda v: lu_solve(np.conj(v))
 
 

@@ -25,6 +25,7 @@ from csop.scaling import (
     build_scaled,
     essential_floor_check,
     locate_resonance,
+    resolvent_map,
     resolvent_norm_at,
     sigma_min,
 )
@@ -161,6 +162,7 @@ TRIDIAGONAL = {
     "projector_decay": lambda ham, gap, h: projector_decay(_comb(), gap, 0.5, np.arange(8.0, 25.0, 2.0)),
     "resolvent_norm_at": lambda ham, gap, h: resolvent_norm_at(h, 4.1 - 0.15j),
     "sigma_min": lambda ham, gap, h: sigma_min(h, 4.1 - 0.15j),
+    "resolvent_map": lambda ham, gap, h: resolvent_map(h, [4.0, 4.1], [-0.2, -0.15]),
     "essential_floor_check": lambda ham, gap, h: essential_floor_check(h, 4.0823 - 0.19631j),
     "locate_resonance": lambda ham, gap, h: locate_resonance(ALPHA75, h.grid, 0.3j, window=(0.0, 6.0, -0.5, 0.0)),
 }
@@ -180,7 +182,8 @@ DENSE = {
 
 # the solve and the Gram-Schmidt BLAS behind each Lanczos step of the resolvent-norm engine
 LANCZOS_STEP = {"gamma_norm": {"dgttrs", "dgemv"}, "resolvent_norm_at": {"zgttrs", "zgemv"},
-                "sigma_min": {"zgttrs", "zgemv"}, "resolvent_norm": {"ztrsv", "zgemv"},
+                "sigma_min": {"zgttrs", "zgemv"}, "resolvent_map": {"zgttrs", "zgemv"},
+                "resolvent_norm": {"ztrsv", "zgemv"},
                 "resolvent_norm_block_embed": {"ztrsv", "zgemv"}}
 
 

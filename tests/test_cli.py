@@ -22,6 +22,10 @@ from csop.errors import (
 from conftest import patch_lapack
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 class TestParseConfig:
     def test_defaults_from_empty_text(self):
         cfg = parse_config("", "kp-fig1")
@@ -81,6 +85,23 @@ class TestEmit:
         assert payload["metadata"] == table.metadata
         rows = np.asarray(payload["rows"])
         assert rows.shape == table.rows.shape and np.array_equal(rows, table.rows)
+
+    def test_json_writes_null_for_non_finite_values(self):
+        # JSON has no NaN or Infinity: json.dumps's bare NaN and Infinity fail a strict parser
+        rows = np.array([[np.nan, 1.5], [np.inf, -np.inf]])
+        table = ResultTable(columns=["a", "b"], rows=rows, metadata={"x": np.nan, "ys": [1.0, -np.inf], "k": "v"})
+        payload = json.loads(emit(table, "json"), parse_constant=_refuse_constant)
+        assert payload["rows"] == [[None, 1.5], [None, None]]
+        assert payload["metadata"] == {"x": None, "ys": [1.0, None], "k": "v"}
+        assert emit(table, "csv").decode().splitlines()[-2:] == ["nan,1.5", "inf,-inf"]
+
+    def test_json_bytes_of_a_finite_table(self):
+        table = ResultTable(columns=["x", "y"], rows=np.array([[1.0 / 3.0, -0.0], [1e300, 2.5]]),
+                            metadata={"seed": 0, "gammas": [0.0, 0.5], "ok": True})
+        payload = {"metadata": table.metadata, "columns": table.columns,
+                   "rows": [[float(x) for x in row] for row in table.rows]}
+        expected = json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+        assert emit(table, "json") == expected.encode()
 
     def test_float_formatting_17g(self):
         table = ResultTable(columns=["x"], rows=np.array([[1.0 / 3.0]]), metadata={})
@@ -434,6 +455,19 @@ class TestMain:
         assert out1.read_bytes() == out2.read_bytes()
         header = out1.read_text().splitlines()
         assert any(line.startswith("# e_minus = 1") for line in header)
+
+    def test_decay_bound_json_parses_strictly(self, tmp_path):
+        # at the two gap edges q_c is below q = 0.1, so C is NaN there: null in JSON, nan in CSV
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("e_minus = 1\ne_plus = 2\nn_energies = 5\nq = 0.1\n")
+        out, csv = tmp_path / "o.json", tmp_path / "o.csv"
+        assert main(["decay-bound", "--config", str(cfg), "--format", "json", "--output", str(out)]) == 0
+        assert main(["decay-bound", "--config", str(cfg), "--output", str(csv)]) == 0
+        payload = json.loads(out.read_bytes(), parse_constant=_refuse_constant)
+        c = [row[payload["columns"].index("C")] for row in payload["rows"]]
+        assert c[0] is None and c[-1] is None and all(isinstance(v, float) for v in c[1:-1])
+        cells = [line.split(",")[-1] for line in csv.read_text().splitlines()[-5:]]
+        assert cells[0] == cells[-1] == "nan" and float(cells[2]) == c[2]
 
     def test_format_flag_json(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

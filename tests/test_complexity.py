@@ -115,11 +115,41 @@ def test_resolvent_norm_at_adds_one_solve(solves, z, pinned):
         assert counts == [pinned] * len(LADDER)
 
 
-def test_default_resolvent_map(solves, tmp_path):
-    # 144 points at n = 800, one factorization each; ARPACK made 3094 solves and the vector rule 2568
-    assert main(["resolvent-map", "--output", str(tmp_path / "map.csv")]) == 0
-    assert solves[0] <= 2350
-    assert solves[1] == 144
+# what the resolvent-norm paths may not run: each is a dense or O(n^2) eigen- or singular-value solver
+DENSE_SOLVERS = ((np.linalg, ("eig", "eigvals", "eigh", "eigvalsh", "svd")),
+                 (scipy.linalg, ("eig", "eigvals", "eigh", "eigvalsh", "eig_banded", "eigvals_banded",
+                                 "svd", "svdvals")))
+
+
+@pytest.fixture
+def dense_solver_calls(monkeypatch):
+    """The names of the DENSE_SOLVERS called from here on."""
+    called = []
+
+    def spied(name, real):
+        def call(*args, **kwargs):
+            called.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for module, names in DENSE_SOLVERS:
+        for name in names:
+            monkeypatch.setattr(module, name, spied(name, getattr(module, name)))
+    return called
+
+
+def test_default_resolvent_map(solves, dense_solver_calls, tmp_path):
+    # 144 points, one factorization each.  Each probe's Lanczos starts from its nearest computed
+    # neighbour's vector: 1792 / 1768 / 1760 solves.  Cold starts took 2248-2308, the vector rule
+    # alone 2568 and ARPACK 3094 (at n = 800)
+    cfg = tmp_path / "map.cfg"
+    for n in LADDER:
+        cfg.write_text(f"n = {n}\n")
+        solves[:] = [0, 0]
+        assert main(["resolvent-map", "--config", str(cfg), "--output", str(tmp_path / "map.csv")]) == 0
+        assert solves[0] <= 1850
+        assert solves[1] == 144
+    assert dense_solver_calls == []
 
 
 def test_locate_resonance_from_a_guess_counts_do_not_grow(solves):

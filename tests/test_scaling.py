@@ -9,7 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
-from csop import antilinear, scaling
+from csop import antilinear, scaling, schrodinger
+from csop.cli import parse_config, run
 from csop.errors import ConvergenceError, SingularShiftError, StripViolationError
 from csop.scaling import (
     FLOOR_RTOL,
@@ -24,6 +25,7 @@ from csop.scaling import (
     perturbation_scan,
     polish_eigenvalue,
     ray_distance,
+    resolvent_map,
     resolvent_norm_at,
     sigma_min,
 )
@@ -413,17 +415,37 @@ FREE_TOL = 8.0  # both sides of the closed form lose a few eps ||H - z||
 PSI_GATE_COND = 1e8  # below this cond(H - z), resolvent_norm_at's psi residual gate passed in every measured case
 
 
+def _free_size_and_angle(draw):
+    """(n, theta): n <= 2^16 spread over its octaves, theta in [0.1, 0.5]i."""
+    octave = draw(st.integers(2, 16))
+    return draw(st.integers(max(3, 2 ** (octave - 1) + 1), 2 ** octave)), 1j * draw(st.floats(0.1, 0.5))
+
+
 @st.composite
 def _free_cases(draw):
-    """(n, theta, z): n <= 2^16 spread over its octaves, theta in [0.1, 0.5]i, and z the midpoint of two
+    """(n, theta, z): n and theta as _free_size_and_angle draws them, and z the midpoint of two
     neighbouring rotated eigenvalues (an exactly degenerate sigma_min) or a point near the rotated string."""
-    octave = draw(st.integers(2, 16))
-    n = draw(st.integers(max(3, 2 ** (octave - 1) + 1), 2 ** octave))
-    theta = 1j * draw(st.floats(0.1, 0.5))
+    n, theta = _free_size_and_angle(draw)
     rot = np.exp(-2.0 * theta)
     if draw(st.booleans()):
         return n, theta, _free_midpoint(n, theta, draw(st.integers(0, min(n - 2, 30))))
     return n, theta, complex(rot * complex(draw(st.floats(0.0, 20.0)), draw(st.floats(-0.3, 0.3))))
+
+
+def _free_line(centre, width, along_re):
+    """(re_values, im_values) of resolvent_map for 12 z, width / 6 apart on a line along re or im with
+    the seventh at centre: twelve lines of one point each, or one line of twelve."""
+    offsets = np.arange(-6, 6) * (width / 6)
+    if along_re:
+        return centre.real + offsets, [centre.imag]
+    return [centre.real], centre.imag + offsets
+
+
+@st.composite
+def _free_line_cases(draw):
+    """(n, theta, re_values, im_values): a _free_cases point on a _free_line of half-width 0.01 to 1."""
+    n, theta, z = draw(_free_cases())
+    return (n, theta) + _free_line(z, draw(st.floats(0.01, 1.0)), draw(st.booleans()))
 
 
 def _free_midpoint(n, theta, k):
@@ -455,6 +477,53 @@ class TestFreeClosedForm:
             assert scale / exact > PSI_GATE_COND
             return
         assert abs(1.0 / norm - exact) <= tol
+
+
+class TestResolventMap:
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(case=_free_line_cases())
+    @example(case=(2 ** 16, 0.3j, *_free_line(_free_midpoint(2 ** 16, 0.3j, 5), 0.05, False)))
+    @example(case=(2 ** 16, 0.3j, *_free_line(_free_midpoint(2 ** 16, 0.3j, 5), 0.05, True)))
+    def test_warm_starts_match_the_free_closed_form(self, case):
+        # each probe starts from its neighbour's vector; where the line crosses an exactly degenerate
+        # midpoint, that vector is nearly sigma_min's partner, and the closed form still holds
+        n, theta, re_values, im_values = case
+        ham = build_scaled(FREE, Grid1D(FREE_LENGTH, n), theta)
+        z = np.add.outer(np.asarray(re_values), 1j * np.asarray(im_values))
+        rotated = np.exp(-2.0 * theta) * free_eigenvalues(FREE_LENGTH, n)
+        exact = np.array([np.min(np.abs(rotated - point)) for point in z.ravel()]).reshape(z.shape)
+        scale = ham.norm_estimate + np.abs(z)  # >= ||H - z||
+        assume(np.all(exact > 1e-9 * scale))
+        sigma = 1.0 / resolvent_map(ham, re_values, im_values)
+        assert np.all(np.abs(sigma - exact) <= FREE_TOL * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("z", [4.1 - 0.15j, 3.8 - 0.3j, 2.5 - 0.3j])
+    def test_start_on_sigma_2_finds_sigma_min(self, z):
+        # a start on the right singular vector at sigma_2 spans an invariant subspace; at 2.5 - 0.3i,
+        # where sigma_2 / sigma_min = 1.02, Lanczos without WARM_BLEND's seeded part returns sigma_2
+        ham = build_scaled(ALPHA75, Grid1D(40.0, 400), 0.3j)
+        _, sv, vh = np.linalg.svd(ham.bands.dense(z))
+        warm = schrodinger._lanczos_pair(ham.bands, z, value_only=True, start=vh[-2].conj())[0]
+        for value in (warm, sigma_min(ham, z)):  # the cold path's tolerance, as at the slow point
+            assert abs(value - sv[-1]) <= 1e-12 * sv[-1]
+
+    @pytest.mark.parametrize("n", [800, 4000])
+    def test_default_map_moves_from_cold_sigma_min_by_rounding(self, n):
+        # a warm start changes the rounding of sigma, by a few eps ||H - z||, so a norm 1 / sigma moves
+        # by at most FREE_TOL eps ||H - z|| / sigma relative (measured: 2.1e-14 at n = 800, 2.5e-13 at 4000)
+        rows = run("resolvent-map", parse_config(f"n = {n}\n", "resolvent-map")).rows
+        ham = build_scaled(ALPHA75, Grid1D(40.0, n), 0.3j)
+        for re, im, norm in rows:
+            z = complex(re, im)
+            cold = sigma_min(ham, z)
+            assert abs(norm * cold - 1.0) <= FREE_TOL * np.finfo(float).eps * (ham.norm_estimate + abs(z)) / cold
+
+    def test_first_probe_starts_cold(self):
+        # row i is re_values[i] and column j im_values[j]; the first probe has no neighbour yet
+        ham = build_scaled(ALPHA75, Grid1D(40.0, 300), 0.3j)
+        norms = resolvent_map(ham, [3.9, 4.1, 4.3], [-0.3, -0.2])
+        assert norms.shape == (3, 2)
+        assert norms[0, 0] == 1.0 / sigma_min(ham, 3.9 - 0.3j)
 
 
 class TestBanded:
